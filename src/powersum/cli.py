@@ -348,7 +348,7 @@ def build_parser() -> CliParser:
     p = sub.add_parser("feasibility", help="existence tests for an order")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                   help="search node budget")
+                   help="node budget of the multiplier-orbit search")
     _add_format(p)
     p.set_defaults(func=cmd_feasibility)
 

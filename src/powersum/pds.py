@@ -7,8 +7,11 @@ residue exactly once (equivalently: a cyclic projective plane of order q).
 ``verify`` checks that property directly; ``singer_construct`` realizes it
 for prime-power q from the cyclic structure of GF(q^3); ``exhaustive_search``
 and ``enumerate_all`` explore all candidates at small orders with a
-difference-coverage backtracker; ``feasibility`` combines the classical
-nonexistence tests with the search.
+difference-coverage backtracker.  ``feasibility`` combines the Bruck-Ryser and
+Wilbrink nonexistence tests with a multiplier-orbit search, which is complete
+by Hall's multiplier theorem (every prime dividing q is a multiplier) and the
+McFarland-Rice theorem (some translate is fixed by every multiplier); a
+verdict that rests on that search carries the reason ``multiplier-search``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
-from . import _search
+from . import _orbits, _search
 from .gf import factorize, make_field, primitive_element
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -307,6 +310,29 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
 
 
 # ---------------------------------------------------------------------------
+# Multiplier-orbit search
+# ---------------------------------------------------------------------------
+
+
+def _multiplier_search(q: int, budget: int) -> SearchResult:
+    """Complete search for a perfect difference set of order q among unions
+    of multiplier orbits (Hall's multiplier theorem and McFarland-Rice; see
+    ``_orbits``).  `budget` caps the nodes of the whole search, as counted by
+    ``_orbits.search``.  NoneExists means every union of size q+1 was ruled
+    out.  A found set is checked by ``verify``.
+    """
+    _validate_search_order(q)
+    status, nodes, residues = _orbits.search(q, budget)
+    if status != "Found":
+        return SearchResult(status, None, nodes)
+    found = PerfectDifferenceSet.from_residues(residues, q)
+    check = verify(found.residues, q)
+    if not check.valid:
+        raise ArithmeticError(f"multiplier search returned an invalid set: {check}")
+    return SearchResult("Found", found, nodes)
+
+
+# ---------------------------------------------------------------------------
 # Order feasibility
 # ---------------------------------------------------------------------------
 
@@ -337,13 +363,15 @@ def wilbrink_excludes(order: int) -> bool:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Combined verdict of the classical tests and the exhaustive search.
+    """Combined verdict of the classical tests and the multiplier-orbit search.
 
-    ``exhaustive_result`` is one of Found / NoneExists / NotAttempted (a
-    search that ran out of budget counts as NotAttempted).  ``reasons`` names
-    the tests the verdict rests on; a completed search shows up there only
-    when it is the sole excluder, otherwise it speaks through
-    ``exhaustive_result``.
+    ``exhaustive_result`` is the search outcome, one of Found / NoneExists /
+    NotAttempted (a search that ran out of budget counts as NotAttempted).
+    The search is complete by Hall's multiplier theorem and McFarland-Rice.
+    ``reasons`` names the tests the verdict rests on: ``prime-power``,
+    ``bruck-ryser``, ``wilbrink`` or ``multiplier-search``.  A completed search
+    shows up there only when it is the sole excluder, otherwise it speaks
+    through ``exhaustive_result``.
     """
 
     order: int
@@ -368,14 +396,18 @@ class FeasibilityReport:
         }
 
 
-def feasibility(order: int, search_budget: int = DEFAULT_SEARCH_BUDGET,
-                workers: int = 1) -> FeasibilityReport:
+def feasibility(order: int,
+                search_budget: int = DEFAULT_SEARCH_BUDGET) -> FeasibilityReport:
     """Existence verdict for perfect difference sets of the given order.
 
     Prime powers exist by construction (a Singer witness is attached at desk
-    scale).  Otherwise the exhaustive search runs within the budget, alongside
-    the Bruck-Ryser and Wilbrink congruence tests; Excluded is never claimed
-    unless at least one test actually fired.
+    scale).  Otherwise the multiplier-orbit search runs within
+    ``search_budget`` nodes, alongside the Bruck-Ryser and Wilbrink congruence
+    tests.  By Hall's multiplier theorem every prime dividing the order is a
+    multiplier, and by McFarland-Rice some translate of any set is fixed by
+    all of them, so a search over unions of multiplier orbits is complete:
+    its NoneExists excludes the order (reason ``multiplier-search``).
+    Excluded is never claimed unless at least one test actually fired.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -394,13 +426,13 @@ def feasibility(order: int, search_budget: int = DEFAULT_SEARCH_BUDGET,
     theory = tuple(name for fired, name in
                    ((br, "bruck-ryser"), (wb, "wilbrink")) if fired)
     searchable = order <= MAX_SEARCH_ORDER
-    result = exhaustive_search(order, search_budget, workers) if searchable else None
+    result = _multiplier_search(order, search_budget) if searchable else None
 
     if result is not None and result.status == "Found":
         return FeasibilityReport(order, False, br, wb, "Found",
-                                 "Exists", ("exhaustive-search",), result.pds)
+                                 "Exists", ("multiplier-search",), result.pds)
     if result is not None and result.status == "NoneExists":
-        reasons = theory if theory else ("exhaustive-search",)
+        reasons = theory if theory else ("multiplier-search",)
         return FeasibilityReport(order, False, br, wb, "NoneExists",
                                  "Excluded", reasons, None)
     # search not attempted or inconclusive

@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 
 from powersum import _search, _search_py
+from powersum.gf import factorize
 from powersum.pds import (
     CanonicalForm,
     EnumerationResult,
@@ -20,6 +21,8 @@ from powersum.pds import (
     NotPrimePowerError,
     OrderTooLargeError,
     PerfectDifferenceSet,
+    SearchResult,
+    _multiplier_search,
     bruck_ryser_excludes,
     canonical_form,
     enumerate_all,
@@ -273,6 +276,41 @@ def test_enumerate_all_respects_budget():
     assert not e.complete
 
 
+# ---------------------------------------------------------------------------
+# multiplier-orbit search, with the plain backtracker as the oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_multiplier_search_agrees_with_exhaustive_search(q):
+    fast = _multiplier_search(q, budget=10**6)
+    slow = exhaustive_search(q)
+    assert fast.status == slow.status
+    assert fast.status in ("Found", "NoneExists")
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 27, 32))
+def test_multiplier_search_found_set_is_fixed_by_multipliers(q):
+    r = _multiplier_search(q, budget=10**6)
+    assert r.status == "Found"
+    assert r.nodes <= 10**6
+    assert is_pds_by_counter(r.pds.residues, q)
+    m = modulus_for_order(q)
+    residues = set(r.pds.residues)
+    for p in factorize(q):
+        assert {p * a % m for a in residues} == residues
+
+
+def test_multiplier_search_respects_budget():
+    assert _multiplier_search(10, budget=0) == SearchResult("BudgetExceeded", None, 0)
+    for q in (1, 4, 6, 10, 11, 13):
+        for budget in (1, 2, 5, 50):
+            r = _multiplier_search(q, budget)
+            assert r.nodes <= budget
+            if r.status == "BudgetExceeded":
+                assert r.pds is None
+
+
 def test_search_rejects_bad_orders():
     with pytest.raises(ValueError):
         exhaustive_search(0)
@@ -333,11 +371,19 @@ def test_feasibility_order6_excluded():
     assert rep.reasons == ("bruck-ryser", "wilbrink")
 
 
-def test_feasibility_order10_open_under_small_budget():
-    rep = feasibility(10, search_budget=1000)
-    assert rep.verdict == "OpenByTheseTests"
+def test_feasibility_order10_excluded_by_multiplier_search():
+    rep = feasibility(10)
+    assert rep.verdict == "Excluded"
     assert not rep.is_prime_power
     assert not rep.bruck_ryser_excludes and not rep.wilbrink_excludes
+    assert rep.exhaustive_result == "NoneExists"
+    assert rep.reasons == ("multiplier-search",)
+    assert rep.witness is None
+
+
+def test_feasibility_order10_open_without_budget():
+    rep = feasibility(10, search_budget=0)
+    assert rep.verdict == "OpenByTheseTests"
     assert rep.exhaustive_result == "NotAttempted"
     assert rep.reasons == ()
 
@@ -355,8 +401,20 @@ def test_feasibility_never_excludes_without_a_firing_test():
         if rep.verdict == "Excluded":
             assert (rep.bruck_ryser_excludes or rep.wilbrink_excludes
                     or rep.exhaustive_result == "NoneExists")
+            if not (rep.bruck_ryser_excludes or rep.wilbrink_excludes):
+                assert "multiplier-search" in rep.reasons
         if rep.verdict == "Exists":
             assert rep.is_prime_power or rep.exhaustive_result == "Found"
+
+
+def test_feasibility_decides_every_order_up_to_100():
+    for order in range(2, 101):
+        rep = feasibility(order)
+        if is_prime_power(order):
+            assert rep.verdict == "Exists", order
+        else:
+            assert rep.verdict == "Excluded", order
+            assert rep.exhaustive_result == "NoneExists", order
 
 
 def test_feasibility_report_record_shape():
