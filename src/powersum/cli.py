@@ -208,7 +208,7 @@ def cmd_feasibility(args) -> int:
         lines = [f"order {report.order}: {report.verdict}"]
         if report.reasons:
             lines.append("reasons: " + ", ".join(report.reasons))
-        lines.append(f"exhaustive: {report.exhaustive_result}")
+        lines.append(f"search: {report.exhaustive_result}")
         if report.witness:
             lines.append("witness: " + ",".join(map(str, report.witness.residues)))
         emit_human(lines)
@@ -275,7 +275,7 @@ def cmd_optimize(args) -> int:
                              polish_tol=args.polish_tol)
     trace_rows: list[tuple[int, float, float]] = []
     sink = (lambda _r, row: trace_rows.append(row)) if args.trace else None
-    report = minimize(config, workers=args.parallel, trace_sink=sink)
+    report = minimize(config, trace_sink=sink)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("iter,beta,value\n")
@@ -295,8 +295,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_search(args) -> int:
-    result = exhaustive_search(args.order, budget=args.budget,
-                               workers=args.parallel)
+    result = exhaustive_search(args.order, budget=args.budget)
     record = {
         "order": args.order,
         "m": args.order * args.order + args.order + 1,
@@ -379,7 +378,6 @@ def build_parser() -> CliParser:
     p.add_argument("--betas", type=beta_list, default=(1.0, 4.0, 16.0, 64.0),
                    help="comma-separated smoothing schedule")
     p.add_argument("--polish-tol", type=float, default=1e-10)
-    p.add_argument("--parallel", type=int, default=1, metavar="WORKERS")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write per-iteration CSV (iter,beta,value)")
     _add_format(p)
@@ -388,7 +386,6 @@ def build_parser() -> CliParser:
     p = sub.add_parser("search", help="exhaustive difference-set search")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--parallel", type=int, default=1, metavar="WORKERS")
     _add_format(p)
     p.set_defaults(func=cmd_search)
 

@@ -17,17 +17,16 @@ runs three deterministic stages:
    the true objective.  When no difference set of order n-1 exists the snap
    can never verify and the stage is a no-op.
 
-Restarts own RNG streams derived from (seed, restart index), so serial and
-parallel runs produce identical reports.  The optimizer gathers evidence
-only: it lands on sqrt(n-1) with recovered structure when a perfect
-difference set of order n-1 exists, and reports the best value found (always
-strictly above the bound) when none does.
+Restarts run one after another, each on its own RNG stream derived from
+(seed, restart index), so a fixed config always produces the same report.
+The optimizer gathers evidence only: it lands on sqrt(n-1) with recovered
+structure when a perfect difference set of order n-1 exists, and reports the
+best value found (always strictly above the bound) when none does.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -363,22 +362,18 @@ def _run_restart(config: OptimizerConfig, index: int,
     return thetas, value, trace or []
 
 
-def minimize(config: OptimizerConfig, workers: int = 1,
+def minimize(config: OptimizerConfig,
              trace_sink: Optional[Callable[[int, TraceRow], None]] = None
              ) -> OptimizerReport:
     """Multi-start minimization; deterministic for a fixed config.
 
-    ``trace_sink``, when given, receives (restart_index, (iter, beta, value))
-    rows in restart order after the runs complete, regardless of worker count.
+    The restarts run in index order.  ``trace_sink``, when given, receives
+    (restart_index, (iter, beta, value)) rows in restart order after the
+    runs complete.
     """
     indices = range(config.restarts)
     collect = trace_sink is not None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(
-                lambda r: _run_restart(config, r, collect), indices))
-    else:
-        runs = [_run_restart(config, r, collect) for r in indices]
+    runs = [_run_restart(config, r, collect) for r in indices]
 
     values = tuple(value for _, value, _ in runs)
     best_index = min(indices, key=lambda r: (values[r], r))

@@ -6,8 +6,10 @@ m = q^2 + q + 1 whose q^2 + q ordered pairwise differences hit every nonzero
 residue exactly once (equivalently: a cyclic projective plane of order q).
 ``verify`` checks that property directly; ``singer_construct`` realizes it
 for prime-power q from the cyclic structure of GF(q^3); ``exhaustive_search``
-and ``enumerate_all`` explore all candidates at small orders with a
-difference-coverage backtracker.  ``feasibility`` combines the Bruck-Ryser and
+and ``enumerate_all`` walk the one depth-first tree of sets containing
+{0, 1} with a difference-coverage backtracker, serially and under a single
+node budget; they find and list sets at small orders and are the test oracle
+for the multiplier-orbit search.  ``feasibility`` combines the Bruck-Ryser and
 Wilbrink nonexistence tests with a multiplier-orbit search, which is complete
 by Hall's multiplier theorem (every prime dividing q is a multiplier) and the
 McFarland-Rice theorem (some translate is fixed by every multiplier); a
@@ -16,7 +18,6 @@ verdict that rests on that search carries the reason ``multiplier-search``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
@@ -201,6 +202,7 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
 # Any perfect difference set covers the difference 1, so some translate
 # contains both 0 and 1.  Searching completions of the prefix (0, 1) is
 # therefore complete for every modulus, and discards the translation orbit.
+_ROOT = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -217,16 +219,6 @@ class EnumerationResult:
     nodes: int
 
 
-def _prefixes(m: int, k: int) -> list[tuple[int, int, int]]:
-    # Slot 2 of the sorted set: values leave room for the remaining k-3 slots.
-    return [(0, 1, a3) for a3 in range(2, m - k + 3)]
-
-
-def _slices(budget: int, parts: int) -> list[int]:
-    base, rem = divmod(budget, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
-
-
 def _validate_search_order(q: int) -> int:
     if q < 1:
         raise ValueError("order must be >= 1")
@@ -235,52 +227,24 @@ def _validate_search_order(q: int) -> int:
     return modulus_for_order(q)
 
 
-def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET,
-                      workers: int = 1) -> SearchResult:
+def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Backtracking search for one perfect difference set of order q.
 
-    The tree is rooted at the prefix (0, 1) and split by the third residue;
-    the node budget is divided deterministically across the subtrees, so the
-    verdict (and the found set) is identical for any worker count.  NoneExists
-    is only reported when every subtree was fully exhausted within its slice.
+    One depth-first tree, rooted at the prefix (0, 1), is searched with the
+    whole node budget.  NoneExists is only reported when the tree was fully
+    exhausted within the budget; BudgetExceeded means exactly `budget` nodes
+    were visited without a verdict.
     """
     m = _validate_search_order(q)
-    k = q + 1
-    if k <= 2:
-        # q = 1: the prefix itself is the whole set {0, 1} mod 3.
-        sol = PerfectDifferenceSet.from_residues((0, 1), q)
-        assert verify(sol.residues, q).valid
-        return SearchResult("Found", sol, 0)
-
-    prefixes = _prefixes(m, k)
-    slices = _slices(budget, len(prefixes))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda args: _search.subtree_first(m, k, args[0], args[1]),
-                zip(prefixes, slices)))
-    else:
-        outcomes = None  # evaluated lazily below so a hit stops the scan
-
-    total_nodes = 0
-    budget_hit = False
-    for i, prefix in enumerate(prefixes):
-        if outcomes is not None:
-            status, nodes, sol = outcomes[i]
-        else:
-            status, nodes, sol = _search.subtree_first(m, k, prefix, slices[i])
-        total_nodes += nodes
-        if status == _search.FOUND:
-            found = PerfectDifferenceSet.from_residues(sol, q)
-            check = verify(found.residues, q)
-            if not check.valid:
-                raise ArithmeticError(f"search returned an invalid set: {check}")
-            return SearchResult("Found", found, total_nodes)
-        if status == _search.BUDGET:
-            budget_hit = True
-    return SearchResult("BudgetExceeded" if budget_hit else "NoneExists",
-                        None, total_nodes)
+    status, nodes, sol = _search.subtree_first(m, q + 1, _ROOT, budget)
+    if status == _search.FOUND:
+        found = PerfectDifferenceSet.from_residues(sol, q)
+        check = verify(found.residues, q)
+        if not check.valid:
+            raise ArithmeticError(f"search returned an invalid set: {check}")
+        return SearchResult("Found", found, nodes)
+    return SearchResult("BudgetExceeded" if status == _search.BUDGET else "NoneExists",
+                        None, nodes)
 
 
 def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
@@ -288,25 +252,13 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
 
     Each equivalence class has at least one such representative (translate a
     pair with difference 1 onto (0, 1)), so canonicalizing the returned sets
-    surveys all classes.  ``complete`` is False when any subtree ran out of
-    its budget slice, in which case the listing may be partial.
+    surveys all classes.  The tree rooted at (0, 1) is walked once, in
+    depth-first order, with the whole node budget; ``complete`` is False when
+    the budget ran out, in which case the listing may be partial.
     """
     m = _validate_search_order(q)
-    k = q + 1
-    if k <= 2:
-        return EnumerationResult(True, ((0, 1),), 0)
-    prefixes = _prefixes(m, k)
-    slices = _slices(budget, len(prefixes))
-    sets: list[tuple[int, ...]] = []
-    total_nodes = 0
-    complete = True
-    for prefix, part in zip(prefixes, slices):
-        status, nodes, sols = _search.subtree_all(m, k, prefix, part)
-        total_nodes += nodes
-        sets.extend(sols)
-        if status == _search.BUDGET:
-            complete = False
-    return EnumerationResult(complete, tuple(sets), total_nodes)
+    status, nodes, sols = _search.subtree_all(m, q + 1, _ROOT, budget)
+    return EnumerationResult(status != _search.BUDGET, tuple(sols), nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from powersum import cli
 from powersum.pds import verify
 
@@ -43,3 +45,43 @@ def test_feasibility_output_is_byte_identical_across_runs(capsys):
     second = run(capsys, "feasibility", "--order", "10")
     assert first == second
     assert first[1].endswith("\n")
+
+
+def test_feasibility_human_labels_the_search_outcome(capsys):
+    code, out, _ = run(capsys, "feasibility", "--order", "10", "--format", "human")
+    assert code == cli.EXIT_NEGATIVE
+    assert "search: NoneExists\n" in out
+    assert "exhaustive:" not in out
+
+
+def test_search_order9_finds_a_verified_set(capsys):
+    code, out, _ = run(capsys, "search", "--order", "9")
+    assert code == cli.EXIT_OK
+    record = json.loads(out)
+    assert record["status"] == "Found"
+    assert record["m"] == 91
+    assert verify(record["residues"], 9).valid
+
+
+def test_search_order6_none_exists(capsys):
+    code, out, _ = run(capsys, "search", "--order", "6")
+    assert code == cli.EXIT_NEGATIVE
+    record = json.loads(out)
+    assert record["status"] == "NoneExists"
+    assert record["residues"] is None
+
+
+def test_search_output_is_byte_identical_across_runs(capsys):
+    first = run(capsys, "search", "--order", "9")
+    second = run(capsys, "search", "--order", "9")
+    assert first == second
+
+
+@pytest.mark.parametrize("argv", (("search", "--order", "9", "--parallel", "2"),
+                                  ("optimize", "--n", "3", "--parallel", "2")))
+def test_parallel_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == cli.EXIT_USAGE == 64
+    _, err = capsys.readouterr()
+    assert "--parallel" in err

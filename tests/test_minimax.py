@@ -137,14 +137,13 @@ def test_minimize_n2_reaches_one():
     assert report.recovered.status is RecoveryStatus.IS_MINIMIZER
 
 
-def test_minimize_deterministic_and_parallel_equivalent():
+def test_minimize_deterministic():
     cfg = OptimizerConfig(n=3, restarts=5, seed=40)
     a = minimize(cfg)
     b = minimize(cfg)
-    c = minimize(cfg, workers=3)
-    assert a.per_restart_values == b.per_restart_values == c.per_restart_values
-    assert a.best_tuple == b.best_tuple == c.best_tuple
-    assert a.best_value == b.best_value == c.best_value
+    assert a.per_restart_values == b.per_restart_values
+    assert a.best_tuple == b.best_tuple
+    assert a.best_value == b.best_value
 
 
 def test_minimize_respects_lemma1_guard():
