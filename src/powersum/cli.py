@@ -4,8 +4,10 @@ Subcommands: singer, verify, feasibility, profile, recover, optimize,
 search.  Results go to stdout, diagnostics to stderr.  JSON output uses a
 fixed key order and 12-significant-digit floats so identical invocations are
 byte-identical.  Exit codes: 0 for success / Found / Exists, 1 for
-NoneExists / NotMinimizer / Excluded, 2 for invalid domain input, 64 for
-usage errors.  POWERSUM_SEED provides the seed when --seed is absent.
+NoneExists / NotMinimizer / Excluded, 2 for invalid domain input, 3 for an
+inconclusive result (BudgetExceeded from search, OpenByTheseTests from
+feasibility), 64 for usage errors.  POWERSUM_SEED provides the seed when
+--seed is absent.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .sums import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_DOMAIN = 2
+EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 
 _DOMAIN_ERRORS = (NotPrimeError, DegreeOutOfRangeError, NotPrimePowerError,
@@ -214,7 +217,8 @@ def cmd_feasibility(args) -> int:
         emit_human(lines)
     else:
         emit_json(report.to_record())
-    return EXIT_NEGATIVE if report.verdict == "Excluded" else EXIT_OK
+    return {"Excluded": EXIT_NEGATIVE,
+            "OpenByTheseTests": EXIT_INCONCLUSIVE}.get(report.verdict, EXIT_OK)
 
 
 def _profile_source(args) -> UnimodularTuple:
@@ -271,8 +275,7 @@ def cmd_recover(args) -> int:
 def cmd_optimize(args) -> int:
     config = OptimizerConfig(n=args.n, restarts=args.restarts,
                              max_iters=args.max_iters, seed=resolve_seed(args),
-                             smoothing_betas=args.betas,
-                             polish_tol=args.polish_tol)
+                             smoothing_betas=args.betas)
     trace_rows: list[tuple[int, float, float]] = []
     sink = (lambda _r, row: trace_rows.append(row)) if args.trace else None
     report = minimize(config, trace_sink=sink)
@@ -310,7 +313,8 @@ def cmd_search(args) -> int:
         emit_human(lines)
     else:
         emit_json(record)
-    return EXIT_NEGATIVE if result.status == "NoneExists" else EXIT_OK
+    return {"NoneExists": EXIT_NEGATIVE,
+            "BudgetExceeded": EXIT_INCONCLUSIVE}.get(result.status, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +381,6 @@ def build_parser() -> CliParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--betas", type=beta_list, default=(1.0, 4.0, 16.0, 64.0),
                    help="comma-separated smoothing schedule")
-    p.add_argument("--polish-tol", type=float, default=1e-10)
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write per-iteration CSV (iter,beta,value)")
     _add_format(p)

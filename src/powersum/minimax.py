@@ -6,11 +6,11 @@ runs three deterministic stages:
 
 1. annealed log-sum-exp smoothing: gradient descent with backtracking line
    search on the surrogate, sharpening beta along the configured schedule;
-2. polish on the true objective: coordinate descent followed by
-   epsilon-active steepest descent (the search direction is the negated
-   min-norm point of the convex hull of the active |S(nu)| gradients, which
-   handles the heavily degenerate corners where single-coordinate moves
-   stall);
+2. prox-linear polish on the true objective: each step minimizes the
+   linearized max plus a proximal term (mu/2)|d|^2, solved through its dual
+   over the simplex of the |S(nu)| gradients, and adapts mu to how well the
+   model predicted the decrease (Madsen's minimax method), so it converges
+   to a Clarke-stationary point of the max instead of stalling at its kinks;
 3. lattice snapping: whenever an iterate rounds onto angles j_k/m whose j_k
    form a verified difference set, that exact lattice tuple is kept as a
    candidate and adopted at the end only if it beats the polished point on
@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .pds import verify
-from .sums import RecoveryResult, UnimodularTuple, power_sums, recover_structure
+from .sums import RecoveryResult, UnimodularTuple, _running_powers, recover_structure
 
 LOWER_BOUND_GUARD = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -50,18 +50,12 @@ def objective(t: UnimodularTuple) -> float:
     Guarded by the proven lower bound: a value below sqrt(n-1) - 1e-9 can
     only mean a numerical defect, and raises.
     """
-    value = power_sums(t).max_abs
-    floor = lower_bound(t.n)
-    if value < floor - LOWER_BOUND_GUARD:
-        raise ArithmeticError(
-            f"objective {value} fell below the proven bound {floor}")
-    return value
+    return _objective_raw((np.asarray(t.thetas) + t.alpha_turns) % 1.0, t.n)
 
 
 def _abs_squared_and_powers(thetas: np.ndarray, nu_max: int):
     """u[nu-1] = |S(nu)|^2, S[nu-1], and the power matrix z_k^nu."""
-    z = np.exp((2j * np.pi) * thetas)
-    powers = np.cumprod(np.broadcast_to(z, (nu_max, z.size)), axis=0)
+    powers = _running_powers(thetas, nu_max)
     s = powers.sum(axis=1)
     u = (s.real * s.real + s.imag * s.imag)
     return u, s, powers
@@ -129,7 +123,6 @@ class OptimizerConfig:
     max_iters: int = 600  # gradient steps per restart, shared by the betas
     seed: int = 0
     smoothing_betas: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0)
-    polish_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n < 2:
@@ -231,29 +224,6 @@ def _descend_smoothed(thetas: np.ndarray, n: int, config: OptimizerConfig,
     return thetas
 
 
-def _polish_coordinate_descent(thetas: np.ndarray, n: int,
-                               polish_tol: float) -> tuple[np.ndarray, float]:
-    # Sweeps per step level are capped: long zigzag marches gain little and
-    # the min-norm stage that follows handles the tight convergence.
-    value = _objective_raw(thetas, n)
-    step = 0.05
-    while step >= polish_tol:
-        for _ in range(6):
-            improved = False
-            for k in range(1, n):
-                for sign in (1.0, -1.0):
-                    candidate = thetas.copy()
-                    candidate[k] = (candidate[k] + sign * step) % 1.0
-                    cand_value = _objective_raw(candidate, n)
-                    if cand_value < value:
-                        thetas, value = candidate, cand_value
-                        improved = True
-            if not improved:
-                break
-        step *= 0.5
-    return thetas, value
-
-
 def _abs_values_and_grads(thetas: np.ndarray, n: int):
     """r_nu = |S(nu)| and the gradient rows d r_nu / d theta (gauge-fixed)."""
     nu_max = n * n - n
@@ -266,82 +236,86 @@ def _abs_values_and_grads(thetas: np.ndarray, n: int):
     return r, grads
 
 
-def _min_norm_weights(gram: np.ndarray, iters: int = 80,
-                      tol: float = 1e-12) -> np.ndarray:
-    """Pairwise Frank-Wolfe for the min-norm point of a convex hull.
+_QP_ITERS = 100
+_QP_TOL = 1e-12
+_QP_RIDGE = 1e-13
+_POLISH_STEPS = 200
 
-    Minimizes |sum w_i g_i|^2 over the simplex given the Gram matrix of the
-    g_i; the hull member it returns (via the weights) is the steepest-descent
-    generator for the max of the underlying functions.
+
+def _min_norm_weights(gram: np.ndarray, linear: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """Active-set solver for min 1/2 w'(gram)w - linear'w over the simplex.
+
+    With ``gram`` the Gram matrix of the gradients g_i and ``linear`` =
+    mu * r this is the dual of the prox-linear step; with ``linear`` = 0 it
+    is the min-norm point of the hull of the g_i (Wolfe 1976).  Starting from
+    the support of ``weights``, each pass minimizes over the affine hull of
+    the support (a KKT solve; the tiny ridge keeps it nonsingular when
+    gradients coincide), moving only as far as the simplex allows and
+    dropping the weight that reaches zero, then adds the index of least
+    gradient.  It stops when the Frank-Wolfe gap is below _QP_TOL relative
+    to the linear term, or when that index is already in the support, which
+    in exact arithmetic cannot happen and marks the rounding floor.
     """
-    k = gram.shape[0]
-    weights = np.zeros(k)
-    weights[int(np.argmin(np.diag(gram)))] = 1.0
-    for _ in range(iters):
-        scores = gram @ weights
-        norm2 = float(weights @ scores)
-        toward = int(np.argmin(scores))
-        support = np.where(weights > 1e-15)[0]
-        away = support[int(np.argmax(scores[support]))]
-        if norm2 - float(scores[toward]) <= tol * max(1.0, norm2):
+    weights = weights.copy()
+    ridge = _QP_RIDGE * max(1.0, float(np.trace(gram)))
+    tol = _QP_TOL * max(1.0, float(np.abs(linear).max()))
+    support = np.flatnonzero(weights)
+    for _ in range(_QP_ITERS):
+        while True:
+            size = support.size
+            kkt = np.ones((size + 1, size + 1))
+            kkt[size, size] = 0.0
+            kkt[:size, :size] = gram[np.ix_(support, support)] + ridge * np.eye(size)
+            target = np.linalg.solve(kkt, np.append(linear[support], 1.0))[:size]
+            if (target > 0).all():
+                break
+            current = weights[support]
+            out = np.flatnonzero(target <= 0)
+            ratios = current[out] / (current[out] - target[out])
+            drop = support[out[int(np.argmin(ratios))]]
+            weights[support] = current + ratios.min() * (target - current)
+            weights[drop] = 0.0
+            support = support[weights[support] > 0]
+        weights[support] = target
+        grad = gram @ weights - linear
+        toward = int(np.argmin(grad))
+        if float(weights @ grad) - grad[toward] <= tol or weights[toward] > 0:
             break
-        curvature = gram[toward, toward] - 2 * gram[toward, away] + gram[away, away]
-        if curvature <= 0:
-            break
-        gamma = min(weights[away],
-                    (scores[away] - scores[toward]) / curvature)
-        if gamma <= 0:
-            break
-        weights[away] -= gamma
-        weights[toward] += gamma
+        support = np.append(support, toward)
     return weights
 
 
-def _polish_min_norm_descent(thetas: np.ndarray, n: int,
-                             iter_budget: int = 120) -> tuple[np.ndarray, float]:
-    """Epsilon-active steepest descent for the nonsmooth max.
+def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Prox-linear (SLP) minimax steps on the true objective (Madsen 1975).
 
-    At each step the direction is the negated min-norm point of the convex
-    hull of the gradients of the epsilon-active |S(nu)|; epsilon shrinks once
-    no further progress is possible at the current activity width.  The line
-    search warm-starts from the last accepted step to avoid long halving
-    cascades near corners.
+    Each step minimizes max_nu (r_nu + g_nu . d) + (mu/2)|d|^2 through its
+    dual over the simplex and takes d = -G'w/mu.  A step is accepted when the
+    objective drops by at least a tenth of the decrease the linear model
+    predicts, and mu then halves; a rejected step quadruples mu.  mu starts
+    at the largest |g_nu|^2 (1 when every gradient vanishes, so d = 0).  The
+    loop ends when the predicted decrease is down to rounding level.
     """
-    value = _objective_raw(thetas, n)
-    eps = 0.1
-    it = 0
-    warm_step = 0.5
-    idle_stages = 0
-    while eps > 1e-11 and it < iter_budget and idle_stages < 2:
-        moved = False
-        while it < iter_budget:
-            it += 1
-            r, grads = _abs_values_and_grads(thetas, n)
-            value = float(r.max())
-            active = grads[r >= value - eps]
-            weights = _min_norm_weights(active @ active.T)
-            direction = -(weights @ active)
-            norm2 = float(direction @ direction)
-            if norm2 <= (1e-10 * max(1.0, value)) ** 2:
-                break
-            step = min(warm_step * 4.0, 1.0)
-            accepted = False
-            while step > 1e-13:
-                candidate = (thetas + step * direction) % 1.0
-                candidate[0] = thetas[0]
-                cand_value = _objective_raw(candidate, n)
-                if cand_value <= value - 1e-4 * step * norm2:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            warm_step = step
-            thetas, value = candidate, cand_value
-            moved = True
-        idle_stages = 0 if moved else idle_stages + 1
-        eps *= 0.1
-    return thetas, value
+    r, grads = _abs_values_and_grads(thetas, n)
+    value = float(r.max())
+    mu = float((grads * grads).sum(axis=1).max()) or 1.0
+    weights = np.zeros(r.size)
+    weights[int(np.argmax(r))] = 1.0
+    for _ in range(_POLISH_STEPS):
+        weights = _min_norm_weights(grads @ grads.T, mu * r, weights)
+        step = -(weights @ grads) / mu
+        predicted = value - float((r + grads @ step).max())
+        if predicted <= 1e-15 * value:
+            break
+        candidate = (thetas + step) % 1.0
+        cand_r, cand_grads = _abs_values_and_grads(candidate, n)
+        cand_value = float(cand_r.max())
+        if value - cand_value >= 0.1 * predicted:
+            thetas, r, grads, value = candidate, cand_r, cand_grads, cand_value
+            mu *= 0.5
+        else:
+            mu *= 4.0
+    return thetas, _objective_raw(thetas, n)
 
 
 def _run_restart(config: OptimizerConfig, index: int,
@@ -354,8 +328,7 @@ def _run_restart(config: OptimizerConfig, index: int,
     snap.offer(thetas)
     trace: Optional[list[TraceRow]] = [] if collect_trace else None
     thetas = _descend_smoothed(thetas, n, config, snap, trace)
-    thetas, value = _polish_coordinate_descent(thetas, n, config.polish_tol)
-    thetas, value = _polish_min_norm_descent(thetas, n)
+    thetas, value = _polish(thetas, n)
     snap.offer(thetas)
     if snap.value < value:
         thetas, value = snap.point, snap.value
@@ -367,9 +340,11 @@ def minimize(config: OptimizerConfig,
              ) -> OptimizerReport:
     """Multi-start minimization; deterministic for a fixed config.
 
-    The restarts run in index order.  ``trace_sink``, when given, receives
-    (restart_index, (iter, beta, value)) rows in restart order after the
-    runs complete.
+    Each restart smooths, runs the prox-linear polish on the true max and
+    keeps a verified lattice snap when that is lower (see the module
+    docstring).  The restarts run in index order.  ``trace_sink``, when
+    given, receives (restart_index, (iter, beta, value)) rows in restart
+    order after the runs complete.
     """
     indices = range(config.restarts)
     collect = trace_sink is not None

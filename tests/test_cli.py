@@ -78,10 +78,45 @@ def test_search_output_is_byte_identical_across_runs(capsys):
 
 
 @pytest.mark.parametrize("argv", (("search", "--order", "9", "--parallel", "2"),
-                                  ("optimize", "--n", "3", "--parallel", "2")))
-def test_parallel_flag_is_a_usage_error(capsys, argv):
+                                  ("optimize", "--n", "3", "--parallel", "2"),
+                                  ("optimize", "--n", "3", "--polish-tol", "1e-8")))
+def test_removed_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == cli.EXIT_USAGE == 64
     _, err = capsys.readouterr()
-    assert "--parallel" in err
+    assert argv[3] in err
+
+
+def test_search_budget_exceeded_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "search", "--order", "10", "--budget", "100")
+    assert code == cli.EXIT_INCONCLUSIVE == 3
+    record = json.loads(out)
+    assert record["status"] == "BudgetExceeded"
+    assert record["nodes"] == 100
+
+
+def test_feasibility_open_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "feasibility", "--order", "10", "--budget", "0")
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert json.loads(out)["verdict"] == "OpenByTheseTests"
+
+
+def test_optimize_n3_recovers_a_minimizer(capsys):
+    argv = ("optimize", "--n", "3", "--restarts", "2", "--seed", "1")
+    first = run(capsys, *argv)
+    code, out, _ = first
+    assert code == cli.EXIT_OK
+    record = json.loads(out)
+    assert record["recovered"]["status"] == "IsMinimizer"
+    assert verify(record["recovered"]["pds"]["residues"], 2).valid
+    assert run(capsys, *argv) == first
+
+
+def test_optimize_n7_has_no_minimizer(capsys):
+    # order 6 has no perfect difference set, so nothing can be recovered
+    code, out, _ = run(capsys, "optimize", "--n", "7", "--restarts", "1", "--seed", "1")
+    assert code == cli.EXIT_NEGATIVE
+    record = json.loads(out)
+    assert record["recovered"]["status"] == "NotMinimizer"
+    assert record["gap_to_bound"] > 0

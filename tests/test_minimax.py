@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from powersum import minimax
 from powersum.minimax import (
     OptimizerConfig,
     OptimizerReport,
@@ -20,7 +21,12 @@ from powersum.minimax import (
     smoothed_objective_gradient,
 )
 from powersum.pds import singer_construct
-from powersum.sums import RecoveryStatus, UnimodularTuple, fabrykowski_tuple
+from powersum.sums import (
+    RecoveryStatus,
+    UnimodularTuple,
+    fabrykowski_tuple,
+    recover_structure,
+)
 
 
 def test_objective_on_fabrykowski():
@@ -116,6 +122,19 @@ def test_config_validation():
         OptimizerConfig(n=3, smoothing_betas=(4.0, 1.0))
     with pytest.raises(ValueError):
         OptimizerConfig(n=3, smoothing_betas=())
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8))
+def test_polish_converges_to_the_bound_near_a_minimizer(q):
+    lattice = np.array(fabrykowski_tuple(singer_construct(q)).thetas)
+    noise = np.random.default_rng(q).normal(0.0, 1e-4, lattice.size)
+    start = (lattice + noise) % 1.0
+    start = (start - start[0]) % 1.0
+    thetas, value = minimax._polish(start, q + 1)
+    assert value - math.sqrt(q) <= 1e-9
+    assert thetas[0] == start[0] == 0.0
+    recovered = recover_structure(UnimodularTuple(tuple(thetas)))
+    assert recovered.status is RecoveryStatus.IS_MINIMIZER
 
 
 def test_minimize_n3_reaches_bound_and_recovers():
