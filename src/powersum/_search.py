@@ -74,10 +74,16 @@ def _rec(m, k, covered, chosen, t, budget, nodes, out):
         return EXHAUSTED
     lo = chosen[t - 1] + 1 if t else 0
     vmax = m - k + t
+    first = chosen[0]
     for v in range(lo, vmax + 1):
         if nodes[0] >= budget:
             return BUDGET
         nodes[0] += 1
+        # _place's first test, made inline because most candidates fail it;
+        # the candidate still counts as a node.  With t == 0 nothing is
+        # covered yet, so the test passes.
+        if covered[v - first]:
+            continue
         if _place(m, covered, chosen, t, v):
             chosen[t] = v
             r = _rec(m, k, covered, chosen, t + 1, budget, nodes, out)

@@ -164,32 +164,35 @@ TraceRow = tuple[int, float, float]  # (iter, beta, value)
 # ---------------------------------------------------------------------------
 
 
-def _snap_to_lattice(thetas: np.ndarray, n: int) -> Optional[np.ndarray]:
-    """Round the shifted angles onto the grid j/m; return the exact lattice
-    point when the j_k form a verified difference set, else None."""
-    m = n * n - n + 1
-    shifted = (thetas - thetas[0]) % 1.0
-    js = np.rint(shifted * m).astype(int) % m
-    if len(set(js.tolist())) != n:
-        return None
-    if not verify(js.tolist(), n - 1).valid:
-        return None
-    return (js / m + thetas[0]) % 1.0
-
-
 class _SnapTracker:
-    """Keeps the best verified lattice candidate seen along a trajectory."""
+    """Keeps the best verified lattice candidate seen along a trajectory.
+
+    An offer rounds the shifted angles onto the grid j/m; the exact lattice
+    point counts when the j_k form a verified difference set.  An offer that
+    rounds to the same j_k, with the same first angle, as the previous offer
+    has the same lattice point and is skipped.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.point: Optional[np.ndarray] = None
         self.value = math.inf
+        self._last = None
 
     def offer(self, thetas: np.ndarray) -> None:
-        snapped = _snap_to_lattice(thetas, self.n)
-        if snapped is None:
+        n = self.n
+        m = n * n - n + 1
+        shifted = (thetas - thetas[0]) % 1.0
+        js = np.rint(shifted * m).astype(int) % m
+        residues = js.tolist()
+        key = (float(thetas[0]), residues)
+        if key == self._last:
             return
-        value = _objective_raw(snapped, self.n)
+        self._last = key
+        if len(set(residues)) != n or not verify(residues, n - 1).valid:
+            return
+        snapped = (js / m + thetas[0]) % 1.0
+        value = _objective_raw(snapped, n)
         if value < self.value:
             self.point, self.value = snapped, value
 

@@ -175,22 +175,34 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
 def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
     """Lex-least sorted representative over all translations and all unit
     multiplications mod m.  Idempotent; equal inputs up to equivalence map to
-    the same form.  The minimum always starts at residue 0, so it suffices to
-    scan, for every unit u, the translates that move some element to 0.
+    the same form.
+
+    Every candidate is translated to start at 0, and some candidate holds both
+    0 and 1, so the minimum starts (0, 1, ...).  Each unit image u*D is itself
+    a perfect difference set, so the difference 1 occurs in it exactly once,
+    at a pair (c, c+1), and only the translate by -c can be the minimum.  That
+    pair is u*(a, b) for the one pair of D with b - a = u^-1 mod m.  So one
+    sorted candidate per unit suffices, at a cost of O(phi(m) * k * log k)
+    for k = q+1 residues.
     """
     check = verify(pds.residues, pds.q)
     if not check.valid:
         raise InvalidPdsError(f"not a perfect difference set: {check}")
     m = pds.m
+    residues = pds.residues
+    # start[d] is the a in D with a + d in D; unique for d != 0 in a PDS.
+    start = [0] * m
+    for a in residues:
+        for b in residues:
+            start[(b - a) % m] = a
     best: Optional[tuple[int, ...]] = None
     for u in range(1, m):
         if gcd(u, m) != 1:
             continue
-        image = [(u * a) % m for a in pds.residues]
-        for base in image:
-            cand = tuple(sorted((x - base) % m for x in image))
-            if best is None or cand < best:
-                best = cand
+        a = start[pow(u, -1, m)]
+        cand = tuple(sorted(u * (x - a) % m for x in residues))
+        if best is None or cand < best:
+            best = cand
     assert best is not None
     return CanonicalForm(q=pds.q, m=m, residues=best)
 

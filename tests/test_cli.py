@@ -1,11 +1,13 @@
 """Command-line contract: exit codes and byte-identical JSON on stdout."""
 
 import json
+import math
 
 import pytest
 
 from powersum import cli
-from powersum.pds import verify
+from powersum.pds import singer_construct, verify
+from powersum.sums import fabrykowski_tuple
 
 
 def run(capsys, *argv):
@@ -120,3 +122,72 @@ def test_optimize_n7_has_no_minimizer(capsys):
     record = json.loads(out)
     assert record["recovered"]["status"] == "NotMinimizer"
     assert record["gap_to_bound"] > 0
+
+
+def test_singer_q4_is_a_verified_set(capsys):
+    code, out, _ = run(capsys, "singer", "--q", "4")
+    assert code == cli.EXIT_OK
+    record = json.loads(out)
+    assert record["q"] == 4 and record["m"] == 21
+    assert verify(record["residues"], 4).valid
+
+
+def test_singer_non_prime_power_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "singer", "--q", "6")
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert "not a prime power" in err
+
+
+@pytest.mark.parametrize("argv, expected", (
+    (("--set", "0,1,3", "--q", "2"), cli.EXIT_OK),
+    (("--set", "0,1,2", "--modulus", "7"), cli.EXIT_NEGATIVE),
+    (("--set", "0,1,2", "--modulus", "8"), cli.EXIT_DOMAIN),
+))
+def test_verify_exit_codes(capsys, argv, expected):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == expected
+    if expected != cli.EXIT_DOMAIN:
+        assert json.loads(out)["valid"] is (expected == cli.EXIT_OK)
+
+
+def test_profile_from_pds_is_flat(capsys):
+    code, out, _ = run(capsys, "profile", "--from-pds", "3")
+    assert code == cli.EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "nu,abs,epsilon"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 13))
+    assert all(abs(float(r[1]) - math.sqrt(3)) <= 1e-9 for r in rows)
+
+
+def _lattice_tuple_q2():
+    return fabrykowski_tuple(singer_construct(2))
+
+
+def test_recover_from_json_tuple_file(capsys, tmp_path):
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(_lattice_tuple_q2().to_record()), encoding="utf-8")
+    code, out, _ = run(capsys, "recover", "--tuple-file", str(path))
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["status"] == "IsMinimizer"
+
+
+def test_recover_from_csv_tuple_file(capsys, tmp_path):
+    path = tmp_path / "tuple.csv"
+    thetas = _lattice_tuple_q2().thetas
+    path.write_text("theta_turns\n" + "".join(f"{t!r}\n" for t in thetas),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "recover", "--tuple-file", str(path))
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["status"] == "IsMinimizer"
+
+
+def test_recover_csv_without_header_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "tuple.csv"
+    path.write_text("".join(f"{t!r}\n" for t in _lattice_tuple_q2().thetas),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "recover", "--tuple-file", str(path))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert "theta_turns" in err

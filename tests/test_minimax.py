@@ -20,7 +20,7 @@ from powersum.minimax import (
     smoothed_objective,
     smoothed_objective_gradient,
 )
-from powersum.pds import singer_construct
+from powersum.pds import singer_construct, verify
 from powersum.sums import (
     RecoveryStatus,
     UnimodularTuple,
@@ -135,6 +135,26 @@ def test_polish_converges_to_the_bound_near_a_minimizer(q):
     assert thetas[0] == start[0] == 0.0
     recovered = recover_structure(UnimodularTuple(tuple(thetas)))
     assert recovered.status is RecoveryStatus.IS_MINIMIZER
+
+
+def test_snap_verifies_a_repeated_rounding_once(monkeypatch):
+    calls = []
+
+    def counting_verify(candidate, q):
+        calls.append(tuple(candidate))
+        return verify(candidate, q)
+
+    monkeypatch.setattr(minimax, "verify", counting_verify)
+    snap = minimax._SnapTracker(3)
+    thetas = np.array([0.0, 1.01 / 7, 2.98 / 7])
+    snap.offer(thetas)
+    snap.offer(thetas)
+    assert calls == [(0, 1, 3)]
+    assert snap.value == pytest.approx(math.sqrt(2), abs=1e-12)
+    snap.offer(np.array([0.0, 0.99 / 7, 3.02 / 7]))  # same rounding
+    assert len(calls) == 1
+    snap.offer(np.array([0.0, 2.0 / 7, 6.0 / 7]))  # a new rounding
+    assert calls == [(0, 1, 3), (0, 2, 6)]
 
 
 def test_minimize_n3_reaches_bound_and_recovers():

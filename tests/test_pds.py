@@ -3,7 +3,8 @@ exhaustive search, and the order-feasibility report.
 
 The verification oracle here recounts differences with a Counter, independent
 of the library's bitset; canonical forms are cross-checked against a brute
-enumeration of the full transform orbit.
+enumeration of the full transform orbit and against a scan of every translate
+of every unit image.
 """
 
 import random
@@ -66,6 +67,22 @@ def canonical_by_full_orbit(residues, q):
             continue
         for t in range(m):
             cand = tuple(sorted((u * a + t) % m for a in residues))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def canonical_by_every_translate(residues, q):
+    """Lex-least over every unit image u*D and every translate of it that
+    moves one of its elements to 0 (k candidates per unit)."""
+    m = modulus_for_order(q)
+    best = None
+    for u in range(1, m):
+        if gcd(u, m) != 1:
+            continue
+        image = [(u * a) % m for a in residues]
+        for base in image:
+            cand = tuple(sorted((x - base) % m for x in image))
             if best is None or cand < best:
                 best = cand
     return best
@@ -185,6 +202,35 @@ def test_canonical_form_idempotent_and_matches_brute_force():
         assert again.residues == cf.residues
 
 
+@pytest.mark.parametrize("q", [q for q in range(2, 33) if is_prime_power(q)])
+def test_canonical_form_matches_every_translate_on_singer_sets(q):
+    d = singer_construct(q)
+    assert canonical_form(d).residues == canonical_by_every_translate(d.residues, q)
+
+
+def test_canonical_form_matches_both_oracles_on_random_images():
+    rng = random.Random(2006)
+    for q in (7, 8, 9, 11, 13):
+        d = singer_construct(q)
+        m = d.m
+        units = [u for u in range(1, m) if gcd(u, m) == 1]
+        for _ in range(3):
+            u = rng.choice(units)
+            t = rng.randrange(m)
+            image = PerfectDifferenceSet.from_residues(
+                [(u * a + t) % m for a in d.residues], q)
+            form = canonical_form(image).residues
+            assert form == canonical_by_every_translate(image.residues, q)
+            assert form == canonical_by_full_orbit(image.residues, q)
+
+
+def test_canonical_form_matches_every_translate_on_enumerated_sets():
+    for q in range(1, 6):
+        for s in enumerate_all(q).sets:
+            pds = PerfectDifferenceSet.from_residues(s, q)
+            assert canonical_form(pds).residues == canonical_by_every_translate(s, q)
+
+
 def test_canonical_form_rejects_invalid():
     with pytest.raises(InvalidPdsError):
         canonical_form(PerfectDifferenceSet.from_residues((0, 1, 2), 2))
@@ -245,6 +291,30 @@ def test_enumerate_all_uniqueness_small_orders():
         classes = {canonical_form(PerfectDifferenceSet.from_residues(s, q)).residues
                    for s in e.sets}
         assert classes == {canonical_form(singer_construct(q)).residues}
+
+
+# Node counts and outputs of the depth-first tree rooted at (0, 1).  A kernel
+# that prunes or reorders the tree changes them.
+SEARCH_NODES = {2: 2, 3: 8, 4: 145, 5: 118, 6: 39948, 7: 21550, 8: 4714, 9: 604266}
+ENUMERATE_NODES = {2: 5, 3: 50, 4: 486, 5: 4465, 6: 39948, 7: 378590}
+ENUMERATE_7 = (
+    (0, 1, 3, 13, 32, 36, 43, 52), (0, 1, 4, 9, 20, 22, 34, 51),
+    (0, 1, 4, 12, 14, 30, 37, 52), (0, 1, 5, 7, 17, 35, 38, 49),
+    (0, 1, 5, 27, 34, 37, 43, 45), (0, 1, 6, 15, 22, 26, 45, 55),
+    (0, 1, 6, 21, 28, 44, 46, 54), (0, 1, 7, 19, 23, 44, 47, 49),
+    (0, 1, 7, 24, 36, 38, 49, 54), (0, 1, 9, 11, 14, 35, 39, 51),
+    (0, 1, 9, 20, 23, 41, 51, 53), (0, 1, 13, 15, 21, 24, 31, 53),
+)
+
+
+def test_search_tree_is_pinned():
+    results = {q: exhaustive_search(q) for q in SEARCH_NODES}
+    assert {q: r.nodes for q, r in results.items()} == SEARCH_NODES
+    assert results[9].pds.residues == (0, 1, 3, 9, 27, 49, 56, 61, 77, 81)
+    listings = {q: enumerate_all(q) for q in ENUMERATE_NODES}
+    assert {q: e.nodes for q, e in listings.items()} == ENUMERATE_NODES
+    assert all(e.complete for e in listings.values())
+    assert listings[7].sets == ENUMERATE_7
 
 
 def test_enumerate_all_respects_budget():
