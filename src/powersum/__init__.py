@@ -7,7 +7,7 @@ difference sets of order n-1, and exist iff such a set does.
 """
 
 from .gf import GfElement, GfField, element_order, is_irreducible, make_field, primitive_element
-from .minimax import OptimizerConfig, OptimizerReport, minimize, objective, smoothed_objective, smoothed_objective_gradient
+from .minimax import OptimizerConfig, OptimizerReport, minimize, objective
 from .pds import (
     CanonicalForm,
     FeasibilityReport,
@@ -51,6 +51,5 @@ __all__ = [
     "RecoveryStatus", "power_sums", "fejer_kernel", "fejer_certificate",
     "newton_girard_coeffs", "is_regular_ngon", "fabrykowski_tuple",
     "exact_abs_squared", "difference_spectrum", "recover_structure",
-    "OptimizerConfig", "OptimizerReport", "objective", "smoothed_objective",
-    "smoothed_objective_gradient", "minimize",
+    "OptimizerConfig", "OptimizerReport", "objective", "minimize",
 ]

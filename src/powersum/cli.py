@@ -126,23 +126,17 @@ def residue_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad residue list {text!r}") from exc
 
 
-def beta_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad beta list {text!r}") from exc
-
-
 def resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("POWERSUM_SEED")
-    if env is not None:
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get("POWERSUM_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"POWERSUM_SEED is not an integer: {env!r}")
-    return 0
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return seed
 
 
 def order_from_modulus(m: int) -> int:
@@ -274,16 +268,8 @@ def cmd_recover(args) -> int:
 
 def cmd_optimize(args) -> int:
     config = OptimizerConfig(n=args.n, restarts=args.restarts,
-                             max_iters=args.max_iters, seed=resolve_seed(args),
-                             smoothing_betas=args.betas)
-    trace_rows: list[tuple[int, float, float]] = []
-    sink = (lambda _r, row: trace_rows.append(row)) if args.trace else None
-    report = minimize(config, trace_sink=sink)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("iter,beta,value\n")
-            for it, beta, value in trace_rows:
-                fh.write(f"{it},{format_float(beta)},{format_float(value)}\n")
+                             seed=resolve_seed(args))
+    report = minimize(config)
     if args.format == "human":
         emit_human([
             f"n={args.n} restarts={args.restarts} seed={config.seed}",
@@ -377,12 +363,7 @@ def build_parser() -> CliParser:
     p = sub.add_parser("optimize", help="multi-start minimax optimization")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iters", type=int, default=600)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--betas", type=beta_list, default=(1.0, 4.0, 16.0, 64.0),
-                   help="comma-separated smoothing schedule")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="write per-iteration CSV (iter,beta,value)")
     _add_format(p)
     p.set_defaults(func=cmd_optimize)
 

@@ -2,33 +2,33 @@
 
 The objective is f(theta) = max over nu = 1 .. n^2-n of |S(nu)|, minimized
 over unimodular tuples with the rotation gauge theta_1 = 0.  Each restart
-runs three deterministic stages:
+draws a uniform random start and runs two deterministic stages:
 
-1. annealed log-sum-exp smoothing: gradient descent with backtracking line
-   search on the surrogate, sharpening beta along the configured schedule;
-2. prox-linear polish on the true objective: each step minimizes the
+1. prox-linear polish on the true objective: each step minimizes the
    linearized max plus a proximal term (mu/2)|d|^2, solved through its dual
    over the simplex of the |S(nu)| gradients, and adapts mu to how well the
    model predicted the decrease (Madsen's minimax method), so it converges
    to a Clarke-stationary point of the max instead of stalling at its kinks;
-3. lattice snapping: whenever an iterate rounds onto angles j_k/m whose j_k
-   form a verified difference set, that exact lattice tuple is kept as a
-   candidate and adopted at the end only if it beats the polished point on
-   the true objective.  When no difference set of order n-1 exists the snap
+2. lattice snapping: the start and the polished point are each rounded onto
+   angles j_k/m; when the j_k form a verified difference set, that exact
+   lattice tuple is adopted if it is lower than the polished point on the
+   true objective.  When no difference set of order n-1 exists the snap
    can never verify and the stage is a no-op.
 
 Restarts run one after another, each on its own RNG stream derived from
 (seed, restart index), so a fixed config always produces the same report.
-The optimizer gathers evidence only: it lands on sqrt(n-1) with recovered
-structure when a perfect difference set of order n-1 exists, and reports the
-best value found (always strictly above the bound) when none does.
+The optimizer gathers evidence only.  At default settings (50 restarts) it
+reaches sqrt(n-1), with the difference set recovered, at n <= 4 and, on some
+seeds, at n = 5; at n = 6 it has not reached the bound on any seed tried.
+At n = 7, where no difference set of order 6 exists, the report stays
+NotMinimizer and the best value stays strictly above the bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,71 +70,19 @@ def _objective_raw(thetas: np.ndarray, n: int) -> float:
     return value
 
 
-def _smoothed_value(thetas: np.ndarray, n: int, beta: float) -> float:
-    u, _, _ = _abs_squared_and_powers(thetas, n * n - n)
-    shift = u.max()
-    return float(shift / 2.0 +
-                 math.log(np.exp(beta * (u - shift)).sum()) / (2.0 * beta))
-
-
-def _smoothed_value_and_grad(thetas: np.ndarray, n: int, beta: float):
-    nu_max = n * n - n
-    u, s, powers = _abs_squared_and_powers(thetas, nu_max)
-    shift = u.max()
-    weights = np.exp(beta * (u - shift))
-    total = weights.sum()
-    value = shift / 2.0 + math.log(total) / (2.0 * beta)
-    weights /= total
-    # d|S(nu)|^2/dtheta_k = -4*pi*nu*Im(conj(S(nu)) * z_k^nu); the smoothed
-    # gradient averages those with the softmax weights (and a factor 1/2
-    # from the value's 1/(2 beta) scaling).
-    nus = np.arange(1, nu_max + 1)
-    inner = np.imag(np.conj(s)[:, None] * powers)
-    grad = -TWO_PI * (weights * nus) @ inner
-    return float(value), grad
-
-
-def smoothed_objective(t: UnimodularTuple, beta: float) -> float:
-    """Smooth surrogate (1/(2 beta)) * log sum over nu of exp(beta |S(nu)|^2).
-
-    Decreasing in beta, always at least (max |S(nu)|^2) / 2, and approaches
-    that limit as beta grows, so annealing beta drives the iterates toward
-    minimizers of the true max.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
-    return _smoothed_value(eff, t.n, beta)
-
-
-def smoothed_objective_gradient(t: UnimodularTuple, beta: float):
-    """(value, gradient) of the surrogate with respect to the angles."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
-    value, grad = _smoothed_value_and_grad(eff, t.n, beta)
-    return value, tuple(float(g) for g in grad)
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     n: int
     restarts: int = 50
-    max_iters: int = 600  # gradient steps per restart, shared by the betas
     seed: int = 0
-    smoothing_betas: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        betas = tuple(float(b) for b in self.smoothing_betas)
-        if not betas or any(b <= 0 for b in betas):
-            raise ValueError("betas must be positive")
-        if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-            raise ValueError("betas must be strictly increasing")
-        object.__setattr__(self, "smoothing_betas", betas)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,75 +104,9 @@ class OptimizerReport:
         }
 
 
-TraceRow = tuple[int, float, float]  # (iter, beta, value)
-
-
 # ---------------------------------------------------------------------------
 # Stage helpers
 # ---------------------------------------------------------------------------
-
-
-class _SnapTracker:
-    """Keeps the best verified lattice candidate seen along a trajectory.
-
-    An offer rounds the shifted angles onto the grid j/m; the exact lattice
-    point counts when the j_k form a verified difference set.  An offer that
-    rounds to the same j_k, with the same first angle, as the previous offer
-    has the same lattice point and is skipped.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.point: Optional[np.ndarray] = None
-        self.value = math.inf
-        self._last = None
-
-    def offer(self, thetas: np.ndarray) -> None:
-        n = self.n
-        m = n * n - n + 1
-        shifted = (thetas - thetas[0]) % 1.0
-        js = np.rint(shifted * m).astype(int) % m
-        residues = js.tolist()
-        key = (float(thetas[0]), residues)
-        if key == self._last:
-            return
-        self._last = key
-        if len(set(residues)) != n or not verify(residues, n - 1).valid:
-            return
-        snapped = (js / m + thetas[0]) % 1.0
-        value = _objective_raw(snapped, n)
-        if value < self.value:
-            self.point, self.value = snapped, value
-
-
-def _descend_smoothed(thetas: np.ndarray, n: int, config: OptimizerConfig,
-                      snap: _SnapTracker,
-                      trace: Optional[list[TraceRow]]) -> np.ndarray:
-    iters_per_beta = max(1, config.max_iters // len(config.smoothing_betas))
-    it_global = 0
-    for beta in config.smoothing_betas:
-        step = 0.1
-        for _ in range(iters_per_beta):
-            value, grad = _smoothed_value_and_grad(thetas, n, beta)
-            grad[0] = 0.0  # rotation gauge: the first angle stays pinned
-            gnorm2 = float(grad @ grad)
-            if gnorm2 < 1e-22:
-                break
-            step = min(step * 2.0, 1.0)
-            while step > 1e-17:
-                candidate = (thetas - step * grad) % 1.0
-                candidate[0] = thetas[0]
-                if _smoothed_value(candidate, n, beta) <= value - 1e-4 * step * gnorm2:
-                    break
-                step *= 0.5
-            else:
-                break
-            thetas = candidate
-            snap.offer(thetas)
-            it_global += 1
-            if trace is not None:
-                trace.append((it_global, beta, _objective_raw(thetas, n)))
-    return thetas
 
 
 def _abs_values_and_grads(thetas: np.ndarray, n: int):
@@ -321,39 +203,45 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return thetas, _objective_raw(thetas, n)
 
 
-def _run_restart(config: OptimizerConfig, index: int,
-                 collect_trace: bool) -> tuple[np.ndarray, float, list[TraceRow]]:
+def _snap(thetas: np.ndarray, n: int) -> Optional[tuple[np.ndarray, float]]:
+    """The exact lattice tuple that ``thetas`` rounds onto, with its value.
+
+    The angles, shifted so the first is 0, are rounded onto the grid j/m;
+    the lattice point counts only when the j_k form a verified difference
+    set of order n-1, and None is returned otherwise.
+    """
+    m = n * n - n + 1
+    shifted = (thetas - thetas[0]) % 1.0
+    js = np.rint(shifted * m).astype(int) % m
+    if not verify(js.tolist(), n - 1).valid:
+        return None
+    snapped = (js / m + thetas[0]) % 1.0
+    return snapped, _objective_raw(snapped, n)
+
+
+def _run_restart(config: OptimizerConfig, index: int) -> tuple[np.ndarray, float]:
     rng = np.random.default_rng([config.seed, index])
-    thetas = rng.uniform(0.0, 1.0, config.n)
-    thetas[0] = 0.0
-    n = config.n
-    snap = _SnapTracker(n)
-    snap.offer(thetas)
-    trace: Optional[list[TraceRow]] = [] if collect_trace else None
-    thetas = _descend_smoothed(thetas, n, config, snap, trace)
-    thetas, value = _polish(thetas, n)
-    snap.offer(thetas)
-    if snap.value < value:
-        thetas, value = snap.point, snap.value
-    return thetas, value, trace or []
+    start = rng.uniform(0.0, 1.0, config.n)
+    start[0] = 0.0
+    thetas, value = _polish(start, config.n)
+    for snapped in (_snap(start, config.n), _snap(thetas, config.n)):
+        if snapped is not None and snapped[1] < value:
+            thetas, value = snapped
+    return thetas, value
 
 
-def minimize(config: OptimizerConfig,
-             trace_sink: Optional[Callable[[int, TraceRow], None]] = None
-             ) -> OptimizerReport:
+def minimize(config: OptimizerConfig) -> OptimizerReport:
     """Multi-start minimization; deterministic for a fixed config.
 
-    Each restart smooths, runs the prox-linear polish on the true max and
-    keeps a verified lattice snap when that is lower (see the module
-    docstring).  The restarts run in index order.  ``trace_sink``, when
-    given, receives (restart_index, (iter, beta, value)) rows in restart
-    order after the runs complete.
+    Each restart polishes a random start with the prox-linear method on the
+    true max, then adopts the verified lattice snap of the start or of the
+    polished point when that is lower (see the module docstring).  The
+    restarts run in index order.
     """
     indices = range(config.restarts)
-    collect = trace_sink is not None
-    runs = [_run_restart(config, r, collect) for r in indices]
+    runs = [_run_restart(config, r) for r in indices]
 
-    values = tuple(value for _, value, _ in runs)
+    values = tuple(value for _, value in runs)
     best_index = min(indices, key=lambda r: (values[r], r))
     best_thetas = runs[best_index][0]
     best_tuple = UnimodularTuple(tuple(float(x) for x in best_thetas),
@@ -362,11 +250,6 @@ def minimize(config: OptimizerConfig,
     gap = best_value - lower_bound(config.n)
     if gap < -1e-6:
         raise ArithmeticError(f"best value {best_value} violates the bound")
-
-    if trace_sink is not None:
-        for r, (_, _, rows) in enumerate(runs):
-            for row in rows:
-                trace_sink(r, row)
 
     recovered = recover_structure(best_tuple)
     return OptimizerReport(best_value=best_value, best_tuple=best_tuple,

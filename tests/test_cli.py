@@ -81,7 +81,10 @@ def test_search_output_is_byte_identical_across_runs(capsys):
 
 @pytest.mark.parametrize("argv", (("search", "--order", "9", "--parallel", "2"),
                                   ("optimize", "--n", "3", "--parallel", "2"),
-                                  ("optimize", "--n", "3", "--polish-tol", "1e-8")))
+                                  ("optimize", "--n", "3", "--polish-tol", "1e-8"),
+                                  ("optimize", "--n", "3", "--betas", "1,4"),
+                                  ("optimize", "--n", "3", "--max-iters", "10"),
+                                  ("optimize", "--n", "3", "--trace", "out.csv")))
 def test_removed_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
@@ -122,6 +125,17 @@ def test_optimize_n7_has_no_minimizer(capsys):
     record = json.loads(out)
     assert record["recovered"]["status"] == "NotMinimizer"
     assert record["gap_to_bound"] > 0
+
+
+@pytest.mark.parametrize("argv, env", ((("optimize", "--n", "3", "--seed", "-1"), None),
+                                       (("profile", "--random", "3"), "-1")))
+def test_negative_seed_is_a_domain_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("POWERSUM_SEED", env)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert "seed must be >= 0" in err
 
 
 def test_singer_q4_is_a_verified_set(capsys):

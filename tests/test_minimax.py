@@ -1,5 +1,5 @@
-"""Optimizer tests: objective values, surrogate math, gradient correctness,
-determinism, and small multi-start runs.
+"""Optimizer tests: objective values, gradient rows of |S(nu)|, the polish,
+the lattice snap, determinism, and small multi-start runs.
 
 Heavy acceptance-scale runs (hundreds of restarts) live in the acceptance
 suite; here the configs are small but still exercise every stage.
@@ -17,8 +17,6 @@ from powersum.minimax import (
     lower_bound,
     minimize,
     objective,
-    smoothed_objective,
-    smoothed_objective_gradient,
 )
 from powersum.pds import singer_construct, verify
 from powersum.sums import (
@@ -53,64 +51,31 @@ def test_objective_gauge_invariance():
         assert abs(a - b) <= 1e-12
 
 
-def test_smoothed_objective_all_terms_equal():
-    # flat profile: value = max|S|^2/2 + log(count)/(2 beta) exactly
-    t = fabrykowski_tuple(singer_construct(2))
-    for beta in (1.0, 4.0, 64.0):
-        expected = 1.0 + math.log(6) / (2 * beta)
-        assert smoothed_objective(t, beta) == pytest.approx(expected, abs=1e-9)
-
-
-def test_smoothed_objective_matches_direct_formula():
-    rng = np.random.default_rng(67)
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        t = UnimodularTuple(tuple(rng.uniform(0, 1, n)))
-        from powersum.sums import power_sums
-
-        profile = power_sums(t)
-        for beta in (0.5, 2.0, 8.0):
-            direct = math.log(sum(math.exp(beta * a * a)
-                                  for a in profile.abs_values)) / (2 * beta)
-            assert smoothed_objective(t, beta) == pytest.approx(direct, rel=1e-9)
-
-
-def test_smoothed_objective_monotone_toward_half_max_squared():
-    rng = np.random.default_rng(71)
-    t = UnimodularTuple(tuple(rng.uniform(0, 1, 4)))
-    half_max_sq = objective(t) ** 2 / 2
-    nu_count = t.horizon
-    values = [smoothed_objective(t, beta) for beta in (1, 4, 16, 64, 256)]
-    for v1, v2 in zip(values, values[1:]):
-        assert v2 <= v1 + 1e-12
-    for beta, v in zip((1, 4, 16, 64, 256), values):
-        assert half_max_sq - 1e-12 <= v <= half_max_sq + math.log(nu_count) / (2 * beta)
-
-
-def test_smoothed_objective_rejects_bad_beta():
-    t = UnimodularTuple((0.0, 0.5))
-    with pytest.raises(ValueError):
-        smoothed_objective(t, 0.0)
-    with pytest.raises(ValueError):
-        smoothed_objective_gradient(t, -1.0)
+def _abs_power_sums(thetas):
+    nus = np.arange(1, thetas.size ** 2 - thetas.size + 1)
+    return np.abs(np.exp(2j * np.pi * np.outer(nus, thetas)).sum(axis=1))
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(73)
     h = 1e-6
-    for i in range(25):
+    checked = 0
+    while checked < 25:
         n = int(rng.integers(2, 7))
-        t = UnimodularTuple(tuple(rng.uniform(0, 1, n)))
-        beta = (1.0, 4.0, 16.0, 64.0)[i % 4]
-        _, grad = smoothed_objective_gradient(t, beta)
-        for k in range(n):
-            up = list(t.thetas)
-            dn = list(t.thetas)
+        thetas = rng.uniform(0, 1, n)
+        r, grads = minimax._abs_values_and_grads(thetas, n)
+        if r.min() <= 1e-3:
+            continue
+        assert r == pytest.approx(_abs_power_sums(thetas), abs=1e-12)
+        assert (grads[:, 0] == 0.0).all()
+        for k in range(1, n):
+            up = thetas.copy()
+            dn = thetas.copy()
             up[k] += h
             dn[k] -= h
-            fd = (smoothed_objective(UnimodularTuple(tuple(up)), beta)
-                  - smoothed_objective(UnimodularTuple(tuple(dn)), beta)) / (2 * h)
-            assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            fd = (_abs_power_sums(up) - _abs_power_sums(dn)) / (2 * h)
+            assert grads[:, k] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+        checked += 1
 
 
 def test_config_validation():
@@ -118,10 +83,8 @@ def test_config_validation():
         OptimizerConfig(n=1)
     with pytest.raises(ValueError):
         OptimizerConfig(n=3, restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(n=3, smoothing_betas=(4.0, 1.0))
-    with pytest.raises(ValueError):
-        OptimizerConfig(n=3, smoothing_betas=())
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptimizerConfig(n=3, seed=-1)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8))
@@ -137,7 +100,33 @@ def test_polish_converges_to_the_bound_near_a_minimizer(q):
     assert recovered.status is RecoveryStatus.IS_MINIMIZER
 
 
-def test_snap_verifies_a_repeated_rounding_once(monkeypatch):
+def test_snap_rounds_onto_a_verified_lattice_point():
+    snapped, value = minimax._snap(np.array([0.0, 1.01 / 7, 2.98 / 7]), 3)
+    assert snapped.tolist() == [0.0, 1 / 7, 3 / 7]
+    assert value == pytest.approx(math.sqrt(2), abs=1e-12)
+    shifted, _ = minimax._snap(np.array([0.25, 0.25 + 2.02 / 7, 0.25 + 5.97 / 7]), 3)
+    assert shifted == pytest.approx([0.25, 0.25 + 2 / 7, (0.25 + 6 / 7) % 1.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("thetas", ([0.0, 0.01, 3.02 / 7],      # residues (0, 0, 3)
+                                    [0.0, 0.99 / 7, 2.01 / 7]))  # (0, 1, 2), not a PDS
+def test_snap_without_a_difference_set_gives_no_candidate(thetas):
+    assert minimax._snap(np.array(thetas), 3) is None
+
+
+@pytest.mark.parametrize("polished_value, adopted", ((1.0, 0), (5.0, 4)))
+def test_snap_is_kept_only_when_lower(monkeypatch, polished_value, adopted):
+    # a stand-in polish that leaves the start where it is and reports a fixed
+    # value: the snap (value sqrt 2) must win exactly when it is lower
+    monkeypatch.setattr(minimax, "_polish", lambda thetas, n: (thetas, polished_value))
+    config = OptimizerConfig(3, seed=0)
+    values = [minimax._run_restart(config, r)[1] for r in range(8)]
+    assert sum(v == pytest.approx(math.sqrt(2), abs=1e-12) for v in values) == adopted
+    assert values.count(polished_value) == 8 - adopted
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_minimize_verifies_at_most_twice_per_restart(monkeypatch, n):
     calls = []
 
     def counting_verify(candidate, q):
@@ -145,16 +134,8 @@ def test_snap_verifies_a_repeated_rounding_once(monkeypatch):
         return verify(candidate, q)
 
     monkeypatch.setattr(minimax, "verify", counting_verify)
-    snap = minimax._SnapTracker(3)
-    thetas = np.array([0.0, 1.01 / 7, 2.98 / 7])
-    snap.offer(thetas)
-    snap.offer(thetas)
-    assert calls == [(0, 1, 3)]
-    assert snap.value == pytest.approx(math.sqrt(2), abs=1e-12)
-    snap.offer(np.array([0.0, 0.99 / 7, 3.02 / 7]))  # same rounding
-    assert len(calls) == 1
-    snap.offer(np.array([0.0, 2.0 / 7, 6.0 / 7]))  # a new rounding
-    assert calls == [(0, 1, 3), (0, 2, 6)]
+    minimize(OptimizerConfig(n, restarts=4, seed=11))
+    assert len(calls) <= 2 * 4
 
 
 def test_minimize_n3_reaches_bound_and_recovers():
@@ -190,20 +171,6 @@ def test_minimize_respects_lemma1_guard():
     assert report.best_value >= lower_bound(4) - 1e-9
     for v in report.per_restart_values:
         assert v >= lower_bound(4) - 1e-9
-
-
-def test_minimize_trace_rows():
-    rows = []
-    minimize(OptimizerConfig(n=3, restarts=2, seed=1),
-             trace_sink=lambda r, row: rows.append((r, row)))
-    assert rows
-    restarts_seen = {r for r, _ in rows}
-    assert restarts_seen <= {0, 1}
-    for _, (it, beta, value) in rows:
-        assert it >= 1 and beta > 0 and value >= lower_bound(3) - 1e-9
-    # rows arrive grouped by restart in ascending order
-    order = [r for r, _ in rows]
-    assert order == sorted(order)
 
 
 def test_report_record_shape():
