@@ -203,19 +203,25 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return thetas, _objective_raw(thetas, n)
 
 
+def _rounding(thetas: np.ndarray, n: int) -> list[int]:
+    """The angles, shifted so the first is 0, rounded onto the grid j/m."""
+    m = n * n - n + 1
+    shifted = (thetas - thetas[0]) % 1.0
+    return (np.rint(shifted * m).astype(int) % m).tolist()
+
+
 def _snap(thetas: np.ndarray, n: int) -> Optional[tuple[np.ndarray, float]]:
     """The exact lattice tuple that ``thetas`` rounds onto, with its value.
 
-    The angles, shifted so the first is 0, are rounded onto the grid j/m;
-    the lattice point counts only when the j_k form a verified difference
-    set of order n-1, and None is returned otherwise.
+    The lattice point j_k/m (shifted back by the first angle) counts only
+    when the j_k of ``_rounding`` form a verified difference set of order
+    n-1, and None is returned otherwise.
     """
     m = n * n - n + 1
-    shifted = (thetas - thetas[0]) % 1.0
-    js = np.rint(shifted * m).astype(int) % m
-    if not verify(js.tolist(), n - 1).valid:
+    js = _rounding(thetas, n)
+    if not verify(js, n - 1).valid:
         return None
-    snapped = (js / m + thetas[0]) % 1.0
+    snapped = (np.array(js) / m + thetas[0]) % 1.0
     return snapped, _objective_raw(snapped, n)
 
 
@@ -224,7 +230,13 @@ def _run_restart(config: OptimizerConfig, index: int) -> tuple[np.ndarray, float
     start = rng.uniform(0.0, 1.0, config.n)
     start[0] = 0.0
     thetas, value = _polish(start, config.n)
-    for snapped in (_snap(start, config.n), _snap(thetas, config.n)):
+    # the polish leaves the first angle at 0, so a repeated rounding names
+    # the same lattice tuple and is verified once
+    points = [start]
+    if _rounding(thetas, config.n) != _rounding(start, config.n):
+        points.append(thetas)
+    for point in points:
+        snapped = _snap(point, config.n)
         if snapped is not None and snapped[1] < value:
             thetas, value = snapped
     return thetas, value

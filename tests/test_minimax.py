@@ -125,6 +125,34 @@ def test_snap_is_kept_only_when_lower(monkeypatch, polished_value, adopted):
     assert values.count(polished_value) == 8 - adopted
 
 
+def test_snap_verifies_a_repeated_rounding_once(monkeypatch):
+    calls = []
+
+    def counting_verify(candidate, q):
+        calls.append(tuple(candidate))
+        return verify(candidate, q)
+
+    monkeypatch.setattr(minimax, "verify", counting_verify)
+    config = OptimizerConfig(3, seed=0)
+    # a stand-in polish that moves every angle onto the grid point it rounds
+    # to: other angles, the same rounding, so one verify per restart
+    monkeypatch.setattr(minimax, "_polish",
+                        lambda thetas, n: (np.rint(thetas * 7) % 7 / 7, 5.0))
+    for r in range(8):
+        minimax._run_restart(config, r)
+    assert len(calls) == 8
+    # a stand-in polish that lands on the rounding (0, 1, 3): a new rounding
+    # is verified as well, a repeated one is not
+    lattice = np.array([0.0, 1.01 / 7, 2.98 / 7])
+    monkeypatch.setattr(minimax, "_polish", lambda thetas, n: (lattice, 5.0))
+    for r in range(8):
+        calls.clear()
+        _, value = minimax._run_restart(config, r)
+        assert calls[-1] == (0, 1, 3)
+        assert len(calls) == (1 if calls[0] == (0, 1, 3) else 2)
+        assert value == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_minimize_verifies_at_most_twice_per_restart(monkeypatch, n):
     calls = []
