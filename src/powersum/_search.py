@@ -1,9 +1,25 @@
 """Backtracking kernel for the difference-set search.
 
-The search builds a sorted k-subset of Z_m slot by slot and keeps a bitmap of
-the differences already covered; a candidate value is accepted only if none of
-its differences to the chosen values is covered yet.  A node is one candidate
-value subjected to that check; the budget is a cap on visited nodes.
+The search builds a sorted k-subset of Z_m slot by slot, in ascending order
+at every slot, and stops at the first complete set or lists them all.  Sets
+of residues are Python ints used as bitmasks: ``cov`` has bit d set for every
+covered difference d (and with it m-d), ``sel`` has bit c for every chosen
+value c and ``rev`` has bit m-c.  They are passed down the recursion, so
+backing out of a slot undoes nothing.
+
+A value v is admissible at the next slot iff none of its differences v-c to
+the chosen values is covered yet and no two of them clash with each other.
+The first test is one mask per slot: v is ruled out iff it lies in
+``cov << c`` for some chosen c.  The second is made per candidate that passes
+the first: the differences of v are ``(rev << v) >> m`` and their mirrors m-d
+are ``sel << (m - v)``; they meet iff 2v = c_i + c_j (mod m), and then two
+differences of v would be d and m-d.  Candidates are walked lowest bit
+first.
+
+A node is one candidate value tested; the budget is a cap on visited nodes.
+Values ruled out by the slot mask are counted in bulk, when the walk reaches
+the next admissible value or the end of the slot, and the count stops at the
+budget exactly where testing one value at a time would stop.
 
 Status codes: 0 = found, 1 = subtree exhausted, 2 = budget exceeded.
 """
@@ -13,84 +29,65 @@ EXHAUSTED = 1
 BUDGET = 2
 
 
-def _seed_prefix(m, prefix, covered):
-    """Mark the prefix's pairwise differences; False on a collision."""
-    for i in range(1, len(prefix)):
-        v = prefix[i]
-        for j in range(i):
-            d = v - prefix[j]
-            if d < 0:
-                d += m
-            if covered[d]:
-                return False
-            covered[d] = 1
-            covered[m - d] = 1
-    return True
-
-
-def _place(m, covered, chosen, t, v):
-    """Mark the differences v-chosen[j]; undo and report False on a clash.
-
-    Marking must be incremental: two differences of the same candidate can
-    collide with each other (d and m-d), not only with earlier marks.  Marks
-    are set and cleared in pairs (d, m-d), and d != m-d because m is odd, so
-    testing covered[d] alone decides a clash.
-    """
-    for j in range(t):
-        d = v - chosen[j]
-        if covered[d]:
-            _unplace(m, covered, chosen, j, v)
-            return False
-        covered[d] = 1
-        covered[m - d] = 1
-    return True
-
-
-def _unplace(m, covered, chosen, t, v):
-    for j in range(t):
-        d = v - chosen[j]
-        covered[d] = 0
-        covered[m - d] = 0
-
-
 def _run(m, k, prefix, budget, out):
-    covered = bytearray(m)
-    if not _seed_prefix(m, prefix, covered):
-        return EXHAUSTED, 0, None
-    chosen = list(prefix) + [0] * (k - len(prefix))
-    nodes = [0]
-    status = _rec(m, k, covered, chosen, len(prefix), budget, nodes, out)
-    return status, nodes[0], chosen
+    """Depth-first over the slots after `prefix`.  With `out` None the first
+    complete set stops the search (FOUND); otherwise each one is appended and
+    the search goes on.  Returns (status, nodes, chosen values)."""
+    cov = sel = rev = 0
+    chosen = []
+    for v in prefix:
+        for c in chosen:
+            d = (v - c) % m
+            if cov >> d & 1:
+                return EXHAUSTED, 0, None
+            cov |= 1 << d | 1 << (m - d)
+        chosen.append(v)
+        sel |= 1 << v
+        rev |= 1 << (m - v)
+    nodes = 0
 
-
-def _rec(m, k, covered, chosen, t, budget, nodes, out):
-    """Depth-first over slot t.  With `out` None the first complete set stops
-    the search (FOUND); otherwise each one is appended and the search goes on.
-    """
-    if t == k:
-        if out is None:
-            return FOUND
-        out.append(tuple(chosen))
-        return EXHAUSTED
-    lo = chosen[t - 1] + 1 if t else 0
-    vmax = m - k + t
-    first = chosen[0]
-    for v in range(lo, vmax + 1):
-        if nodes[0] >= budget:
-            return BUDGET
-        nodes[0] += 1
-        # _place's first test, made inline because most candidates fail it;
-        # the candidate still counts as a node.  With t == 0 nothing is
-        # covered yet, so the test passes.
-        if covered[v - first]:
-            continue
-        if _place(m, covered, chosen, t, v):
-            chosen[t] = v
-            r = _rec(m, k, covered, chosen, t + 1, budget, nodes, out)
+    def rec(cov, sel, rev, t):
+        nonlocal nodes
+        if t == k:
+            if out is None:
+                return FOUND
+            out.append(tuple(chosen))
+            return EXHAUSTED
+        lo = chosen[-1] + 1 if chosen else 0
+        vmax = m - k + t
+        ruled_out = 0
+        for c in chosen:
+            ruled_out |= cov << c
+        cand = ~ruled_out & ((1 << (vmax + 1)) - (1 << lo))
+        cursor = lo  # the lowest value not yet counted
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            n = nodes + v - cursor + 1
+            if n > budget:
+                nodes = budget
+                return BUDGET
+            nodes = n
+            cursor = v + 1
+            diffs = (rev << v) >> m
+            mirrors = sel << (m - v)
+            if diffs & mirrors:
+                continue
+            chosen.append(v)
+            r = rec(cov | diffs | mirrors, sel | low, rev | 1 << (m - v), t + 1)
             if r != EXHAUSTED:
                 return r
-            _unplace(m, covered, chosen, t, v)
-    return EXHAUSTED
+            chosen.pop()
+        n = nodes + vmax + 1 - cursor
+        if n > budget:
+            nodes = budget
+            return BUDGET
+        nodes = n
+        return EXHAUSTED
+
+    status = rec(cov, sel, rev, len(chosen))
+    return status, nodes, chosen
 
 
 def subtree_first(m, k, prefix, budget):

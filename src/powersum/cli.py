@@ -369,7 +369,9 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("search", help="exhaustive difference-set search")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+                   help="node budget of the backtracking search; one node per "
+                        "candidate value tested")
     _add_format(p)
     p.set_defaults(func=cmd_search)
 

@@ -239,15 +239,21 @@ def _validate_search_order(q: int) -> int:
     return modulus_for_order(q)
 
 
+def _validate_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+
+
 def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Backtracking search for one perfect difference set of order q.
 
     One depth-first tree, rooted at the prefix (0, 1), is searched with the
     whole node budget.  NoneExists is only reported when the tree was fully
     exhausted within the budget; BudgetExceeded means exactly `budget` nodes
-    were visited without a verdict.
+    were visited without a verdict.  A negative budget is a ValueError.
     """
     m = _validate_search_order(q)
+    _validate_budget(budget)
     status, nodes, sol = _search.subtree_first(m, q + 1, _ROOT, budget)
     if status == _search.FOUND:
         found = PerfectDifferenceSet.from_residues(sol, q)
@@ -266,9 +272,11 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
     pair with difference 1 onto (0, 1)), so canonicalizing the returned sets
     surveys all classes.  The tree rooted at (0, 1) is walked once, in
     depth-first order, with the whole node budget; ``complete`` is False when
-    the budget ran out, in which case the listing may be partial.
+    the budget ran out, in which case the listing may be partial.  A negative
+    budget is a ValueError.
     """
     m = _validate_search_order(q)
+    _validate_budget(budget)
     status, nodes, sols = _search.subtree_all(m, q + 1, _ROOT, budget)
     return EnumerationResult(status != _search.BUDGET, tuple(sols), nodes)
 
@@ -371,10 +379,12 @@ def feasibility(order: int,
     multiplier, and by McFarland-Rice some translate of any set is fixed by
     all of them, so a search over unions of multiplier orbits is complete:
     its NoneExists excludes the order (reason ``multiplier-search``).
-    Excluded is never claimed unless at least one test actually fired.
+    Excluded is never claimed unless at least one test actually fired.  A
+    negative ``search_budget`` is a ValueError, whatever the order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    _validate_budget(search_budget)
     pp = is_prime_power(order)
     br = bruck_ryser_excludes(order)
     wb = wilbrink_excludes(order)

@@ -101,6 +101,14 @@ def test_search_budget_exceeded_is_inconclusive(capsys):
     assert record["nodes"] == 100
 
 
+@pytest.mark.parametrize("command", ("search", "feasibility"))
+def test_negative_budget_is_a_domain_error(capsys, command):
+    code, out, err = run(capsys, command, "--order", "10", "--budget", "-5")
+    assert code == cli.EXIT_DOMAIN == 2
+    assert "budget must be >= 0" in err
+    assert out == ""
+
+
 def test_feasibility_open_is_inconclusive(capsys):
     code, out, _ = run(capsys, "feasibility", "--order", "10", "--budget", "0")
     assert code == cli.EXIT_INCONCLUSIVE

@@ -323,6 +323,37 @@ def test_enumerate_all_respects_budget():
     assert e.nodes == 5
 
 
+def test_search_stops_exactly_at_the_budget():
+    # The last node of each walk is spent on the budget's last unit; one unit
+    # less stops one node short.  The kernel counts rejected values in bulk,
+    # so an off-by-one there shows here.
+    found = exhaustive_search(9, budget=604266)
+    assert (found.status, found.nodes) == ("Found", 604266)
+    short = exhaustive_search(9, budget=604265)
+    assert (short.status, short.pds, short.nodes) == ("BudgetExceeded", None, 604265)
+    listing = enumerate_all(7, budget=378590)
+    assert listing.complete and listing.nodes == 378590
+    assert listing.sets == ENUMERATE_7
+    cut = enumerate_all(7, budget=378589)
+    assert cut.complete is False and cut.nodes == 378589
+
+
+@pytest.mark.parametrize("call", (
+    lambda: exhaustive_search(10, budget=-5),
+    lambda: enumerate_all(3, budget=-1),
+    lambda: feasibility(10, search_budget=-5),
+    lambda: feasibility(9, search_budget=-1),
+), ids=("exhaustive_search", "enumerate_all", "feasibility", "feasibility-prime-power"))
+def test_negative_budget_is_rejected(call):
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        call()
+
+
+def test_zero_budget_is_legal():
+    assert exhaustive_search(10, budget=0) == SearchResult("BudgetExceeded", None, 0)
+    assert enumerate_all(3, budget=0) == EnumerationResult(False, (), 0)
+
+
 # ---------------------------------------------------------------------------
 # multiplier-orbit search, with the plain backtracker as the oracle
 # ---------------------------------------------------------------------------
