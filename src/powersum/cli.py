@@ -6,8 +6,9 @@ fixed key order and 12-significant-digit floats so identical invocations are
 byte-identical.  Exit codes: 0 for success / Found / Exists, 1 for
 NoneExists / NotMinimizer / Excluded, 2 for invalid domain input, 3 for an
 inconclusive result (BudgetExceeded from search, OpenByTheseTests from
-feasibility), 64 for usage errors.  POWERSUM_SEED provides the seed when
---seed is absent.
+feasibility), 64 for usage errors, 70 for an internal error (a library
+self-check raised ArithmeticError or RuntimeError: a bug, not a verdict).
+POWERSUM_SEED provides the seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_NEGATIVE = 1
 EXIT_DOMAIN = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 _DOMAIN_ERRORS = (NotPrimeError, DegreeOutOfRangeError, NotPrimePowerError,
                   OrderTooLargeError, InvalidPdsError, NuOutOfRangeError,
@@ -385,6 +387,9 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"powersum: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"powersum: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ A perfect difference set of order q is a set of q+1 residues modulo
 m = q^2 + q + 1 whose q^2 + q ordered pairwise differences hit every nonzero
 residue exactly once (equivalently: a cyclic projective plane of order q).
 ``verify`` checks that property directly; ``singer_construct`` realizes it
-for prime-power q from the cyclic structure of GF(q^3); ``exhaustive_search``
+for prime-power q as the zeros of Singer's linear recurrence over GF(q)
+(Singer 1938): its terms are the g^2-coordinates of the powers of a
+primitive element g of GF(q^3), so a term vanishes exactly when that power
+lies on the line spanned by {1, g}; ``exhaustive_search``
 and ``enumerate_all`` walk the one depth-first tree of sets containing
 {0, 1} with a difference-coverage backtracker, serially and under a single
 node budget; they find and list sets at small orders and are the test oracle
@@ -124,15 +127,70 @@ def is_prime_power(n: int) -> bool:
     return prime_power(n) is not None
 
 
+def _subfield_tables(field, h, q: int):
+    """GF(q) inside `field` as integer codes, with addition and
+    multiplication tables.
+
+    h generates GF(q)*.  The code of 0 is 0 and the code of h^j is j + 1;
+    ``codes`` maps an element's coefficient vector to its code.  The tables
+    come from Zech logarithms: zech[j] is the code of 1 + h^j, and
+    h^i + h^j = h^i * (1 + h^(j-i)).  Returns (codes, add, mul), where
+    add[a][b] and mul[a][b] are the codes of the sum and the product.
+    """
+    n = q - 1
+    powers = []
+    cur = field.one
+    for _ in range(n):
+        powers.append(cur)
+        cur = cur * h
+    codes = {field.zero.coeffs: 0}
+    codes.update((x.coeffs, j + 1) for j, x in enumerate(powers))
+    if cur != field.one or len(codes) != q:
+        raise ArithmeticError("subfield reconstruction failed")
+    # h has order q - 1 exactly, so {0} and its powers are all of GF(q), and
+    # 1 + h^j has a code.
+    zech = [codes[(field.one + x).coeffs] for x in powers]
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for a in range(q):
+        add[0][a] = add[a][0] = a
+    for i in range(n):
+        for j in range(n):
+            z = zech[(j - i) % n]
+            add[i + 1][j + 1] = z and (i + z - 1) % n + 1
+            mul[i + 1][j + 1] = (i + j) % n + 1
+    return codes, add, mul
+
+
+def _minimal_polynomial(g, q: int):
+    """(e1, e2, e3) with g^3 = e1*g^2 - e2*g + e3.
+
+    They are the elementary symmetric functions of the conjugates g, g^q and
+    g^(q^2) of g over GF(q), so x^3 - e1*x^2 + e2*x - e3 is the minimal
+    polynomial of g over GF(q) and each e_i is fixed by x -> x^q.
+    """
+    gq = g**q
+    gqq = gq**q
+    return g + gq + gqq, g * gq + g * gqq + gq * gqq, g * gq * gqq
+
+
 def singer_construct(q: int) -> PerfectDifferenceSet:
     """Perfect difference set of prime-power order q from the cyclic action
-    of a primitive element on the projective plane over GF(q).
+    of a primitive element on the projective plane over GF(q) (Singer,
+    Trans. Amer. Math. Soc. 43 (1938) 377-385).
 
-    GF(q^3) is realized as GF(p^(3e)) for q = p^e; with g its primitive
-    element, the point g^i of the plane lies on the line spanned by {1, g}
+    GF(q^3) is realized as GF(p^(3e)) for q = p^e, with g its primitive
+    element.  The point g^i of the plane lies on the line spanned by {1, g}
     over the subfield GF(q) iff g^i = c0 + c1*g for subfield scalars c0, c1.
-    The i mod q^2+q+1 passing that membership test form the difference set.
-    The result is checked by ``verify`` before it is returned.
+    Since g has degree 3 over GF(q), 1, g, g^2 is a GF(q)-basis, so that
+    test holds iff s_i = 0, where s_i is the g^2-coordinate of g^i.  The
+    coordinate is GF(q)-linear, and with x^3 - e1*x^2 + e2*x - e3 the
+    minimal polynomial of g, g^(i+3) = e1*g^(i+2) - e2*g^(i+1) + e3*g^i; so
+    the s_i follow Singer's third-order linear recurrence over GF(q):
+    s_0, s_1, s_2 = 0, 0, 1 and s_(i+3) = e1*s_(i+2) - e2*s_(i+1) + e3*s_i.
+    It is walked with GF(q) addition and multiplication tables, and the
+    i mod q^2+q+1 with s_i = 0 form the difference set.  The result is
+    checked by ``verify`` before it is returned.
     """
     decomposition = prime_power(q)
     if decomposition is None:
@@ -145,26 +203,23 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     m = modulus_for_order(q)
 
     # The subfield GF(q)* is the unique cyclic subgroup of index m; its
-    # generator is g^m.  Collect GF(q) = {0} union powers of g^m.
-    sub_gen = g**m
-    subfield = [field.zero, field.one]
-    cur = sub_gen
-    while cur != field.one:
-        subfield.append(cur)
-        cur = cur * sub_gen
-    if len(subfield) != q:
-        raise ArithmeticError("subfield reconstruction failed")
-
-    span = {c0 + c1 * g for c0 in subfield for c1 in subfield}
-    if len(span) != q * q:
-        raise ArithmeticError("line span has the wrong size")
+    # generator is g^m.
+    codes, add, mul = _subfield_tables(field, g**m, q)
+    e1, e2, e3 = _minimal_polynomial(g, q)
+    if not all(x.coeffs in codes for x in (e1, e2, e3)):
+        raise ArithmeticError("minimal polynomial is not over the subfield")
+    row1, row2, row3 = (mul[codes[x.coeffs]] for x in (e1, -e2, e3))
 
     residues = []
-    cur = field.one
+    a, b, c = 0, 0, 1  # s_i, s_(i+1), s_(i+2)
     for i in range(m):
-        if cur in span:
+        if a == 0:
             residues.append(i)
-        cur = cur * g
+        a, b, c = b, c, add[add[row1[c]][row2[b]]][row3[a]]
+    # g^m = g^(1+q+q^2) = e3, so after m steps the state is e3 * (0, 0, 1):
+    # the walk has gone once round the plane.
+    if (a, b, c) != (0, 0, codes[e3.coeffs]):
+        raise ArithmeticError("recurrence did not close after m steps")
     result = PerfectDifferenceSet(q=q, m=m, residues=tuple(residues))
     check = verify(result.residues, q)
     if len(residues) != q + 1 or not check.valid:

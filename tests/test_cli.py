@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+import singer_oracle
 from powersum import cli
-from powersum.pds import singer_construct, verify
+from powersum.pds import PerfectDifferenceSet, singer_construct, verify
 from powersum.sums import fabrykowski_tuple
 
 
@@ -152,6 +153,29 @@ def test_singer_q4_is_a_verified_set(capsys):
     record = json.loads(out)
     assert record["q"] == 4 and record["m"] == 21
     assert verify(record["residues"], 4).valid
+
+
+def test_singer_and_witness_json_match_the_oracle_bytes(capsys):
+    expected = PerfectDifferenceSet(
+        q=32, m=1057, residues=singer_oracle.singer_residues(32)).to_record()
+    code, out, _ = run(capsys, "singer", "--q", "32")
+    assert code == cli.EXIT_OK
+    assert out == cli.render_json(expected) + "\n"
+    code, out, _ = run(capsys, "feasibility", "--order", "32")
+    assert code == cli.EXIT_OK
+    record = json.loads(out)
+    record["witness"] = expected
+    assert out == cli.render_json(record) + "\n"
+
+
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
+    def broken(q):
+        raise ArithmeticError("construction produced an invalid set")
+    monkeypatch.setattr(cli, "singer_construct", broken)
+    code, out, err = run(capsys, "singer", "--q", "4")
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert err == "powersum: internal error: construction produced an invalid set\n"
 
 
 def test_singer_non_prime_power_is_a_domain_error(capsys):

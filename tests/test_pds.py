@@ -13,7 +13,8 @@ from math import gcd
 
 import pytest
 
-from powersum.gf import factorize
+import singer_oracle
+from powersum.gf import factorize, make_field, primitive_element
 from powersum.pds import (
     CanonicalForm,
     EnumerationResult,
@@ -22,7 +23,9 @@ from powersum.pds import (
     OrderTooLargeError,
     PerfectDifferenceSet,
     SearchResult,
+    _minimal_polynomial,
     _multiplier_search,
+    _subfield_tables,
     bruck_ryser_excludes,
     canonical_form,
     enumerate_all,
@@ -38,6 +41,7 @@ from powersum.pds import (
 )
 
 SMALL_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+SINGER_ORDERS = tuple(q for q in range(2, 33) if prime_power(q))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +174,47 @@ def test_singer_deterministic_and_q2_class():
 def test_singer_largest_supported_order():
     d = singer_construct(32)
     assert verify(d.residues, 32).valid
+
+
+@pytest.mark.parametrize("q", SINGER_ORDERS)
+def test_singer_matches_the_span_oracle(q):
+    assert singer_construct(q).residues == singer_oracle.singer_residues(q)
+
+
+def test_singer_residues_are_pinned():
+    assert singer_construct(2).residues == (0, 1, 3)
+    assert singer_construct(3).residues == (0, 1, 3, 9)
+    assert singer_construct(4).residues == (0, 1, 6, 8, 18)
+    assert singer_construct(5).residues == (0, 1, 4, 10, 12, 17)
+    assert sum(singer_construct(32).residues) == 13708
+
+
+def _singer_field(q):
+    p, e = prime_power(q)
+    field = make_field(p, 3 * e)
+    return field, primitive_element(field)
+
+
+@pytest.mark.parametrize("q", SINGER_ORDERS)
+def test_minimal_polynomial_is_over_the_subfield_and_annihilates_g(q):
+    _, g = _singer_field(q)
+    e1, e2, e3 = _minimal_polynomial(g, q)
+    for x in (e1, e2, e3):
+        assert x**q == x
+    assert g**3 == e1 * g**2 - e2 * g + e3
+
+
+@pytest.mark.parametrize("q", (4, 8, 9, 16))
+def test_subfield_tables_match_field_arithmetic(q):
+    field, g = _singer_field(q)
+    codes, add, mul = _subfield_tables(field, g ** modulus_for_order(q), q)
+    element = {code: field.element(coeffs) for coeffs, code in codes.items()}
+    assert sorted(element) == list(range(q))
+    assert element[0] == field.zero and element[1] == field.one
+    for a in range(q):
+        for b in range(q):
+            assert element[add[a][b]] == element[a] + element[b]
+            assert element[mul[a][b]] == element[a] * element[b]
 
 
 # ---------------------------------------------------------------------------
