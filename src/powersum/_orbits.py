@@ -7,9 +7,14 @@ whose residues sum to 0 mod m = q^2+q+1 is fixed by every multiplier at once.
 That translate is a union of orbits of the group generated by the primes of
 q acting on Z_m by multiplication, so searching such unions is complete.
 
-Pure integer code with no dependency on the ``pds`` types; ``pds`` wraps the
-result and verifies any set found.  Statuses are the ``SearchResult`` ones:
-"Found", "NoneExists", "BudgetExceeded".
+``search`` is the library's one search kernel: it stops at the first such
+union for ``pds.exhaustive_search`` and ``pds.feasibility``, or lists every
+one for ``pds.enumerate_all``.  Orbit residues do not arrive in ascending
+order, so the covered differences are kept as bitmasks over Z_m that are
+rotated by each value added.  Pure integer code with no dependency on the
+``pds`` types; ``pds`` wraps the result and verifies any set found.
+Statuses are the ``SearchResult`` ones: "Found", "NoneExists",
+"BudgetExceeded".
 """
 
 from math import gcd
@@ -88,42 +93,34 @@ def multiplier_orbits(q: int) -> list[tuple[int, ...]]:
     return orbits
 
 
-def _place_orbit(m: int, covered: bytearray, chosen: list[int], orbit) -> bool:
-    """Add the orbit's residues to `chosen`, marking each new difference;
-    on a clash undo everything this call marked and report False."""
-    start = len(chosen)
+def _add_orbit(m: int, mask: int, cov: int, sel: int, rev: int, orbit):
+    """The state (cov, sel, rev) with the orbit's residues added one by one,
+    or None once a difference would be covered twice."""
     for v in orbit:
-        for i, c in enumerate(chosen):
-            d = (v - c) % m
-            if covered[d]:  # marks come in pairs d, m-d
-                _clear_differences(m, covered, v, chosen[:i])
-                _unplace_orbit(m, covered, chosen, start)
-                return False
-            covered[d] = covered[m - d] = 1
-        chosen.append(v)
-    return True
+        diffs = (rev << v | rev >> (m - v)) & mask  # bits v - c
+        mirrors = (sel << (m - v) | sel >> v) & mask  # bits c - v
+        # cov is closed under d -> m-d, so testing diffs against it suffices;
+        # diffs meets mirrors iff 2v = c + c' for chosen c, c'.
+        if (cov | mirrors) & diffs:
+            return None
+        cov |= diffs | mirrors
+        sel |= 1 << v
+        rev |= 1 << (m - v) % m
+    return cov, sel, rev
 
 
-def _unplace_orbit(m: int, covered: bytearray, chosen: list[int], start: int) -> None:
-    """Remove chosen[start:], clearing the differences each one marked."""
-    while len(chosen) > start:
-        v = chosen.pop()
-        _clear_differences(m, covered, v, chosen)
-
-
-def _clear_differences(m: int, covered: bytearray, v: int, others) -> None:
-    for c in others:
-        d = (v - c) % m
-        covered[d] = covered[m - d] = 0
-
-
-def search(q: int, budget: int) -> tuple[str, int, Optional[list[int]]]:
+def search(q: int, budget: int,
+           out: Optional[list] = None) -> tuple[str, int, Optional[list[int]]]:
     """Backtrack over unions of multiplier orbits of size q+1 whose
     differences are all distinct, within one node budget for the whole search.
 
-    A node is one union examined: the empty union at the root, and each union
-    formed by adding one orbit and checking its differences.  Returns
-    (status, nodes, residues-or-None).
+    With `out` None the first such union stops the search (find mode).  Given
+    a list, every such union is appended to it as a list of residues and the
+    walk goes on to the end (enumerate mode).  A node is one union examined:
+    the empty union at the root, and each union formed by adding one orbit
+    and checking its differences.  Returns (status, nodes, residues-or-None);
+    in enumerate mode the residues are None and a walk that ends within the
+    budget reports Found when `out` holds a set, NoneExists otherwise.
     """
     if budget < 1:
         return "BudgetExceeded", 0, None
@@ -137,27 +134,36 @@ def search(q: int, budget: int) -> tuple[str, int, Optional[list[int]]]:
     for j in range(len(orbits) - 1, -1, -1):
         sizes[j] = (sizes[j + 1] | sizes[j + 1] << len(orbits[j])) & ((2 << k) - 1)
 
+    mask = (1 << m) - 1
     nodes = 1
-    covered = bytearray(m)
-    chosen: list[int] = []
-    picks: list[tuple[int, int]] = []  # (orbit index, len(chosen) before it)
+    # The union as bitmasks over Z_m: cov has bit d for each covered
+    # difference d, sel has bit c for each chosen residue c and rev has bit
+    # -c mod m.  Each pick keeps the state from before its orbit, so backing
+    # out of it undoes nothing.
+    cov = sel = rev = 0
+    picks: list[tuple[int, int, int, int]] = []  # (orbit index, cov, sel, rev)
     j = 0
-    while len(chosen) < k:
-        size = len(chosen)
-        while j < len(orbits) and sizes[j] >> (k - size) & 1:
-            rest = k - size - len(orbits[j])
+    while True:
+        need = k - sel.bit_count()
+        while need and j < len(orbits) and sizes[j] >> need & 1:
+            rest = need - len(orbits[j])
             if rest >= 0 and sizes[j + 1] >> rest & 1:
                 if nodes >= budget:
                     return "BudgetExceeded", nodes, None
                 nodes += 1
-                if _place_orbit(m, covered, chosen, orbits[j]):
-                    picks.append((j, size))
+                state = _add_orbit(m, mask, cov, sel, rev, orbits[j])
+                if state is not None:
+                    picks.append((j, cov, sel, rev))
+                    cov, sel, rev = state
                     break
             j += 1
-        else:  # no orbit extends this union: backtrack
+        else:  # the union is complete, or no orbit extends it: backtrack
+            if not need:
+                found = [v for i, *_ in picks for v in orbits[i]]
+                if out is None:
+                    return "Found", nodes, found
+                out.append(found)
             if not picks:
-                return "NoneExists", nodes, None
-            j, start = picks.pop()
-            _unplace_orbit(m, covered, chosen, start)
+                return ("Found" if out else "NoneExists"), nodes, None
+            j, cov, sel, rev = picks.pop()
         j += 1
-    return "Found", nodes, chosen

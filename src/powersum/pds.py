@@ -8,15 +8,15 @@ residue exactly once (equivalently: a cyclic projective plane of order q).
 for prime-power q as the zeros of Singer's linear recurrence over GF(q)
 (Singer 1938): its terms are the g^2-coordinates of the powers of a
 primitive element g of GF(q^3), so a term vanishes exactly when that power
-lies on the line spanned by {1, g}; ``exhaustive_search``
-and ``enumerate_all`` walk the one depth-first tree of sets containing
-{0, 1} with a difference-coverage backtracker, serially and under a single
-node budget; they find and list sets at small orders and are the test oracle
-for the multiplier-orbit search.  ``feasibility`` combines the Bruck-Ryser and
-Wilbrink nonexistence tests with a multiplier-orbit search, which is complete
-by Hall's multiplier theorem (every prime dividing q is a multiplier) and the
-McFarland-Rice theorem (some translate is fixed by every multiplier); a
-verdict that rests on that search carries the reason ``multiplier-search``.
+lies on the line spanned by {1, g}.  ``exhaustive_search`` and
+``enumerate_all`` share one complete search, over unions of multiplier
+orbits (``_orbits``): it is complete by Hall's multiplier theorem (every
+prime dividing q is a multiplier) and the McFarland-Rice theorem (some
+translate is fixed by every multiplier), and runs serially under a single
+node budget.  ``feasibility`` combines the Bruck-Ryser and Wilbrink
+nonexistence tests with ``exhaustive_search``; a verdict that rests on that
+search carries the reason ``multiplier-search``.  A plain backtracker over
+the sets containing {0, 1} is kept only in the tests, as this search's oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
-from . import _orbits, _search
+from . import _orbits
 from .gf import factorize, make_field, primitive_element
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -266,11 +266,6 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
 # Exhaustive search
 # ---------------------------------------------------------------------------
 
-# Any perfect difference set covers the difference 1, so some translate
-# contains both 0 and 1.  Searching completions of the prefix (0, 1) is
-# therefore complete for every modulus, and discards the translation orbit.
-_ROOT = (0, 1)
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -300,63 +295,51 @@ def _validate_budget(budget: int) -> None:
 
 
 def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
-    """Backtracking search for one perfect difference set of order q.
-
-    One depth-first tree, rooted at the prefix (0, 1), is searched with the
-    whole node budget.  NoneExists is only reported when the tree was fully
-    exhausted within the budget; BudgetExceeded means exactly `budget` nodes
-    were visited without a verdict.  A negative budget is a ValueError.
-    """
-    m = _validate_search_order(q)
-    _validate_budget(budget)
-    status, nodes, sol = _search.subtree_first(m, q + 1, _ROOT, budget)
-    if status == _search.FOUND:
-        found = PerfectDifferenceSet.from_residues(sol, q)
-        check = verify(found.residues, q)
-        if not check.valid:
-            raise ArithmeticError(f"search returned an invalid set: {check}")
-        return SearchResult("Found", found, nodes)
-    return SearchResult("BudgetExceeded" if status == _search.BUDGET else "NoneExists",
-                        None, nodes)
-
-
-def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
-    """Every perfect difference set of order q containing {0, 1}.
-
-    Each equivalence class has at least one such representative (translate a
-    pair with difference 1 onto (0, 1)), so canonicalizing the returned sets
-    surveys all classes.  The tree rooted at (0, 1) is walked once, in
-    depth-first order, with the whole node budget; ``complete`` is False when
-    the budget ran out, in which case the listing may be partial.  A negative
-    budget is a ValueError.
-    """
-    m = _validate_search_order(q)
-    _validate_budget(budget)
-    status, nodes, sols = _search.subtree_all(m, q + 1, _ROOT, budget)
-    return EnumerationResult(status != _search.BUDGET, tuple(sols), nodes)
-
-
-# ---------------------------------------------------------------------------
-# Multiplier-orbit search
-# ---------------------------------------------------------------------------
-
-
-def _multiplier_search(q: int, budget: int) -> SearchResult:
-    """Complete search for a perfect difference set of order q among unions
+    """Complete search for one perfect difference set of order q among unions
     of multiplier orbits (Hall's multiplier theorem and McFarland-Rice; see
-    ``_orbits``).  `budget` caps the nodes of the whole search, as counted by
-    ``_orbits.search``.  NoneExists means every union of size q+1 was ruled
-    out.  A found set is checked by ``verify``.
+    ``_orbits``).
+
+    A node is one union of orbits examined, and `budget` caps the nodes of
+    the whole search.  A found set is fixed by every multiplier and is
+    checked by ``verify``.  NoneExists means every union of size q+1 was ruled
+    out, so no set of order q exists; BudgetExceeded means exactly `budget`
+    nodes were visited without a verdict.  A negative budget is a ValueError.
     """
     _validate_search_order(q)
+    _validate_budget(budget)
     status, nodes, residues = _orbits.search(q, budget)
     if status != "Found":
         return SearchResult(status, None, nodes)
     found = PerfectDifferenceSet.from_residues(residues, q)
     check = verify(found.residues, q)
     if not check.valid:
-        raise ArithmeticError(f"multiplier search returned an invalid set: {check}")
+        raise ArithmeticError(f"search returned an invalid set: {check}")
     return SearchResult("Found", found, nodes)
+
+
+def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
+    """Every perfect difference set of order q containing {0, 1}, sorted.
+
+    The search of ``exhaustive_search`` lists every set fixed by the
+    multipliers, counting one node per union of orbits examined, with the
+    whole node budget.  Each set has difference 1 at exactly one pair
+    (a, a+1), and its translate by -a is the one that contains 0 and 1; by
+    McFarland-Rice every such set is one of these translates.  Several fixed
+    sets can share a translate, so the translates are listed once each, in
+    sorted order.  Canonicalizing them surveys all classes.  ``complete`` is
+    False when the budget ran out, in which case the listing may be partial.
+    A negative budget is a ValueError.
+    """
+    m = _validate_search_order(q)
+    _validate_budget(budget)
+    fixed: list[list[int]] = []
+    status, nodes, _ = _orbits.search(q, budget, fixed)
+    rooted = set()
+    for residues in fixed:
+        members = set(residues)
+        a = next(a for a in residues if (a + 1) % m in members)
+        rooted.add(tuple(sorted((x - a) % m for x in residues)))
+    return EnumerationResult(status != "BudgetExceeded", tuple(sorted(rooted)), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +375,10 @@ def wilbrink_excludes(order: int) -> bool:
 class FeasibilityReport:
     """Combined verdict of the classical tests and the multiplier-orbit search.
 
-    ``exhaustive_result`` is the search outcome, one of Found / NoneExists /
-    NotAttempted (a search that ran out of budget counts as NotAttempted).
-    The search is complete by Hall's multiplier theorem and McFarland-Rice.
+    ``exhaustive_result`` is the status of ``exhaustive_search``: Found or
+    NoneExists, or NotAttempted when it was not run (prime powers, orders
+    above the search cap) or ran out of budget.  The search is complete by
+    Hall's multiplier theorem and McFarland-Rice.
     ``reasons`` names the tests the verdict rests on: ``prime-power``,
     ``bruck-ryser``, ``wilbrink`` or ``multiplier-search``.  A completed search
     shows up there only when it is the sole excluder, otherwise it speaks
@@ -428,12 +412,13 @@ def feasibility(order: int,
     """Existence verdict for perfect difference sets of the given order.
 
     Prime powers exist by construction (a Singer witness is attached at desk
-    scale).  Otherwise the multiplier-orbit search runs within
-    ``search_budget`` nodes, alongside the Bruck-Ryser and Wilbrink congruence
-    tests.  By Hall's multiplier theorem every prime dividing the order is a
-    multiplier, and by McFarland-Rice some translate of any set is fixed by
-    all of them, so a search over unions of multiplier orbits is complete:
-    its NoneExists excludes the order (reason ``multiplier-search``).
+    scale).  Otherwise ``exhaustive_search``, the multiplier-orbit search,
+    runs within ``search_budget`` nodes, alongside the Bruck-Ryser and
+    Wilbrink congruence tests.  By Hall's multiplier theorem every prime
+    dividing the order is a multiplier, and by McFarland-Rice some translate
+    of any set is fixed by all of them, so a search over unions of multiplier
+    orbits is complete: its NoneExists excludes the order (reason
+    ``multiplier-search``).
     Excluded is never claimed unless at least one test actually fired.  A
     negative ``search_budget`` is a ValueError, whatever the order.
     """
@@ -455,7 +440,7 @@ def feasibility(order: int,
     theory = tuple(name for fired, name in
                    ((br, "bruck-ryser"), (wb, "wilbrink")) if fired)
     searchable = order <= MAX_SEARCH_ORDER
-    result = _multiplier_search(order, search_budget) if searchable else None
+    result = exhaustive_search(order, search_budget) if searchable else None
 
     if result is not None and result.status == "Found":
         return FeasibilityReport(order, False, br, wb, "Found",

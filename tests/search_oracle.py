@@ -1,11 +1,13 @@
-"""Reference backtracker for tests of ``powersum._search``.
+"""Reference backtracker for tests of the difference-set search.
 
-It walks the same depth-first tree in the same order, one candidate at a
-time: it builds a sorted k-subset of Z_m slot by slot and keeps a bytearray
-of the differences already covered; a candidate value is accepted only if
-none of its differences to the chosen values is covered yet.  A node is one
-candidate value subjected to that check; the budget is a cap on visited
-nodes.  The bitmask kernel must return exactly what this returns.
+It builds a sorted k-subset of Z_m slot by slot, depth first and in
+ascending order at every slot, and keeps a bytearray of the differences
+already covered; a candidate value is accepted only if none of its
+differences to the chosen values is covered yet.  A node is one candidate
+value subjected to that check; the budget is a cap on visited nodes.  Rooted
+at the prefix (0, 1), it lists every set containing 0 and 1 in sorted order,
+which ``powersum.pds.enumerate_all`` must reproduce, and decides existence
+at small orders, which ``powersum.pds.exhaustive_search`` must match.
 
 Status codes: 0 = found, 1 = subtree exhausted, 2 = budget exceeded.
 """

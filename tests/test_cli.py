@@ -74,6 +74,15 @@ def test_search_order6_none_exists(capsys):
     assert record["residues"] is None
 
 
+def test_search_and_feasibility_report_one_verdict_at_order10(capsys):
+    # Both commands run exhaustive_search, so they report the same status.
+    code, out, _ = run(capsys, "feasibility", "--order", "10")
+    assert (code, json.loads(out)["exhaustive_result"]) == (cli.EXIT_NEGATIVE, "NoneExists")
+    code, out, _ = run(capsys, "search", "--order", "10")
+    record = json.loads(out)
+    assert (code, record["status"], record["nodes"]) == (cli.EXIT_NEGATIVE, "NoneExists", 1)
+
+
 def test_search_output_is_byte_identical_across_runs(capsys):
     first = run(capsys, "search", "--order", "9")
     second = run(capsys, "search", "--order", "9")
@@ -95,7 +104,7 @@ def test_removed_flag_is_a_usage_error(capsys, argv):
 
 
 def test_search_budget_exceeded_is_inconclusive(capsys):
-    code, out, _ = run(capsys, "search", "--order", "10", "--budget", "100")
+    code, out, _ = run(capsys, "search", "--order", "23", "--budget", "100")
     assert code == cli.EXIT_INCONCLUSIVE == 3
     record = json.loads(out)
     assert record["status"] == "BudgetExceeded"
@@ -153,6 +162,20 @@ def test_singer_q4_is_a_verified_set(capsys):
     record = json.loads(out)
     assert record["q"] == 4 and record["m"] == 21
     assert verify(record["residues"], 4).valid
+
+
+def test_singer_verifies_its_set_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr("powersum.pds.verify", counted)
+    monkeypatch.setattr(cli, "verify", counted)
+    code, _, _ = run(capsys, "singer", "--q", "4")
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 def test_singer_and_witness_json_match_the_oracle_bytes(capsys):

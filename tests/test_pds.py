@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 
+import search_oracle
 import singer_oracle
 from powersum.gf import factorize, make_field, primitive_element
 from powersum.pds import (
@@ -24,7 +25,6 @@ from powersum.pds import (
     PerfectDifferenceSet,
     SearchResult,
     _minimal_polynomial,
-    _multiplier_search,
     _subfield_tables,
     bruck_ryser_excludes,
     canonical_form,
@@ -314,8 +314,10 @@ def test_search_order6_none_exists():
 
 
 def test_search_budget_exceeded():
-    for q, budget in ((20, 10), (10, 1), (10, 10), (10, 100), (10, 10**4)):
-        r = exhaustive_search(q, budget=budget)
+    # At the prime 23 the only multiplier is 23, with orbits of size 3, and
+    # the search runs far past these budgets.
+    for budget in (1, 10, 100, 10**4):
+        r = exhaustive_search(23, budget=budget)
         assert r.status == "BudgetExceeded"
         assert r.pds is None
         assert r.nodes == budget  # the whole budget is spent, none is stranded
@@ -338,8 +340,8 @@ def test_enumerate_all_uniqueness_small_orders():
         assert classes == {canonical_form(singer_construct(q)).residues}
 
 
-# Node counts and outputs of the depth-first tree rooted at (0, 1).  A kernel
-# that prunes or reorders the tree changes them.
+# Node counts and outputs of the reference backtracker's depth-first tree
+# rooted at (0, 1).  An oracle that prunes or reorders the tree changes them.
 SEARCH_NODES = {2: 2, 3: 8, 4: 145, 5: 118, 6: 39948, 7: 21550, 8: 4714, 9: 604266}
 ENUMERATE_NODES = {2: 5, 3: 50, 4: 486, 5: 4465, 6: 39948, 7: 378590}
 ENUMERATE_7 = (
@@ -350,37 +352,53 @@ ENUMERATE_7 = (
     (0, 1, 7, 24, 36, 38, 49, 54), (0, 1, 9, 11, 14, 35, 39, 51),
     (0, 1, 9, 20, 23, 41, 51, 53), (0, 1, 13, 15, 21, 24, 31, 53),
 )
+# Nodes of the multiplier-orbit search: unions of orbits examined until the
+# first set (exhaustive_search) or to the end of the walk (enumerate_all).  A
+# change to the orbits, their order or the pruning changes them.
+ORBIT_SEARCH_NODES = {1: 3, 2: 2, 3: 3, 4: 3, 5: 8, 6: 1, 7: 11, 8: 2, 9: 7, 10: 1,
+                      11: 944, 12: 1, 13: 871, 14: 1, 15: 1, 16: 5, 17: 56727,
+                      18: 1, 19: 48627}
+ORBIT_ENUMERATE_NODES = {1: 6, 2: 3, 3: 6, 4: 5, 5: 55, 6: 1, 7: 583, 8: 9, 9: 68}
+
+
+def _oracle(kind, q, budget=10**6):
+    return getattr(search_oracle, kind)(modulus_for_order(q), q + 1, (0, 1), budget)
 
 
 def test_search_tree_is_pinned():
-    results = {q: exhaustive_search(q) for q in SEARCH_NODES}
-    assert {q: r.nodes for q, r in results.items()} == SEARCH_NODES
-    assert results[9].pds.residues == (0, 1, 3, 9, 27, 49, 56, 61, 77, 81)
-    listings = {q: enumerate_all(q) for q in ENUMERATE_NODES}
-    assert {q: e.nodes for q, e in listings.items()} == ENUMERATE_NODES
+    first = {q: _oracle("subtree_first", q) for q in SEARCH_NODES}
+    assert {q: r[1] for q, r in first.items()} == SEARCH_NODES
+    assert first[9][2] == (0, 1, 3, 9, 27, 49, 56, 61, 77, 81)
+    every = {q: _oracle("subtree_all", q) for q in ENUMERATE_NODES}
+    assert {q: r[1] for q, r in every.items()} == ENUMERATE_NODES
+    assert all(r[0] == search_oracle.EXHAUSTED for r in every.values())
+    assert tuple(every[7][2]) == ENUMERATE_7
+    results = {q: exhaustive_search(q) for q in ORBIT_SEARCH_NODES}
+    assert {q: r.nodes for q, r in results.items()} == ORBIT_SEARCH_NODES
+    listings = {q: enumerate_all(q) for q in ORBIT_ENUMERATE_NODES}
+    assert {q: e.nodes for q, e in listings.items()} == ORBIT_ENUMERATE_NODES
     assert all(e.complete for e in listings.values())
     assert listings[7].sets == ENUMERATE_7
 
 
 def test_enumerate_all_respects_budget():
-    e = enumerate_all(6, budget=5)
+    e = enumerate_all(7, budget=5)
     assert e.complete is False
     assert e.nodes == 5
 
 
 def test_search_stops_exactly_at_the_budget():
     # The last node of each walk is spent on the budget's last unit; one unit
-    # less stops one node short.  The kernel counts rejected values in bulk,
-    # so an off-by-one there shows here.
-    found = exhaustive_search(9, budget=604266)
-    assert (found.status, found.nodes) == ("Found", 604266)
-    short = exhaustive_search(9, budget=604265)
-    assert (short.status, short.pds, short.nodes) == ("BudgetExceeded", None, 604265)
-    listing = enumerate_all(7, budget=378590)
-    assert listing.complete and listing.nodes == 378590
+    # less stops one node short.
+    found = exhaustive_search(17, budget=56727)
+    assert (found.status, found.nodes) == ("Found", 56727)
+    short = exhaustive_search(17, budget=56726)
+    assert (short.status, short.pds, short.nodes) == ("BudgetExceeded", None, 56726)
+    listing = enumerate_all(7, budget=583)
+    assert listing.complete and listing.nodes == 583
     assert listing.sets == ENUMERATE_7
-    cut = enumerate_all(7, budget=378589)
-    assert cut.complete is False and cut.nodes == 378589
+    cut = enumerate_all(7, budget=582)
+    assert cut.complete is False and cut.nodes == 582
 
 
 @pytest.mark.parametrize("call", (
@@ -400,21 +418,29 @@ def test_zero_budget_is_legal():
 
 
 # ---------------------------------------------------------------------------
-# multiplier-orbit search, with the plain backtracker as the oracle
+# multiplier-orbit search (tests/test_search.py holds the oracle comparisons)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("q", range(2, 10))
 def test_multiplier_search_agrees_with_exhaustive_search(q):
-    fast = _multiplier_search(q, budget=10**6)
-    slow = exhaustive_search(q)
-    assert fast.status == slow.status
-    assert fast.status in ("Found", "NoneExists")
+    # Find mode stops on the first set of the walk that enumerate mode goes
+    # on with, so the set it finds is listed, translated onto (0, 1).
+    found = exhaustive_search(q, budget=10**6)
+    listing = enumerate_all(q, budget=10**6)
+    assert listing.complete
+    assert found.status == ("Found" if listing.sets else "NoneExists")
+    if found.pds is not None:
+        m = found.pds.m
+        translates = {tuple(sorted((x - t) % m for x in found.pds.residues))
+                      for t in range(m)}
+        assert next(s for s in translates if s[:2] == (0, 1)) in listing.sets
+        assert found.nodes <= listing.nodes
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 27, 32))
 def test_multiplier_search_found_set_is_fixed_by_multipliers(q):
-    r = _multiplier_search(q, budget=10**6)
+    r = exhaustive_search(q, budget=10**6)
     assert r.status == "Found"
     assert r.nodes <= 10**6
     assert is_pds_by_counter(r.pds.residues, q)
@@ -425,10 +451,10 @@ def test_multiplier_search_found_set_is_fixed_by_multipliers(q):
 
 
 def test_multiplier_search_respects_budget():
-    assert _multiplier_search(10, budget=0) == SearchResult("BudgetExceeded", None, 0)
+    assert exhaustive_search(10, budget=0) == SearchResult("BudgetExceeded", None, 0)
     for q in (1, 4, 6, 10, 11, 13):
         for budget in (1, 2, 5, 50):
-            r = _multiplier_search(q, budget)
+            r = exhaustive_search(q, budget)
             assert r.nodes <= budget
             if r.status == "BudgetExceeded":
                 assert r.pds is None

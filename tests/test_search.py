@@ -1,58 +1,90 @@
-"""The bitmask search kernel against the one-candidate-at-a-time reference.
+"""The multiplier-orbit search behind ``exhaustive_search`` and
+``enumerate_all``, against the (0,1)-rooted reference backtracker.
 
-Both walk the depth-first tree rooted at (0, 1) in ascending order, so the
-status, the node count and the found set or ordered listing must be equal at
-every budget, including budgets that stop the walk inside a run of values
-the kernel counts in bulk.
+The two walk different trees, so their node counts differ; what must agree
+is the verdict, the class of a found set and the listing of the sets that
+contain 0 and 1.  A test is parametrized by the oracle function
+(``subtree_first`` or ``subtree_all``) that the public call answers to.
 """
 
 import pytest
 
 import search_oracle
-from powersum import _search
-from powersum.pds import modulus_for_order
+from powersum.pds import (
+    EnumerationResult,
+    PerfectDifferenceSet,
+    SearchResult,
+    canonical_form,
+    enumerate_all,
+    exhaustive_search,
+    modulus_for_order,
+)
 
 ROOT = (0, 1)
-FIRST_BUDGETS = (0, 1, 2, 5, 100, 10**4, 10**6)
-ALL_BUDGETS = (0, 1, 5, 50, 1000, 10**6)
 LARGE_ORDER_BUDGETS = (0, 1, 2, 7, 100, 1234, 5000, 20000)
+PUBLIC = {"subtree_first": exhaustive_search, "subtree_all": enumerate_all}
 
 
-def _both(kind, q, budget):
-    m = modulus_for_order(q)
-    expected = getattr(search_oracle, kind)(m, q + 1, ROOT, budget)
-    actual = getattr(_search, kind)(m, q + 1, ROOT, budget)
-    return expected, actual
+def _oracle(kind, q, budget):
+    return getattr(search_oracle, kind)(modulus_for_order(q), q + 1, ROOT, budget)
+
+
+def _assert_cut_at(kind, q, budget, whole):
+    """The call at `budget` is the whole walk when that fits in the budget,
+    and otherwise spends exactly the budget without a verdict."""
+    result = PUBLIC[kind](q, budget=budget)
+    if budget >= whole.nodes:
+        assert result == whole, budget
+    elif kind == "subtree_first":
+        assert result == SearchResult("BudgetExceeded", None, budget)
+    else:
+        assert (result.complete, result.nodes) == (False, budget)
 
 
 @pytest.mark.parametrize("q", range(1, 10))
 def test_subtree_first_matches_reference(q):
-    for budget in FIRST_BUDGETS:
-        expected, actual = _both("subtree_first", q, budget)
-        assert actual == expected, budget
+    status, _, expected = _oracle("subtree_first", q, 10**6)
+    actual = exhaustive_search(q)
+    if status == search_oracle.EXHAUSTED:
+        assert (actual.status, actual.pds) == ("NoneExists", None)
+        return
+    assert status == search_oracle.FOUND
+    assert actual.status == "Found"
+    reference = PerfectDifferenceSet.from_residues(expected, q)
+    assert canonical_form(actual.pds) == canonical_form(reference)
 
 
 @pytest.mark.parametrize("q", range(1, 8))
 def test_subtree_all_matches_reference(q):
-    for budget in ALL_BUDGETS:
-        expected, actual = _both("subtree_all", q, budget)
-        assert actual == expected, budget
+    status, _, expected = _oracle("subtree_all", q, 10**6)
+    assert status == search_oracle.EXHAUSTED
+    actual = enumerate_all(q)
+    assert actual.complete
+    assert actual.sets == tuple(expected)
 
 
 @pytest.mark.parametrize("q", (10, 11, 12, 20))
 @pytest.mark.parametrize("kind", ("subtree_first", "subtree_all"))
 def test_larger_orders_match_reference_at_small_budgets(kind, q):
+    # Budgets that stop the reference at these orders are enough for the
+    # orbit search to decide 10, 12 and 20 at its root and to find a set of
+    # order 11.
+    whole = PUBLIC[kind](q)
     for budget in LARGE_ORDER_BUDGETS:
-        expected, actual = _both(kind, q, budget)
-        assert actual == expected, budget
-        assert actual[0] == _search.BUDGET and actual[1] == budget
+        status, nodes, _ = _oracle(kind, q, budget)
+        assert (status, nodes) == (search_oracle.BUDGET, budget)
+        _assert_cut_at(kind, q, budget, whole)
+    if q != 11:
+        assert whole.nodes == 1
+        assert whole in (SearchResult("NoneExists", None, 1),
+                         EnumerationResult(True, (), 1))
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
 @pytest.mark.parametrize("kind", ("subtree_first", "subtree_all"))
 def test_every_budget_up_to_the_whole_walk(kind, q):
-    m = modulus_for_order(q)
-    whole = getattr(search_oracle, kind)(m, q + 1, ROOT, 10**6)[1]
-    for budget in range(whole + 2):
-        expected, actual = _both(kind, q, budget)
-        assert actual == expected, budget
+    whole = PUBLIC[kind](q)
+    if kind == "subtree_all":
+        assert whole.sets == tuple(_oracle(kind, q, 10**6)[2])
+    for budget in range(whole.nodes + 2):
+        _assert_cut_at(kind, q, budget, whole)
