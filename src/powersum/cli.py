@@ -30,6 +30,7 @@ from .pds import (
     DEFAULT_SEARCH_BUDGET,
     exhaustive_search,
     feasibility,
+    modulus_for_order,
     singer_construct,
     verify,
 )
@@ -179,7 +180,7 @@ def cmd_verify(args) -> int:
     result = verify(args.set, q)
     record = {
         "q": q,
-        "m": q * q + q + 1,
+        "m": modulus_for_order(q),
         "valid": result.valid,
         "reason": result.reason,
         "witness": result.witness,
@@ -280,7 +281,7 @@ def cmd_search(args) -> int:
     result = exhaustive_search(args.order, budget=args.budget)
     record = {
         "order": args.order,
-        "m": args.order * args.order + args.order + 1,
+        "m": modulus_for_order(args.order),
         "status": result.status,
         "residues": list(result.pds.residues) if result.pds else None,
         "nodes": result.nodes,

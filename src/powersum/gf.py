@@ -7,6 +7,10 @@ every downstream construction reproducible: two runs asked for GF(p^k) always
 agree on the representation, hence on primitive elements and on the Singer
 difference sets built from them.
 
+One multiply-mod (``_mulmod``) and one square-and-multiply power
+(``_powmod``) serve both the field elements, modulo the field's modulus, and
+Rabin's irreducibility test that picks that modulus, modulo each candidate.
+
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
 at 15 and orders must fit comfortably in a native integer.
@@ -75,81 +79,70 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p).  Coefficient lists, constant term first,
-# normalized so the zero polynomial is the empty list.
+# Polynomial arithmetic over GF(p).  Coefficient tuples, constant term first.
 # ---------------------------------------------------------------------------
 
 
-def _trim(poly: list[int]) -> list[int]:
+def _trim(poly):
+    """poly without its zero leading coefficients (the zero polynomial is ())."""
     n = len(poly)
     while n and poly[n - 1] == 0:
         n -= 1
     return poly[:n]
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _digits(value: int, p: int, k: int) -> list[int]:
+    """The k lowest base-p digits of value, least significant first."""
+    digits = []
+    for _ in range(k):
+        value, digit = divmod(value, p)
+        digits.append(digit)
+    return digits
+
+
+def _reduce(poly: list[int], mod, p: int) -> tuple[int, ...]:
+    """poly (any integer coefficients, each taken mod p once) modulo the monic
+    mod: len(mod) - 1 coefficients in [0, p), or fewer if poly is shorter."""
+    k = len(mod) - 1
+    for i in range(len(poly) - 1, k - 1, -1):
+        c = poly[i] % p
+        if c:
+            # mod[k] = 1 cancels poly[i]; poly[i] is not read again.
+            for j in range(k):
+                poly[i - k + j] -= c * mod[j]
+    # From a list (not a generator) tuple() allocates once, at the exact size.
+    return tuple([c % p for c in poly[:k]])
+
+
+def _mulmod(a, b, mod, p: int) -> tuple[int, ...]:
+    """a * b modulo the monic polynomial mod, for nonempty a and b."""
+    prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+                prod[i + j] += ai * bj
+    return _reduce(prod, mod, p)
 
 
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    """Remainder of a by mod; mod need not be monic."""
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        a = _trim(a)
-        if len(a) - 1 < dm:
-            break
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, c in enumerate(mod):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-    return _trim(a)
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _trim(out)
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _poly_powmod_p(base: list[int], mod: list[int], p: int) -> list[int]:
-    """base^p modulo mod, by square and multiply on the exponent p."""
-    result = [1]
-    acc = list(base)
-    e = p
+def _powmod(a, e: int, mod, p: int) -> tuple[int, ...]:
+    """a^e modulo the monic polynomial mod (e >= 0), by square and multiply."""
+    result = (1,) + (0,) * (len(mod) - 2)
     while e:
         if e & 1:
-            result = _poly_rem(_poly_mul(result, acc, p), mod, p)
+            result = _mulmod(result, a, mod, p)
         e >>= 1
         if e:
-            acc = _poly_rem(_poly_mul(acc, acc, p), mod, p)
+            a = _mulmod(a, a, mod, p)
     return result
 
 
-def _frobenius_iterate(times: int, mod: list[int], p: int) -> list[int]:
-    """x^(p^times) modulo mod."""
-    t = [0, 1]
-    for _ in range(times):
-        t = _poly_powmod_p(t, mod, p)
-    return t
+def _poly_gcd(a, b, p: int):
+    """A greatest common divisor of two trimmed polynomials."""
+    while b:
+        inv_lead = pow(b[-1], p - 2, p)
+        b = [c * inv_lead % p for c in b]
+        a, b = b, _trim(_reduce(list(a), b, p))
+    return a
 
 
 def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
@@ -157,25 +150,27 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
 
     `poly` is a monic coefficient list, constant term first.  A degree-d monic
     polynomial is irreducible iff x^(p^d) = x modulo poly and, for every prime
-    divisor r of d, gcd(x^(p^(d/r)) - x, poly) is constant.
+    divisor r of d, gcd(x^(p^(d/r)) - x, poly) is constant.  The powers
+    x^(p^j) are taken one Frobenius step at a time in GF(p)[x]/(poly).
     """
-    coeffs = [c % p for c in poly]
-    coeffs_trimmed = _trim(coeffs)
-    if len(coeffs_trimmed) != len(coeffs) or not coeffs or coeffs[-1] != 1:
+    mod = tuple(c % p for c in poly)
+    if _trim(mod) != mod or not mod or mod[-1] != 1:
         raise NotMonicError(f"polynomial {list(poly)} is not monic over GF({p})")
-    d = len(coeffs) - 1
+    d = len(mod) - 1
     if d < 1:
         raise NotMonicError("constant polynomials are not tested")
     if d == 1:
         return True
-    x = [0, 1]
-    for r in factorize(d):
-        h = _frobenius_iterate(d // r, coeffs, p)
-        g = _poly_gcd(coeffs, _poly_sub(h, x, p), p)
-        if len(g) - 1 > 0:
-            return False
-    h = _frobenius_iterate(d, coeffs, p)
-    return _poly_sub(h, x, p) == []
+    gcd_steps = {d // r for r in factorize(d)}
+    x = (0, 1) + (0,) * (d - 2)
+    h = x
+    for j in range(1, d + 1):
+        h = _powmod(h, p, mod, p)  # x^(p^j)
+        if j in gcd_steps:
+            h_minus_x = _trim((h[0], (h[1] - 1) % p) + h[2:])
+            if len(_poly_gcd(mod, h_minus_x, p)) > 1:
+                return False
+    return h == x
 
 
 @lru_cache(maxsize=None)
@@ -191,12 +186,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     for c in range(1, p**k):
         if c % p == 0:
             continue  # zero constant term means x divides the candidate
-        digits = []
-        v = c
-        for _ in range(k):
-            digits.append(v % p)
-            v //= p
-        candidate = digits + [1]
+        candidate = _digits(c, p, k) + [1]
         if is_irreducible(candidate, p):
             return tuple(candidate)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
@@ -228,11 +218,7 @@ class GfField:
         """Element whose coefficient vector is `value` written in base p."""
         if not 0 <= value < self.order:
             raise ValueError(f"value {value} outside [0, {self.order})")
-        digits = []
-        for _ in range(self.k):
-            digits.append(value % self.p)
-            value //= self.p
-        return GfElement(self, tuple(digits))
+        return GfElement(self, tuple(_digits(value, self.p, self.k)))
 
     @property
     def zero(self) -> "GfElement":
@@ -280,37 +266,13 @@ class GfElement:
     def __mul__(self, other: "GfElement") -> "GfElement":
         self._check(other)
         f = self.field
-        p, k = f.p, f.k
-        if k == 1:
-            return GfElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = f.modulus_poly
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                shift = i - k
-                for j in range(k):
-                    prod[shift + j] = (prod[shift + j] - c * mod[j]) % p
-        return GfElement(f, tuple(prod[:k]))
+        return GfElement(f, _mulmod(self.coeffs, other.coeffs, f.modulus_poly, f.p))
 
     def __pow__(self, exponent: int) -> "GfElement":
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = self.field.one
-        acc = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            if e:
-                acc = acc * acc
-        return result
+        f = self.field
+        return GfElement(f, _powmod(self.coeffs, exponent, f.modulus_poly, f.p))
 
     def inv(self) -> "GfElement":
         if self.is_zero():
@@ -333,8 +295,8 @@ class GfElement:
 def make_field(p: int, k: int = 1) -> GfField:
     """Construct GF(p^k) with the deterministic (smallest) modulus polynomial.
 
-    For k = 1 the stored modulus is the placeholder x and arithmetic is plain
-    integer arithmetic mod p.
+    For k = 1 the stored modulus is the placeholder x; reducing by it does
+    nothing, so products are plain integer products mod p.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")

@@ -91,8 +91,10 @@ def verify(candidate, q: int) -> Verification:
 
     On failure the witness pins the problem down: a repeated residue, or the
     first difference that is covered twice (scanning pairs in sorted order,
-    positive difference before its negative).
+    positive difference before its negative).  Orders below 1 are rejected.
     """
+    if q < 1:
+        raise ValueError("order must be >= 1")
     m = modulus_for_order(q)
     res = sorted(x % m for x in candidate)
     for i in range(1, len(res)):

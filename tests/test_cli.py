@@ -212,6 +212,9 @@ def test_singer_non_prime_power_is_a_domain_error(capsys):
     (("--set", "0,1,3", "--q", "2"), cli.EXIT_OK),
     (("--set", "0,1,2", "--modulus", "7"), cli.EXIT_NEGATIVE),
     (("--set", "0,1,2", "--modulus", "8"), cli.EXIT_DOMAIN),
+    (("--q", "-1", "--set="), cli.EXIT_DOMAIN),
+    (("--q", "0", "--set", "0"), cli.EXIT_DOMAIN),
+    (("--modulus", "1", "--set", "0"), cli.EXIT_DOMAIN),
 ))
 def test_verify_exit_codes(capsys, argv, expected):
     code, out, _ = run(capsys, "verify", *argv)

@@ -41,6 +41,30 @@ def cubic_is_irreducible_by_roots(poly, p):
     return True
 
 
+def monic_polys(p, d):
+    """Every monic polynomial of degree d over GF(p), constant term first."""
+    for code in range(p**d):
+        yield [code // p**i % p for i in range(d)] + [1]
+
+
+def remainder_by_monic(a, b, p):
+    """a mod the monic b over GF(p), by long division."""
+    a = list(a)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        c = a[top]
+        for i, bi in enumerate(b):
+            a[top - len(b) + 1 + i] = (a[top - len(b) + 1 + i] - c * bi) % p
+    return a[:len(b) - 1]
+
+
+def irreducible_by_trial_division(poly, p):
+    """No monic factor of degree 1 .. d/2 divides poly."""
+    d = len(poly) - 1
+    divides = (not any(remainder_by_monic(poly, f, p))
+               for k in range(1, d // 2 + 1) for f in monic_polys(p, k))
+    return not any(divides)
+
+
 def multiplicative_order_by_enumeration(a):
     one = a.field.one
     acc = a
@@ -163,6 +187,22 @@ def test_frobenius_fixes_every_element():
             assert a ** f.order == a
 
 
+@pytest.mark.parametrize("p, k", ((7, 1), (2, 3), (3, 2)))
+def test_powers_match_repeated_products(p, k):
+    f = make_field(p, k)
+    for a in f.elements():
+        product = f.one
+        for e in range(f.order + 1):
+            assert a**e == product
+            product = product * a
+        if not a.is_zero():
+            assert a**-3 == a.inv() ** 3
+            assert a**-1 * a == f.one
+    assert f.zero**0 == f.one
+    with pytest.raises(ZeroDivisionError):
+        _ = f.zero**-1
+
+
 # ---------------------------------------------------------------------------
 # is_irreducible
 # ---------------------------------------------------------------------------
@@ -178,6 +218,14 @@ def test_irreducible_examples():
             for c1 in range(p):
                 poly = [c0, c1, 1]
                 assert is_irreducible(poly, p) == cubic_is_irreducible_by_roots(poly, p)
+
+
+@pytest.mark.parametrize("p, degrees", ((2, range(2, 7)), (3, range(2, 5))))
+def test_irreducible_matches_trial_division(p, degrees):
+    for d in degrees:
+        verdicts = [is_irreducible(poly, p) == irreducible_by_trial_division(poly, p)
+                    for poly in monic_polys(p, d)]
+        assert all(verdicts), d
 
 
 def test_irreducible_rejects_non_monic():

@@ -122,6 +122,12 @@ def test_verify_random_candidates_match_oracle():
             assert verify(cand, q).valid == is_pds_by_counter(cand, q)
 
 
+@pytest.mark.parametrize("q", (-1, 0))
+def test_verify_rejects_orders_below_one(q):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        verify((0,), q)
+
+
 def test_verify_rejects_duplicates_and_size():
     dup = verify((0, 1, 8), 2)  # 8 = 1 mod 7
     assert not dup.valid and dup.reason == "duplicate-residue" and dup.witness == 1
@@ -181,12 +187,46 @@ def test_singer_matches_the_span_oracle(q):
     assert singer_construct(q).residues == singer_oracle.singer_residues(q)
 
 
+# q -> (modulus of GF(q^3), its primitive element as an integer, sum of the
+# Singer residues, sum of their squares).  Recorded once and compared as
+# plain numbers, so a fault in the field arithmetic cannot pass on both sides
+# as it can against ``singer_oracle``, which uses that same arithmetic.
+SINGER_FIELDS = {
+    2: ((1, 1, 0, 1), 2, 4, 10),
+    3: ((1, 2, 0, 1), 3, 13, 91),
+    4: ((1, 1, 0, 0, 0, 0, 1), 2, 33, 425),
+    5: ((1, 1, 0, 1), 9, 44, 550),
+    7: ((2, 0, 0, 1), 22, 209, 8683),
+    8: ((1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7, 310, 16826),
+    9: ((2, 1, 0, 0, 0, 0, 1), 3, 249, 10013),
+    11: ((4, 1, 0, 1), 11, 730, 68038),
+    13: ((2, 0, 0, 1), 15, 1220, 156892),
+    16: ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3, 1729, 288925),
+    17: ((3, 1, 0, 1), 17, 2088, 395708),
+    19: ((2, 0, 0, 1), 29, 3302, 857758),
+    23: ((3, 1, 0, 1), 23, 4855, 1564965),
+    25: ((2, 1, 0, 0, 0, 0, 1), 5, 7480, 3304342),
+    27: ((1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 3, 10860, 5489512),
+    29: ((4, 1, 0, 1), 30, 12540, 7589936),
+    31: ((3, 0, 0, 1), 34, 14233, 9660235),
+    32: ((1, 1) + (0,) * 13 + (1,), 2, 13708, 9275208),
+}
+
+
 def test_singer_residues_are_pinned():
     assert singer_construct(2).residues == (0, 1, 3)
     assert singer_construct(3).residues == (0, 1, 3, 9)
     assert singer_construct(4).residues == (0, 1, 6, 8, 18)
     assert singer_construct(5).residues == (0, 1, 4, 10, 12, 17)
-    assert sum(singer_construct(32).residues) == 13708
+    assert tuple(SINGER_FIELDS) == SINGER_ORDERS
+    for q, (modulus, g, total, squares) in SINGER_FIELDS.items():
+        p, e = prime_power(q)
+        field = make_field(p, 3 * e)
+        assert field.modulus_poly == modulus
+        assert primitive_element(field).to_int() == g
+        residues = singer_construct(q).residues
+        assert len(residues) == q + 1
+        assert (sum(residues), sum(r * r for r in residues)) == (total, squares)
 
 
 def _singer_field(q):
