@@ -1,15 +1,20 @@
 """Exact arithmetic in small finite fields GF(p^k).
 
-Elements are dense coefficient vectors (constant term first) reduced modulo
-the smallest monic irreducible polynomial of the requested degree, where
+Elements are polynomials over GF(p) of degree below k, reduced modulo the
+smallest monic irreducible polynomial of the requested degree, where
 "smallest" compares the integer encoding sum(c_i * p^i).  That choice makes
 every downstream construction reproducible: two runs asked for GF(p^k) always
 agree on the representation, hence on primitive elements and on the Singer
 difference sets built from them.
 
-One multiply-mod (``_mulmod``) and one square-and-multiply power
-(``_powmod``) serve both the field elements, modulo the field's modulus, and
-Rabin's irreducibility test that picks that modulus, modulo each candidate.
+A polynomial is packed into one Python int (Kronecker substitution), with
+coefficient i, in [0, p), in the bit slot [i*B, (i+1)*B); one big-int product
+multiplies two polynomials.  A product's slot is a sum of at most k terms
+c*c' <= (p-1)^2, and reducing its k - 1 slots above the modulus's degree adds
+at most k - 1 more, so no slot can overflow the least width that holds
+(2k-1) * (p-1)^2, B = ((2k-1) * (p-1)^2).bit_length().  One multiply-mod
+(``_mulmod``) and one power (``_powmod``) serve both the field elements and
+the irreducibility test that picks the modulus, modulo each candidate.
 
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
@@ -18,9 +23,8 @@ at 15 and orders must fit comfortably in a native integer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 
@@ -79,98 +83,100 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over GF(p).  Coefficient tuples, constant term first.
+# Packed polynomial arithmetic over GF(p), constant term in the lowest slot.
 # ---------------------------------------------------------------------------
 
 
-def _trim(poly):
-    """poly without its zero leading coefficients (the zero polynomial is ())."""
-    n = len(poly)
-    while n and poly[n - 1] == 0:
-        n -= 1
-    return poly[:n]
+def _width(p: int, k: int) -> int:
+    """Slot width B for products modulo a degree-k polynomial over GF(p)."""
+    return ((2 * k - 1) * (p - 1) ** 2).bit_length()
 
 
-def _digits(value: int, p: int, k: int) -> list[int]:
-    """The k lowest base-p digits of value, least significant first."""
-    digits = []
-    for _ in range(k):
-        value, digit = divmod(value, p)
-        digits.append(digit)
-    return digits
+def _pack(coeffs, width: int) -> int:
+    """The packed polynomial with these nonnegative coefficients."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value << width | c
+    return value
 
 
-def _reduce(poly: list[int], mod, p: int) -> tuple[int, ...]:
-    """poly (any integer coefficients, each taken mod p once) modulo the monic
-    mod: len(mod) - 1 coefficients in [0, p), or fewer if poly is shorter."""
-    k = len(mod) - 1
-    for i in range(len(poly) - 1, k - 1, -1):
-        c = poly[i] % p
-        if c:
-            # mod[k] = 1 cancels poly[i]; poly[i] is not read again.
-            for j in range(k):
-                poly[i - k + j] -= c * mod[j]
-    # From a list (not a generator) tuple() allocates once, at the exact size.
-    return tuple([c % p for c in poly[:k]])
+def _ring(mod, p: int, width: int) -> tuple:
+    """What ``_mulmod`` needs to reduce modulo the monic mod (a coefficient
+    list of degree k): (p, the packed x^k - mod, the slot width, k * width,
+    the shifts of the slots 0 .. k-1, the mask of one slot)."""
+    kw = (len(mod) - 1) * width
+    return (p, _pack([-c % p for c in mod[:-1]], width), width, kw, range(0, kw, width),
+            (1 << width) - 1)
 
 
-def _mulmod(a, b, mod, p: int) -> tuple[int, ...]:
-    """a * b modulo the monic polynomial mod, for nonempty a and b."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _reduce(prod, mod, p)
-
-
-def _powmod(a, e: int, mod, p: int) -> tuple[int, ...]:
-    """a^e modulo the monic polynomial mod (e >= 0), by square and multiply."""
-    result = (1,) + (0,) * (len(mod) - 2)
-    while e:
-        if e & 1:
-            result = _mulmod(result, a, mod, p)
-        e >>= 1
-        if e:
-            a = _mulmod(a, a, mod, p)
+def _mulmod(a: int, b: int, ring: tuple) -> int:
+    """a * b modulo the ring's modulus, every coefficient in [0, p); b = 1
+    reduces a alone.  Each slot from the product's top down to slot k is
+    cleared and its value mod p, times x^k - mod, added k slots lower; then
+    the k low slots are taken mod p.
+    """
+    p, neg, width, kw, low, mask = ring
+    c = a * b
+    for s in range((c.bit_length() - 1) // width * width, kw - 1, -width):
+        top = c >> s
+        c ^= top << s
+        c += (top % p * neg) << (s - kw)
+    result = 0
+    for s in low:
+        result |= ((c >> s & mask) % p) << s
     return result
 
 
-def _poly_gcd(a, b, p: int):
-    """A greatest common divisor of two trimmed polynomials."""
+def _powmod(a: int, e: int, ring: tuple) -> int:
+    """a^e modulo the ring's modulus, e >= 0, by left-to-right square and multiply."""
+    if not e:
+        return 1
+    result = a
+    for bit in bin(e)[3:]:
+        result = _mulmod(result, result, ring)
+        if bit == "1":
+            result = _mulmod(result, a, ring)
+    return result
+
+
+def _poly_gcd(a: int, b: int, ring: tuple) -> int:
+    """A gcd of the packed a, of the ring's degree, and b, of lower degree."""
+    p, _, width, _, _, mask = ring
     while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        b = [c * inv_lead % p for c in b]
-        a, b = b, _trim(_reduce(list(a), b, p))
+        kw = (b.bit_length() - 1) // width * width
+        inv_lead = pow(b >> kw, -1, p)
+        monic = [(b >> s & mask) * inv_lead % p for s in range(0, kw + 1, width)]
+        a, b = b, _mulmod(a, 1, _ring(monic, p, width))  # a mod b
     return a
 
 
 def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
-    """Deterministic irreducibility test over GF(p) (Rabin's criterion).
+    """Deterministic irreducibility test over GF(p) (Ben-Or's criterion).
 
-    `poly` is a monic coefficient list, constant term first.  A degree-d monic
-    polynomial is irreducible iff x^(p^d) = x modulo poly and, for every prime
-    divisor r of d, gcd(x^(p^(d/r)) - x, poly) is constant.  The powers
-    x^(p^j) are taken one Frobenius step at a time in GF(p)[x]/(poly).
+    `poly` is a monic coefficient list, constant term first.  A monic f of
+    degree d is reducible iff it has an irreducible factor of some degree
+    j <= d/2, that is iff gcd(x^(p^j) - x, f) is not constant for some
+    j <= d/2: x^(p^j) - x is the product of the monic irreducibles of degree
+    dividing j, and an irreducible f has no root in GF(p^j) for j < d.  The
+    powers x^(p^j) are taken one Frobenius step at a time in GF(p)[x]/(f),
+    and a candidate with a small factor exits at that factor's degree.
     """
-    mod = tuple(c % p for c in poly)
-    if _trim(mod) != mod or not mod or mod[-1] != 1:
-        raise NotMonicError(f"polynomial {list(poly)} is not monic over GF({p})")
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    mod = [c % p for c in poly]
     d = len(mod) - 1
-    if d < 1:
-        raise NotMonicError("constant polynomials are not tested")
-    if d == 1:
-        return True
-    gcd_steps = {d // r for r in factorize(d)}
-    x = (0, 1) + (0,) * (d - 2)
-    h = x
-    for j in range(1, d + 1):
-        h = _powmod(h, p, mod, p)  # x^(p^j)
-        if j in gcd_steps:
-            h_minus_x = _trim((h[0], (h[1] - 1) % p) + h[2:])
-            if len(_poly_gcd(mod, h_minus_x, p)) > 1:
-                return False
-    return h == x
+    if d < 1 or mod[-1] != 1:
+        raise NotMonicError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
+    width = _width(p, d)
+    ring = _ring(mod, p, width)
+    f = _pack(mod, width)
+    x = h = 1 << width
+    for _ in range(d // 2):
+        h = _powmod(h, p, ring)  # x^(p^j)
+        h_minus_x = _mulmod(h + (p - 1) * x, 1, ring)
+        if _poly_gcd(f, h_minus_x, ring) >= x:  # the gcd is not a constant
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +192,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     for c in range(1, p**k):
         if c % p == 0:
             continue  # zero constant term means x divides the candidate
-        candidate = _digits(c, p, k) + [1]
+        candidate = [c // p**i % p for i in range(k)] + [1]
         if is_irreducible(candidate, p):
             return tuple(candidate)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
@@ -206,27 +212,30 @@ class GfField:
     modulus_poly: tuple[int, ...]
     order: int
 
+    @cached_property
+    def _quotient(self) -> tuple:
+        return _ring(self.modulus_poly, self.p, _width(self.p, self.k))
+
     def element(self, coeffs) -> "GfElement":
         """Build an element from any iterable of integers (reduced mod p)."""
         vec = [c % self.p for c in coeffs]
         if len(vec) > self.k:
             raise ValueError(f"coefficient vector longer than degree {self.k}")
-        vec.extend([0] * (self.k - len(vec)))
-        return GfElement(self, tuple(vec))
+        return GfElement(self, _pack(vec, _width(self.p, self.k)))
 
     def from_int(self, value: int) -> "GfElement":
         """Element whose coefficient vector is `value` written in base p."""
         if not 0 <= value < self.order:
             raise ValueError(f"value {value} outside [0, {self.order})")
-        return GfElement(self, tuple(_digits(value, self.p, self.k)))
+        return self.element([value // self.p**i % self.p for i in range(self.k)])
 
     @property
     def zero(self) -> "GfElement":
-        return GfElement(self, (0,) * self.k)
+        return GfElement(self, 0)
 
     @property
     def one(self) -> "GfElement":
-        return GfElement(self, (1,) + (0,) * (self.k - 1))
+        return GfElement(self, 1)
 
     def elements(self) -> Iterator["GfElement"]:
         for v in range(self.order):
@@ -238,41 +247,41 @@ class GfField:
 
 @dataclass(frozen=True)
 class GfElement:
-    """An element of a GfField, as a coefficient vector (constant term first)."""
+    """An element of a GfField, as its packed polynomial (see the module)."""
 
     field: GfField
-    coeffs: tuple[int, ...]
+    packed: int
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficient vector, constant term first, of length k."""
+        *_, low, mask = self.field._quotient
+        return tuple([self.packed >> s & mask for s in low])
 
     def _check(self, other: "GfElement") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
 
     def __add__(self, other: "GfElement") -> "GfElement":
         self._check(other)
-        p = self.field.p
-        return GfElement(self.field,
-                         tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        # A slot of the sum is at most 2(p - 1), within B except in GF(2),
+        # where the carry lands in slot 1 and reducing by the modulus x clears it.
+        return GfElement(self.field, _mulmod(self.packed + other.packed, 1, self.field._quotient))
 
     def __sub__(self, other: "GfElement") -> "GfElement":
-        self._check(other)
-        p = self.field.p
-        return GfElement(self.field,
-                         tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "GfElement":
-        p = self.field.p
-        return GfElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return GfElement(self.field, _mulmod(self.packed, self.field.p - 1, self.field._quotient))
 
     def __mul__(self, other: "GfElement") -> "GfElement":
         self._check(other)
-        f = self.field
-        return GfElement(f, _mulmod(self.coeffs, other.coeffs, f.modulus_poly, f.p))
+        return GfElement(self.field, _mulmod(self.packed, other.packed, self.field._quotient))
 
     def __pow__(self, exponent: int) -> "GfElement":
         if exponent < 0:
             return self.inv() ** (-exponent)
-        f = self.field
-        return GfElement(f, _powmod(self.coeffs, exponent, f.modulus_poly, f.p))
+        return GfElement(self.field, _powmod(self.packed, exponent, self.field._quotient))
 
     def inv(self) -> "GfElement":
         if self.is_zero():
@@ -280,13 +289,10 @@ class GfElement:
         return self ** (self.field.order - 2)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.packed == 0
 
     def to_int(self) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * self.field.p + c
-        return value
+        return sum(c * self.field.p**i for i, c in enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         return f"GfElement({self.to_int()} in GF({self.field.order}))"
@@ -300,9 +306,8 @@ def make_field(p: int, k: int = 1) -> GfField:
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if not 1 <= k <= MAX_EXTENSION_DEGREE:
-        raise DegreeOutOfRangeError(
-            f"extension degree {k} outside [1, {MAX_EXTENSION_DEGREE}]")
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_EXTENSION_DEGREE:
+        raise DegreeOutOfRangeError(f"degree {k!r} is not an int in [1, {MAX_EXTENSION_DEGREE}]")
     order = p**k
     if order > MAX_FIELD_ORDER:
         raise DegreeOutOfRangeError(f"field order {order} exceeds the native cap")
@@ -313,13 +318,9 @@ def element_order(a: GfElement) -> int:
     """Multiplicative order: the least t >= 1 with a^t = 1.  Divides order-1."""
     if a.is_zero():
         raise ZeroDivisionError("the zero element has no multiplicative order")
-    n = a.field.order - 1
-    if n == 0:
-        raise ValueError("trivial group")
-    one = a.field.one
-    t = n
+    t = n = a.field.order - 1
     for r in factorize(n):
-        while t % r == 0 and a ** (t // r) == one:
+        while t % r == 0 and _powmod(a.packed, t // r, a.field._quotient) == 1:
             t //= r
     return t
 
@@ -328,16 +329,15 @@ def primitive_element(field: GfField) -> GfElement:
     """The least generator of the multiplicative group.
 
     Elements are scanned in increasing integer encoding; the first with full
-    order is returned, so the result is deterministic for a given field.
+    order is returned, so the result is deterministic for a given field.  For
+    k > 1 the scan starts at the encoding p: the constants 1 .. p-1 lie in
+    GF(p)*, so their order divides p - 1 < p^k - 1 and none of them generates.
     """
     n = field.order - 1
-    if n == 0:
-        raise ValueError("GF(1) does not exist")
-    one = field.one
-    prime_divisors = list(factorize(n)) if n > 1 else []
-    for v in range(1, field.order):
+    ring = field._quotient
+    exponents = [n // r for r in factorize(n)]
+    for v in range(field.p if field.k > 1 else 1, field.order):
         a = field.from_int(v)
-        if any((a ** (n // r)) == one for r in prime_divisors):
-            continue
-        return a
+        if all(_powmod(a.packed, e, ring) != 1 for e in exponents):
+            return a
     raise RuntimeError("no primitive element found (impossible for a field)")

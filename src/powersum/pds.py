@@ -134,10 +134,13 @@ def _subfield_tables(field, h, q: int):
     multiplication tables.
 
     h generates GF(q)*.  The code of 0 is 0 and the code of h^j is j + 1;
-    ``codes`` maps an element's coefficient vector to its code.  The tables
-    come from Zech logarithms: zech[j] is the code of 1 + h^j, and
-    h^i + h^j = h^i * (1 + h^(j-i)).  Returns (codes, add, mul), where
-    add[a][b] and mul[a][b] are the codes of the sum and the product.
+    ``codes`` maps an element's packed polynomial (``GfElement.packed``) to
+    its code.  Row i + 1 of ``mul`` is 0 followed by the codes of h^i,
+    h^(i+1), ... cyclically.  ``add`` comes from Zech logarithms: zech[j] is
+    the code of 1 + h^j, and h^i + h^j = h^i * (1 + h^(j-i)), so row i + 1 of
+    ``add`` reads row i + 1 of ``mul`` at the zech codes rotated by i.
+    Returns (codes, add, mul), where add[a][b] and mul[a][b] are the codes of
+    the sum and the product.
     """
     n = q - 1
     powers = []
@@ -145,22 +148,17 @@ def _subfield_tables(field, h, q: int):
     for _ in range(n):
         powers.append(cur)
         cur = cur * h
-    codes = {field.zero.coeffs: 0}
-    codes.update((x.coeffs, j + 1) for j, x in enumerate(powers))
+    codes = {0: 0}
+    codes.update((x.packed, j + 1) for j, x in enumerate(powers))
     if cur != field.one or len(codes) != q:
         raise ArithmeticError("subfield reconstruction failed")
     # h has order q - 1 exactly, so {0} and its powers are all of GF(q), and
     # 1 + h^j has a code.
-    zech = [codes[(field.one + x).coeffs] for x in powers]
-    add = [[0] * q for _ in range(q)]
-    mul = [[0] * q for _ in range(q)]
-    for a in range(q):
-        add[0][a] = add[a][0] = a
-    for i in range(n):
-        for j in range(n):
-            z = zech[(j - i) % n]
-            add[i + 1][j + 1] = z and (i + z - 1) % n + 1
-            mul[i + 1][j + 1] = (i + j) % n + 1
+    zech = [codes[(field.one + x).packed] for x in powers]
+    codes_of_powers = list(range(1, q))
+    mul = [[0] * q] + [[0] + codes_of_powers[i:] + codes_of_powers[:i] for i in range(n)]
+    add = [list(range(q))] + [[i + 1] + [mul[i + 1][z] for z in zech[n - i:] + zech[:n - i]]
+                              for i in range(n)]
     return codes, add, mul
 
 
@@ -208,9 +206,9 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     # generator is g^m.
     codes, add, mul = _subfield_tables(field, g**m, q)
     e1, e2, e3 = _minimal_polynomial(g, q)
-    if not all(x.coeffs in codes for x in (e1, e2, e3)):
+    if not all(x.packed in codes for x in (e1, e2, e3)):
         raise ArithmeticError("minimal polynomial is not over the subfield")
-    row1, row2, row3 = (mul[codes[x.coeffs]] for x in (e1, -e2, e3))
+    row1, row2, row3 = (mul[codes[x.packed]] for x in (e1, -e2, e3))
 
     residues = []
     a, b, c = 0, 0, 1  # s_i, s_(i+1), s_(i+2)
@@ -220,7 +218,7 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
         a, b, c = b, c, add[add[row1[c]][row2[b]]][row3[a]]
     # g^m = g^(1+q+q^2) = e3, so after m steps the state is e3 * (0, 0, 1):
     # the walk has gone once round the plane.
-    if (a, b, c) != (0, 0, codes[e3.coeffs]):
+    if (a, b, c) != (0, 0, codes[e3.packed]):
         raise ArithmeticError("recurrence did not close after m steps")
     result = PerfectDifferenceSet(q=q, m=m, residues=tuple(residues))
     check = verify(result.residues, q)

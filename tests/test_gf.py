@@ -15,6 +15,9 @@ from powersum.gf import (
     GfElement,
     NotMonicError,
     NotPrimeError,
+    _mulmod,
+    _powmod,
+    _smallest_irreducible,
     element_order,
     factorize,
     is_irreducible,
@@ -65,6 +68,16 @@ def irreducible_by_trial_division(poly, p):
     return not any(divides)
 
 
+def mulmod_by_schoolbook(a, b, mod, p):
+    """a * b mod the monic mod over GF(p): every pairwise product, then long
+    division."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return [c % p for c in remainder_by_monic(prod, mod, p)]
+
+
 def multiplicative_order_by_enumeration(a):
     one = a.field.one
     acc = a
@@ -113,6 +126,49 @@ def test_make_field_rejects_bad_degree():
         make_field(2, 0)
     with pytest.raises(DegreeOutOfRangeError):
         make_field(2, 16)
+
+
+@pytest.mark.parametrize("k", (3.0, 2.5, "3", None, True))
+def test_make_field_rejects_a_non_int_degree_with_a_cold_or_warm_cache(k):
+    _smallest_irreducible.cache_clear()
+    with pytest.raises(DegreeOutOfRangeError):
+        make_field(2, k)
+    make_field(2, 3)
+    make_field(2, 1)
+    with pytest.raises(DegreeOutOfRangeError):
+        make_field(2, k)
+
+
+# Recorded with schoolbook tuple arithmetic and Rabin's test, so that the packed
+# arithmetic is checked against an independent implementation: for every prime
+# p <= 31, the k-th entry is GF(p^k)'s modulus as its integer encoding
+# sum(c_i * p^i), leading term included, and its primitive element's to_int(),
+# for each k with p^k <= 40000.
+FIELD_PINS = {
+    2: ((2, 1), (7, 2), (11, 2), (19, 2), (37, 2), (67, 2), (131, 2), (283, 3),
+        (515, 7), (1033, 2), (2053, 2), (4105, 3), (8219, 2), (16417, 7), (32771, 2)),
+    3: ((3, 2), (10, 4), (34, 3), (86, 3), (250, 3), (734, 3), (2198, 5), (6572, 38),
+        (19747, 3)),
+    5: ((5, 2), (27, 6), (131, 9), (627, 6), (3146, 10), (15632, 5)),
+    7: ((7, 3), (50, 9), (345, 22), (2409, 12), (16817, 9)),
+    11: ((11, 2), (122, 15), (1346, 11), (14654, 11)),
+    13: ((13, 2), (171, 15), (2199, 15), (28563, 17)),
+    17: ((17, 3), (292, 19), (4933, 17)),
+    19: ((19, 2), (362, 22), (6861, 29)),
+    23: ((23, 5), (530, 25), (12193, 23)),
+    29: ((29, 2), (843, 30), (24422, 30)),
+    31: ((31, 3), (962, 35), (29794, 34)),
+}
+
+
+def test_moduli_and_primitive_elements_are_pinned():
+    assert sorted(FIELD_PINS) == [p for p in range(32) if is_prime(p)]
+    for p, pins in FIELD_PINS.items():
+        assert p ** len(pins) <= 40000 < p ** (len(pins) + 1)
+        for k, (encoding, g) in enumerate(pins, start=1):
+            f = make_field(p, k)
+            assert sum(c * p**i for i, c in enumerate(f.modulus_poly)) == encoding, (p, k)
+            assert primitive_element(f).to_int() == g, (p, k)
 
 
 def test_make_field_deterministic():
@@ -166,7 +222,7 @@ def test_inverse_of_zero_rejected():
 
 def test_field_axioms_on_samples():
     rng = random.Random(20240915)
-    for p, k in [(2, 3), (3, 2), (5, 2), (7, 1), (2, 5)]:
+    for p, k in [(2, 3), (3, 2), (5, 2), (7, 1), (2, 5), (2, 1)]:
         f = make_field(p, k)
         for _ in range(25):
             a = f.from_int(rng.randrange(f.order))
@@ -235,10 +291,53 @@ def test_irreducible_rejects_non_monic():
         is_irreducible([1], 2)
 
 
+@pytest.mark.parametrize("p", (4, 0, 1, -3, 2.0))
+def test_irreducible_rejects_a_non_prime_characteristic(p):
+    with pytest.raises(NotPrimeError):
+        is_irreducible([1, 0, 1], p)
+
+
 def test_irreducible_known_quartic():
     # x^4 + x + 1 is irreducible over GF(2); x^4 + x^2 + 1 = (x^2 + x + 1)^2 is not.
     assert is_irreducible([1, 1, 0, 0, 1], 2)
     assert not is_irreducible([1, 0, 1, 0, 1], 2)
+
+
+# ---------------------------------------------------------------------------
+# The packed multiply-mod and power against schoolbook arithmetic
+# ---------------------------------------------------------------------------
+
+# GF(q^3) = GF(p^(3e)) for each prime power q = p^e <= 32.
+SINGER_PK = [(2, 3), (3, 3), (2, 6), (5, 3), (7, 3), (2, 9), (3, 6), (11, 3), (13, 3),
+             (2, 12), (17, 3), (19, 3), (23, 3), (5, 6), (3, 9), (29, 3), (31, 3), (2, 15)]
+
+
+def check_against_schoolbook(f, a, b):
+    ring = f._quotient
+    x, y = f.element(a), f.element(b)
+    assert (x.coeffs, y.coeffs) == (tuple(a), tuple(b))
+    expected = mulmod_by_schoolbook(a, b, f.modulus_poly, f.p)
+    assert list(GfElement(f, _mulmod(x.packed, y.packed, ring)).coeffs) == expected
+    power = [1] + [0] * (f.k - 1)
+    for e in range(6):
+        assert list(GfElement(f, _powmod(x.packed, e, ring)).coeffs) == power
+        power = mulmod_by_schoolbook(power, a, f.modulus_poly, f.p)
+
+
+@pytest.mark.parametrize("p, k", SINGER_PK + [(65521, 2), (65521, 3)])
+def test_packed_arithmetic_matches_schoolbook(p, k):
+    f = make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    full = [p - 1] * k  # fills every slot of a product the most
+    check_against_schoolbook(f, full, full)
+    for _ in range(20):
+        a = [rng.randrange(p) for _ in range(k)]
+        b = [rng.randrange(p) for _ in range(k)]
+        check_against_schoolbook(f, a, b)
+        check_against_schoolbook(f, full, a)
+    x = f.element(full).packed
+    assert _powmod(x, f.order - 1, f._quotient) == 1  # Fermat
+    assert _powmod(x, f.order, f._quotient) == x
 
 
 # ---------------------------------------------------------------------------

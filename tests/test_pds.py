@@ -15,7 +15,8 @@ import pytest
 
 import search_oracle
 import singer_oracle
-from powersum.gf import factorize, make_field, primitive_element
+from powersum import pds as pds_module
+from powersum.gf import GfElement, factorize, make_field, primitive_element
 from powersum.pds import (
     CanonicalForm,
     EnumerationResult,
@@ -229,6 +230,20 @@ def test_singer_residues_are_pinned():
         assert (sum(residues), sum(r * r for r in residues)) == (total, squares)
 
 
+@pytest.mark.parametrize("q", (2, 9, 32))
+def test_singer_construct_calls_make_field_and_primitive_element_once(q, monkeypatch):
+    # perfbench/tracing.py times the gf layers by wrapping these two names on
+    # powersum.pds; a build that went round them would leave those layers at 0.
+    calls = Counter()
+    for name in ("make_field", "primitive_element"):
+        def counted(*args, _inner=getattr(pds_module, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(pds_module, name, counted)
+    assert singer_construct(q).residues == singer_oracle.singer_residues(q)
+    assert calls == {"make_field": 1, "primitive_element": 1}
+
+
 def _singer_field(q):
     p, e = prime_power(q)
     field = make_field(p, 3 * e)
@@ -248,7 +263,7 @@ def test_minimal_polynomial_is_over_the_subfield_and_annihilates_g(q):
 def test_subfield_tables_match_field_arithmetic(q):
     field, g = _singer_field(q)
     codes, add, mul = _subfield_tables(field, g ** modulus_for_order(q), q)
-    element = {code: field.element(coeffs) for coeffs, code in codes.items()}
+    element = {code: GfElement(field, packed) for packed, code in codes.items()}
     assert sorted(element) == list(range(q))
     assert element[0] == field.zero and element[1] == field.one
     for a in range(q):
