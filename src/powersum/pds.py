@@ -8,7 +8,10 @@ residue exactly once (equivalently: a cyclic projective plane of order q).
 for prime-power q as the zeros of Singer's linear recurrence over GF(q)
 (Singer 1938): its terms are the g^2-coordinates of the powers of a
 primitive element g of GF(q^3), so a term vanishes exactly when that power
-lies on the line spanned by {1, g}.  ``exhaustive_search`` and
+lies on the line spanned by {1, g}.  ``canonical_form`` names a set's class
+under translation and unit scaling: by Hall's multiplier theorem it needs
+one unit per coset of the group the primes of q generate, and a
+lexicographic scan over their candidates.  ``exhaustive_search`` and
 ``enumerate_all`` share one complete search, over unions of multiplier
 orbits (``_orbits``): it is complete by Hall's multiplier theorem (every
 prime dividing q is a multiplier) and the McFarland-Rice theorem (some
@@ -51,11 +54,19 @@ def modulus_for_order(q: int) -> int:
 
 @dataclass(frozen=True)
 class PerfectDifferenceSet:
-    """Order q, modulus m = q^2+q+1, sorted residue tuple of size q+1."""
+    """Order q, modulus m = q^2+q+1, sorted residue tuple of size q+1.
+
+    Any other modulus is an ``InvalidPdsError``: ``verify`` reads only q.
+    """
 
     q: int
     m: int
     residues: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.m != modulus_for_order(self.q):
+            raise InvalidPdsError(
+                f"modulus {self.m} is not q^2+q+1 = {modulus_for_order(self.q)} for q = {self.q}")
 
     def to_record(self) -> dict:
         """JSON-ready record; the wire format used by the CLI and fixtures."""
@@ -236,30 +247,56 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
     0 and 1, so the minimum starts (0, 1, ...).  Each unit image u*D is itself
     a perfect difference set, so the difference 1 occurs in it exactly once,
     at a pair (c, c+1), and only the translate by -c can be the minimum.  That
-    pair is u*(a, b) for the one pair of D with b - a = u^-1 mod m.  So one
-    sorted candidate per unit suffices, at a cost of O(phi(m) * k * log k)
-    for k = q+1 residues.
+    pair is u*(a, b) for the one pair of D with b - a = v = u^-1 mod m, so the
+    candidate of u is {y : a + y*v in D} (mod m).
+
+    By Hall's multiplier theorem (Duke Math. J. 14 (1947) 1079-1090) every
+    prime p of q is a multiplier: p*D is a translate of D, so u*p*D is a
+    translate of u*D and has the same candidate.  Candidates are therefore
+    constant on the cosets of the group H that the primes of q generate mod
+    m, and one unit per coset is examined: 60 of 900 units at q = 32.  The
+    theorem holds only for perfect difference sets, so D is verified first.
+
+    Two sorted (q+1)-sets compare as the one holding the least element of
+    their symmetric difference, so a scan for y = 2, 3, ... drops the
+    candidates that miss y whenever some candidate holds it.  It stops when
+    one candidate is left or when all q+1 elements are fixed (ties, such as
+    the units -1 and 1 at q = 1), and only the winner is sorted.  With a
+    membership table of D the cost is O(k^2 + phi(m)) for k = q+1 residues.
     """
     check = verify(pds.residues, pds.q)
     if not check.valid:
         raise InvalidPdsError(f"not a perfect difference set: {check}")
-    m = pds.m
-    residues = pds.residues
+    q, m = pds.q, pds.m
+    residues = [x % m for x in pds.residues]
+    member = bytearray(m)
+    for x in residues:
+        member[x] = 1
     # start[d] is the a in D with a + d in D; unique for d != 0 in a PDS.
     start = [0] * m
     for a in residues:
         for b in residues:
             start[(b - a) % m] = a
-    best: Optional[tuple[int, ...]] = None
-    for u in range(1, m):
-        if gcd(u, m) != 1:
+    group = _orbits.generated_subgroup(sorted(factorize(q)), m, m)
+    seen = bytearray(m)
+    survivors = []  # (a, v) for one v = u^-1 per coset of H
+    for v in range(1, m):
+        if seen[v] or gcd(v, m) != 1:
             continue
-        a = start[pow(u, -1, m)]
-        cand = tuple(sorted(u * (x - a) % m for x in residues))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return CanonicalForm(q=pds.q, m=m, residues=best)
+        for h in group:
+            seen[v * h % m] = 1
+        survivors.append((start[v], v))
+    fixed = 2  # every candidate holds 0 and 1
+    y = 1
+    while len(survivors) > 1 and fixed <= q:
+        y += 1
+        holding = [(a, v) for a, v in survivors if member[(a + y * v) % m]]
+        if holding:
+            survivors = holding
+            fixed += 1
+    a, v = survivors[0]
+    u = pow(v, -1, m)
+    return CanonicalForm(q=q, m=m, residues=tuple(sorted(u * (x - a) % m for x in residues)))
 
 
 # ---------------------------------------------------------------------------

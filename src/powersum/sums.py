@@ -105,8 +105,8 @@ def power_sums(t: UnimodularTuple, nu_max: Optional[int] = None) -> PowerSumProf
     abs_values = np.abs(powers.sum(axis=1))
     epsilons = abs_values * abs_values - (n - 1)
     return PowerSumProfile(n=n, m=n * n - n + 1,
-                           abs_values=tuple(float(a) for a in abs_values),
-                           epsilons=tuple(float(e) for e in epsilons),
+                           abs_values=tuple(abs_values.tolist()),
+                           epsilons=tuple(epsilons.tolist()),
                            max_abs=float(abs_values.max()))
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import search_oracle
 import singer_oracle
+from powersum import _orbits
 from powersum import pds as pds_module
 from powersum.gf import GfElement, factorize, make_field, primitive_element
 from powersum.pds import (
@@ -324,8 +325,43 @@ def test_canonical_form_matches_both_oracles_on_random_images():
             assert form == canonical_by_full_orbit(image.residues, q)
 
 
+# |H|, the order of the group the primes of q generate mod q^2+q+1: the
+# number of units that share one candidate in canonical_form.
+MULTIPLIER_GROUP_ORDERS = {16: 12, 25: 6, 27: 9, 31: 3, 32: 15}
+
+
+@pytest.mark.parametrize("q", sorted(MULTIPLIER_GROUP_ORDERS))
+def test_canonical_form_matches_every_translate_on_random_images_with_large_h(q):
+    d = singer_construct(q)
+    m = d.m
+    group = _orbits.generated_subgroup(sorted(factorize(q)), m, m)
+    assert len(group) == MULTIPLIER_GROUP_ORDERS[q]
+    rng = random.Random(1947 + q)
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    for _ in range(3):
+        u = rng.choice(units)
+        t = rng.randrange(m)
+        image = PerfectDifferenceSet.from_residues(
+            [(u * a + t) % m for a in d.residues], q)
+        assert canonical_form(image).residues == canonical_by_every_translate(
+            image.residues, q)
+
+
+def test_canonical_form_order_one():
+    # Both units of Z_3 give the candidate (0, 1): the scan ends on a tie.
+    for residues in ((0, 1), (0, 2), (1, 2)):
+        d = PerfectDifferenceSet.from_residues(residues, 1)
+        assert canonical_form(d) == CanonicalForm(q=1, m=3, residues=(0, 1))
+        assert canonical_by_full_orbit(residues, 1) == (0, 1)
+
+
+def test_canonical_form_reduces_an_unsorted_unreduced_input():
+    d = PerfectDifferenceSet(q=2, m=7, residues=(10, 0, 8))
+    assert canonical_form(d).residues == (0, 1, 3)
+
+
 def test_canonical_form_matches_every_translate_on_enumerated_sets():
-    for q in range(1, 6):
+    for q in range(1, 8):
         for s in enumerate_all(q).sets:
             pds = PerfectDifferenceSet.from_residues(s, q)
             assert canonical_form(pds).residues == canonical_by_every_translate(s, q)

@@ -94,6 +94,7 @@ def test_profile_fields_consistent():
     p = power_sums(t)
     assert p.m == 21 and p.n == 5
     assert p.max_abs == max(p.abs_values)
+    assert all(type(x) is float for x in p.abs_values + p.epsilons)
     for a, e in zip(p.abs_values, p.epsilons):
         assert e == pytest.approx(a * a - 4, abs=1e-9)
         assert a >= 0.0
@@ -243,6 +244,15 @@ def test_fabrykowski_angles():
 def test_fabrykowski_rejects_invalid_set():
     with pytest.raises(InvalidPdsError):
         fabrykowski_tuple(PerfectDifferenceSet.from_residues((0, 1, 2), 2))
+
+
+@pytest.mark.parametrize("entry", [canonical_form, fabrykowski_tuple,
+                                   lambda d: exact_abs_squared(d, 1)],
+                         ids=["canonical_form", "fabrykowski_tuple", "exact_abs_squared"])
+def test_a_modulus_other_than_q2_q_1_is_rejected(entry):
+    # (0, 1, 3) is a valid set of order 2, but only modulo 7.
+    with pytest.raises(InvalidPdsError):
+        entry(PerfectDifferenceSet(q=2, m=8, residues=(0, 1, 3)))
 
 
 def test_fabrykowski_alpha_invariance():
