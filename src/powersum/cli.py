@@ -137,12 +137,11 @@ def resolve_seed(args) -> int:
 
 
 def order_from_modulus(m: int) -> int:
-    """Invert m = q^2 + q + 1; rejects moduli not of that form."""
+    """Invert m = q^2 + q + 1 for q >= 1; rejects moduli not of that form."""
     disc = 4 * m - 3
-    root = isqrt(disc)
-    if root * root != disc or (root - 1) % 2 != 0:
+    if m < 3 or isqrt(disc) ** 2 != disc:
         raise ValueError(f"modulus {m} is not of the form q^2+q+1")
-    return (root - 1) // 2
+    return (isqrt(disc) - 1) // 2
 
 
 def load_tuple_file(path: str) -> UnimodularTuple:

@@ -4,8 +4,10 @@ forms, exhaustive search, and order-feasibility tests.
 A perfect difference set of order q is a set of q+1 residues modulo
 m = q^2 + q + 1 whose q^2 + q ordered pairwise differences hit every nonzero
 residue exactly once (equivalently: a cyclic projective plane of order q).
-``verify`` checks that property directly; ``singer_construct`` realizes it
-for prime-power q as the zeros of Singer's linear recurrence over GF(q)
+``verify`` checks that property directly.  ``PerfectDifferenceSet`` runs it
+once on construction, so every instance is a verified set and no consumer
+checks it again.  ``singer_construct`` realizes the property for
+prime-power q as the zeros of Singer's linear recurrence over GF(q)
 (Singer 1938): its terms are the g^2-coordinates of the powers of a
 primitive element g of GF(q^3), so a term vanishes exactly when that power
 lies on the line spanned by {1, g}.  ``canonical_form`` names a set's class
@@ -54,9 +56,12 @@ def modulus_for_order(q: int) -> int:
 
 @dataclass(frozen=True)
 class PerfectDifferenceSet:
-    """Order q, modulus m = q^2+q+1, sorted residue tuple of size q+1.
+    """A verified perfect difference set: order q, modulus m = q^2+q+1 and
+    its q+1 residues, reduced mod m and sorted.
 
-    Any other modulus is an ``InvalidPdsError``: ``verify`` reads only q.
+    The constructor reduces and sorts the residues and runs ``verify`` once.
+    Anything else, any other modulus included, is an ``InvalidPdsError``
+    (an order below 1 is the ``ValueError`` of ``verify``).
     """
 
     q: int
@@ -67,6 +72,10 @@ class PerfectDifferenceSet:
         if self.m != modulus_for_order(self.q):
             raise InvalidPdsError(
                 f"modulus {self.m} is not q^2+q+1 = {modulus_for_order(self.q)} for q = {self.q}")
+        object.__setattr__(self, "residues", tuple(sorted(x % self.m for x in self.residues)))
+        check = verify(self.residues, self.q)
+        if not check.valid:
+            raise InvalidPdsError(f"not a perfect difference set: {check}")
 
     def to_record(self) -> dict:
         """JSON-ready record; the wire format used by the CLI and fixtures."""
@@ -74,9 +83,7 @@ class PerfectDifferenceSet:
 
     @staticmethod
     def from_residues(residues, q: int) -> "PerfectDifferenceSet":
-        m = modulus_for_order(q)
-        return PerfectDifferenceSet(q=q, m=m,
-                                    residues=tuple(sorted(r % m for r in residues)))
+        return PerfectDifferenceSet(q=q, m=modulus_for_order(q), residues=residues)
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,14 @@ def verify(candidate, q: int) -> Verification:
     # q+1 residues give exactly q^2+q = m-1 differences, so full coverage
     # with no doubles is forced by counting; nothing can be missing here.
     return Verification(True, None, None)
+
+
+def _library_set(residues, q: int, producer: str) -> PerfectDifferenceSet:
+    """The set on residues the library computed; failing ``verify`` is a bug."""
+    try:
+        return PerfectDifferenceSet.from_residues(residues, q)
+    except InvalidPdsError as exc:
+        raise ArithmeticError(f"{producer} produced an invalid set: {exc}") from exc
 
 
 def prime_power(n: int) -> Optional[tuple[int, int]]:
@@ -200,8 +215,7 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     the s_i follow Singer's third-order linear recurrence over GF(q):
     s_0, s_1, s_2 = 0, 0, 1 and s_(i+3) = e1*s_(i+2) - e2*s_(i+1) + e3*s_i.
     It is walked with GF(q) addition and multiplication tables, and the
-    i mod q^2+q+1 with s_i = 0 form the difference set.  The result is
-    checked by ``verify`` before it is returned.
+    i mod q^2+q+1 with s_i = 0 form the difference set.
     """
     decomposition = prime_power(q)
     if decomposition is None:
@@ -231,11 +245,7 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     # the walk has gone once round the plane.
     if (a, b, c) != (0, 0, codes[e3.packed]):
         raise ArithmeticError("recurrence did not close after m steps")
-    result = PerfectDifferenceSet(q=q, m=m, residues=tuple(residues))
-    check = verify(result.residues, q)
-    if len(residues) != q + 1 or not check.valid:
-        raise ArithmeticError(f"construction produced an invalid set: {check}")
-    return result
+    return _library_set(residues, q, "construction")
 
 
 def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
@@ -255,7 +265,8 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
     translate of u*D and has the same candidate.  Candidates are therefore
     constant on the cosets of the group H that the primes of q generate mod
     m, and one unit per coset is examined: 60 of 900 units at q = 32.  The
-    theorem holds only for perfect difference sets, so D is verified first.
+    theorem holds only for perfect difference sets, and the type guarantees
+    that D is one.
 
     Two sorted (q+1)-sets compare as the one holding the least element of
     their symmetric difference, so a scan for y = 2, 3, ... drops the
@@ -264,11 +275,7 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
     the units -1 and 1 at q = 1), and only the winner is sorted.  With a
     membership table of D the cost is O(k^2 + phi(m)) for k = q+1 residues.
     """
-    check = verify(pds.residues, pds.q)
-    if not check.valid:
-        raise InvalidPdsError(f"not a perfect difference set: {check}")
-    q, m = pds.q, pds.m
-    residues = [x % m for x in pds.residues]
+    q, m, residues = pds.q, pds.m, pds.residues
     member = bytearray(m)
     for x in residues:
         member[x] = 1
@@ -337,21 +344,17 @@ def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResu
     ``_orbits``).
 
     A node is one union of orbits examined, and `budget` caps the nodes of
-    the whole search.  A found set is fixed by every multiplier and is
-    checked by ``verify``.  NoneExists means every union of size q+1 was ruled
-    out, so no set of order q exists; BudgetExceeded means exactly `budget`
-    nodes were visited without a verdict.  A negative budget is a ValueError.
+    the whole search.  A found set is fixed by every multiplier.  NoneExists
+    means every union of size q+1 was ruled out, so no set of order q exists;
+    BudgetExceeded means exactly `budget` nodes were visited without a
+    verdict.  A negative budget is a ValueError.
     """
     _validate_search_order(q)
     _validate_budget(budget)
     status, nodes, residues = _orbits.search(q, budget)
     if status != "Found":
         return SearchResult(status, None, nodes)
-    found = PerfectDifferenceSet.from_residues(residues, q)
-    check = verify(found.residues, q)
-    if not check.valid:
-        raise ArithmeticError(f"search returned an invalid set: {check}")
-    return SearchResult("Found", found, nodes)
+    return SearchResult("Found", _library_set(residues, q, "search"), nodes)
 
 
 def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
@@ -363,9 +366,9 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
     (a, a+1), and its translate by -a is the one that contains 0 and 1; by
     McFarland-Rice every such set is one of these translates.  Several fixed
     sets can share a translate, so the translates are listed once each, in
-    sorted order.  Canonicalizing them surveys all classes.  ``complete`` is
-    False when the budget ran out, in which case the listing may be partial.
-    A negative budget is a ValueError.
+    sorted order, and each has passed ``verify``.  Canonicalizing them
+    surveys all classes.  ``complete`` is False when the budget ran out, in
+    which case the listing may be partial.  A negative budget is a ValueError.
     """
     m = _validate_search_order(q)
     _validate_budget(budget)
@@ -375,8 +378,9 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
     for residues in fixed:
         members = set(residues)
         a = next(a for a in residues if (a + 1) % m in members)
-        rooted.add(tuple(sorted((x - a) % m for x in residues)))
-    return EnumerationResult(status != "BudgetExceeded", tuple(sorted(rooted)), nodes)
+        rooted.add(frozenset((x - a) % m for x in residues))
+    sets = sorted(_library_set(s, q, "enumeration").residues for s in rooted)
+    return EnumerationResult(status != "BudgetExceeded", tuple(sets), nodes)
 
 
 # ---------------------------------------------------------------------------

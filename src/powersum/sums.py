@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pds import InvalidPdsError, PerfectDifferenceSet, verify
+from .pds import InvalidPdsError, PerfectDifferenceSet
 
 
 class NuOutOfRangeError(ValueError):
@@ -189,9 +189,6 @@ def fabrykowski_tuple(pds: PerfectDifferenceSet,
                       alpha_turns: float = 0.0) -> UnimodularTuple:
     """The lattice tuple theta_k = a_k / m built on a perfect difference set
     of order q = n-1; its power-sum profile is flat at sqrt(q)."""
-    check = verify(pds.residues, pds.q)
-    if not check.valid:
-        raise InvalidPdsError(f"not a perfect difference set: {check}")
     m = pds.m
     return UnimodularTuple(thetas=tuple(a / m for a in pds.residues),
                            alpha_turns=alpha_turns)
@@ -207,9 +204,6 @@ def exact_abs_squared(pds: PerfectDifferenceSet, nu: int) -> int:
     is n - 1, an integer with no floating error.  The structure is asserted,
     not assumed.
     """
-    check = verify(pds.residues, pds.q)
-    if not check.valid:
-        raise InvalidPdsError(f"not a perfect difference set: {check}")
     m = pds.m
     if not 1 <= nu <= m - 1:
         raise NuOutOfRangeError(f"nu = {nu} outside 1 .. {m - 1}")
@@ -292,7 +286,7 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
     must be rationals j_k/m with m = n^2-n+1 and the j_k a perfect difference
     set of order n-1.  The test snaps the shifted angles to the lattice,
     requires the snap residual and the profile deviation to be within tol,
-    and verifies the recovered set.
+    and builds the recovered set, which must pass verification.
     """
     n = t.n
     m = n * n - n + 1
@@ -305,12 +299,13 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
     shifted = [(theta - base) % 1.0 for theta in t.thetas]
     snapped = [round(ps * m) for ps in shifted]
     residual = max(abs(ps * m - j) for ps, j in zip(shifted, snapped)) / m
-    residues = [j % m for j in snapped]
 
     if profile_deviation <= tol and residual <= tol:
-        check = verify(residues, n - 1)
-        if check.valid:
-            recovered = PerfectDifferenceSet.from_residues(residues, n - 1)
+        try:
+            recovered = PerfectDifferenceSet.from_residues(snapped, n - 1)
+        except InvalidPdsError:
+            pass
+        else:
             return RecoveryResult(RecoveryStatus.IS_MINIMIZER, alpha_recovered,
                                   recovered, residual, profile_deviation)
     return RecoveryResult(RecoveryStatus.NOT_MINIMIZER, alpha_recovered,

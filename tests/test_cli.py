@@ -7,6 +7,7 @@ import pytest
 
 import singer_oracle
 from powersum import cli
+from powersum import pds as pds_module
 from powersum.pds import PerfectDifferenceSet, singer_construct, verify
 from powersum.sums import fabrykowski_tuple
 
@@ -201,6 +202,19 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
     assert err == "powersum: internal error: construction produced an invalid set\n"
 
 
+@pytest.mark.parametrize("argv", (("singer", "--q", "4"), ("search", "--order", "9")),
+                         ids=["singer", "search"])
+def test_a_set_failing_the_library_self_check_exits_70(capsys, monkeypatch, argv):
+    monkeypatch.setattr(
+        "powersum.pds.verify",
+        lambda candidate, q: pds_module.Verification(False, "difference-covered-twice", 1))
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("powersum: internal error: ")
+    assert "produced an invalid set" in err
+
+
 def test_singer_non_prime_power_is_a_domain_error(capsys):
     code, out, err = run(capsys, "singer", "--q", "6")
     assert code == cli.EXIT_DOMAIN
@@ -221,6 +235,14 @@ def test_verify_exit_codes(capsys, argv, expected):
     assert code == expected
     if expected != cli.EXIT_DOMAIN:
         assert json.loads(out)["valid"] is (expected == cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("modulus", ("0", "-5", "1"))
+def test_verify_rejects_a_modulus_below_three(capsys, modulus):
+    code, out, err = run(capsys, "verify", "--set", "0,1", "--modulus", modulus)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == f"powersum: error: modulus {modulus} is not of the form q^2+q+1\n"
 
 
 def test_profile_from_pds_is_flat(capsys):

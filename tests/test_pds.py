@@ -147,6 +147,51 @@ def test_difference_count_identity():
 
 
 # ---------------------------------------------------------------------------
+# PerfectDifferenceSet holds the invariant
+# ---------------------------------------------------------------------------
+
+
+INVALID_ORDER_2 = (((0, 1, 8), "duplicate-residue"),
+                   ((0, 1), "wrong-size"),
+                   ((0, 1, 2), "difference-covered-twice"))
+
+
+@pytest.mark.parametrize("residues, reason", INVALID_ORDER_2,
+                         ids=[reason for _, reason in INVALID_ORDER_2])
+def test_constructor_and_from_residues_reject_an_invalid_set(residues, reason):
+    with pytest.raises(InvalidPdsError, match=reason):
+        PerfectDifferenceSet(q=2, m=7, residues=residues)
+    with pytest.raises(InvalidPdsError, match=reason):
+        PerfectDifferenceSet.from_residues(residues, 2)
+
+
+def test_constructor_rejects_a_wrong_modulus():
+    # (0, 1, 3) is a valid set of order 2, but only modulo 7.
+    with pytest.raises(InvalidPdsError, match="modulus 8"):
+        PerfectDifferenceSet(q=2, m=8, residues=(0, 1, 3))
+
+
+def test_constructor_stores_residues_reduced_and_sorted():
+    d = PerfectDifferenceSet(q=2, m=7, residues=(10, 0, 8))
+    assert d.residues == (0, 1, 3)
+    assert d.to_record() == {"q": 2, "m": 7, "residues": [0, 1, 3]}
+    assert d == PerfectDifferenceSet.from_residues((3, 1, 0), 2)
+
+
+@pytest.mark.parametrize("call", [lambda: singer_construct(4),
+                                  lambda: exhaustive_search(9),
+                                  lambda: enumerate_all(3)],
+                         ids=["singer_construct", "exhaustive_search", "enumerate_all"])
+def test_an_invalid_set_from_the_library_is_an_internal_error(call, monkeypatch):
+    monkeypatch.setattr(
+        pds_module, "verify",
+        lambda candidate, q: pds_module.Verification(False, "difference-covered-twice", 1))
+    with pytest.raises(ArithmeticError, match="produced an invalid set") as excinfo:
+        call()
+    assert isinstance(excinfo.value.__cause__, InvalidPdsError)
+
+
+# ---------------------------------------------------------------------------
 # singer_construct
 # ---------------------------------------------------------------------------
 

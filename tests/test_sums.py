@@ -13,6 +13,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from powersum import pds as pds_module
+from powersum import sums as sums_module
 from powersum.pds import PerfectDifferenceSet, singer_construct, canonical_form
 from powersum.sums import (
     DifferenceSpectrum,
@@ -369,6 +371,37 @@ def test_recovery_round_trip_small_orders():
             rec = recover_structure(fabrykowski_tuple(d, alpha))
             assert rec.status is RecoveryStatus.IS_MINIMIZER
             assert canonical_form(rec.pds).residues == target
+
+
+def test_recovery_of_a_set_that_fails_verify_is_not_a_minimizer(monkeypatch):
+    t = fabrykowski_tuple(singer_construct(3))
+    monkeypatch.setattr(
+        pds_module, "verify",
+        lambda candidate, q: pds_module.Verification(False, "difference-covered-twice", 1))
+    rec = recover_structure(t)
+    assert rec.status is RecoveryStatus.NOT_MINIMIZER
+    assert rec.pds is None
+
+
+def test_the_singer_chain_verifies_twice(monkeypatch):
+    # once when singer_construct builds the set and once when
+    # recover_structure builds the recovered one; nothing in between
+    calls = []
+    verify = pds_module.verify
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    for module in (pds_module, sums_module):  # each module that may hold it
+        if hasattr(module, "verify"):
+            monkeypatch.setattr(module, "verify", counted)
+    d = singer_construct(31)
+    canonical_form(d)
+    t = fabrykowski_tuple(d)
+    assert exact_abs_squared(d, 1) == 31
+    assert recover_structure(t).status is RecoveryStatus.IS_MINIMIZER
+    assert len(calls) == 2
 
 
 def test_recovery_translated_set_same_class():
