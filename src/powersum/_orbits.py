@@ -12,7 +12,8 @@ union for ``pds.exhaustive_search`` and ``pds.feasibility``, or lists every
 one for ``pds.enumerate_all``.  Orbit residues do not arrive in ascending
 order, so the covered differences are kept as bitmasks over Z_m that are
 rotated by each value added.  Pure integer code with no dependency on the
-``pds`` types; ``pds`` wraps the result and verifies any set found.
+``pds`` types; ``pds`` wraps the result and verifies any set found, and
+``pds.canonical_form`` takes its one unit per coset from ``coset_leaders``.
 Statuses are the ``SearchResult`` ones: "Found", "NoneExists",
 "BudgetExceeded".
 """
@@ -62,6 +63,19 @@ def distinct_differences(residues, d: int) -> bool:
     return True
 
 
+def coset_leaders(group, d: int) -> list[int]:
+    """The least unit u of each coset u*H of the subgroup H = `group` among
+    the units mod d, in increasing order."""
+    seen = bytearray(d)
+    leaders = []
+    for u in range(d):
+        if not seen[u] and gcd(u, d) == 1:
+            leaders.append(u)
+            for h in group:
+                seen[u * h % d] = 1
+    return leaders
+
+
 def multiplier_orbits(q: int) -> list[tuple[int, ...]]:
     """The orbits of size <= q+1 with no repeated internal difference, under
     multiplication by the primes of q on Z_m, each sorted, in sorted order.
@@ -81,14 +95,8 @@ def multiplier_orbits(q: int) -> list[tuple[int, ...]]:
         if group is None or not distinct_differences(group, d):
             continue
         scale = m // d
-        seen = bytearray(d)
-        for u in range(d):
-            if seen[u] or gcd(u, d) != 1:
-                continue
-            coset = [u * h % d for h in group]
-            for c in coset:
-                seen[c] = 1
-            orbits.append(tuple(sorted(scale * c for c in coset)))
+        orbits.extend(tuple(sorted(scale * (u * h % d) for h in group))
+                      for u in coset_leaders(group, d))
     orbits.sort()
     return orbits
 

@@ -6,8 +6,8 @@ fixed key order and 12-significant-digit floats so identical invocations are
 byte-identical.  Exit codes: 0 for success / Found / Exists, 1 for
 NoneExists / NotMinimizer / Excluded, 2 for invalid domain input, 3 for an
 inconclusive result (BudgetExceeded from search, OpenByTheseTests from
-feasibility), 64 for usage errors, 70 for an internal error (a library
-self-check raised ArithmeticError or RuntimeError: a bug, not a verdict).
+feasibility), 64 for usage errors, 70 for an internal error (any other
+exception, such as a failed library self-check: a bug, not a verdict).
 POWERSUM_SEED provides the seed when --seed is absent.
 """
 
@@ -151,7 +151,10 @@ def load_tuple_file(path: str) -> UnimodularTuple:
         record = json.loads(text)
         if "thetas" not in record:
             raise ValueError(f"{path}: tuple JSON needs a 'thetas' field")
-        return UnimodularTuple.from_record(record)
+        try:
+            return UnimodularTuple.from_record(record)
+        except TypeError as exc:  # thetas not a list of numbers, or a null phase
+            raise ValueError(f"{path}: malformed tuple record: {exc}") from exc
     rows = list(csv_module.reader(io.StringIO(text)))
     if not rows or [h.strip() for h in rows[0]][:1] != ["theta_turns"]:
         raise ValueError(f"{path}: CSV tuples need a 'theta_turns' header")
@@ -378,7 +381,7 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"powersum: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ArithmeticError, RuntimeError) as exc:
+    except Exception as exc:
         print(f"powersum: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

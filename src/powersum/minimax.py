@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .pds import verify
-from .sums import RecoveryResult, UnimodularTuple, _running_powers, recover_structure
+from .sums import (RecoveryResult, UnimodularTuple, _lattice_rounding, _running_powers,
+                   recover_structure)
 
 LOWER_BOUND_GUARD = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -61,13 +62,17 @@ def _abs_squared_and_powers(thetas: np.ndarray, nu_max: int):
     return u, s, powers
 
 
-def _objective_raw(thetas: np.ndarray, n: int) -> float:
-    u, _, _ = _abs_squared_and_powers(thetas, n * n - n)
-    value = math.sqrt(float(u.max()))
+def _guarded(value: float, n: int) -> float:
+    """The objective value, once checked against the proven floor sqrt(n-1)."""
     if value < lower_bound(n) - LOWER_BOUND_GUARD:
         raise ArithmeticError(
             f"objective {value} fell below the proven bound {lower_bound(n)}")
     return value
+
+
+def _objective_raw(thetas: np.ndarray, n: int) -> float:
+    u, _, _ = _abs_squared_and_powers(thetas, n * n - n)
+    return _guarded(math.sqrt(float(u.max())), n)
 
 
 @dataclass(frozen=True)
@@ -200,25 +205,19 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
             mu *= 0.5
         else:
             mu *= 4.0
-    return thetas, _objective_raw(thetas, n)
-
-
-def _rounding(thetas: np.ndarray, n: int) -> list[int]:
-    """The angles, shifted so the first is 0, rounded onto the grid j/m."""
-    m = n * n - n + 1
-    shifted = (thetas - thetas[0]) % 1.0
-    return (np.rint(shifted * m).astype(int) % m).tolist()
+    # value is _objective_raw(thetas, n) to the bit: sqrt is monotone and exact-rounded
+    return thetas, _guarded(value, n)
 
 
 def _snap(thetas: np.ndarray, n: int) -> Optional[tuple[np.ndarray, float]]:
     """The exact lattice tuple that ``thetas`` rounds onto, with its value.
 
     The lattice point j_k/m (shifted back by the first angle) counts only
-    when the j_k of ``_rounding`` form a verified difference set of order
-    n-1, and None is returned otherwise.
+    when the j_k of ``sums._lattice_rounding`` form a verified difference
+    set of order n-1, and None is returned otherwise.
     """
     m = n * n - n + 1
-    js = _rounding(thetas, n)
+    js, _ = _lattice_rounding(thetas)
     if not verify(js, n - 1).valid:
         return None
     snapped = (np.array(js) / m + thetas[0]) % 1.0
@@ -233,7 +232,7 @@ def _run_restart(config: OptimizerConfig, index: int) -> tuple[np.ndarray, float
     # the polish leaves the first angle at 0, so a repeated rounding names
     # the same lattice tuple and is verified once
     points = [start]
-    if _rounding(thetas, config.n) != _rounding(start, config.n):
+    if _lattice_rounding(thetas)[0] != _lattice_rounding(start)[0]:
         points.append(thetas)
     for point in points:
         snapped = _snap(point, config.n)

@@ -27,7 +27,7 @@ the sets containing {0, 1} is kept only in the tests, as this search's oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import _orbits
@@ -264,9 +264,9 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
     prime p of q is a multiplier: p*D is a translate of D, so u*p*D is a
     translate of u*D and has the same candidate.  Candidates are therefore
     constant on the cosets of the group H that the primes of q generate mod
-    m, and one unit per coset is examined: 60 of 900 units at q = 32.  The
-    theorem holds only for perfect difference sets, and the type guarantees
-    that D is one.
+    m, and one unit per coset (``_orbits.coset_leaders``) is examined: 60 of
+    900 units at q = 32.  The theorem holds only for perfect difference
+    sets, and the type guarantees that D is one.
 
     Two sorted (q+1)-sets compare as the one holding the least element of
     their symmetric difference, so a scan for y = 2, 3, ... drops the
@@ -285,14 +285,8 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
         for b in residues:
             start[(b - a) % m] = a
     group = _orbits.generated_subgroup(sorted(factorize(q)), m, m)
-    seen = bytearray(m)
-    survivors = []  # (a, v) for one v = u^-1 per coset of H
-    for v in range(1, m):
-        if seen[v] or gcd(v, m) != 1:
-            continue
-        for h in group:
-            seen[v * h % m] = 1
-        survivors.append((start[v], v))
+    # (a, v) for one v = u^-1 per coset of H; the inverses of a coset are a coset
+    survivors = [(start[v], v) for v in _orbits.coset_leaders(group, m)]
     fixed = 2  # every candidate holds 0 and 1
     y = 1
     while len(survivors) > 1 and fixed <= q:
@@ -480,19 +474,14 @@ def feasibility(order: int,
 
     theory = tuple(name for fired, name in
                    ((br, "bruck-ryser"), (wb, "wilbrink")) if fired)
-    searchable = order <= MAX_SEARCH_ORDER
-    result = exhaustive_search(order, search_budget) if searchable else None
-
-    if result is not None and result.status == "Found":
-        return FeasibilityReport(order, False, br, wb, "Found",
-                                 "Exists", ("multiplier-search",), result.pds)
-    if result is not None and result.status == "NoneExists":
-        reasons = theory if theory else ("multiplier-search",)
-        return FeasibilityReport(order, False, br, wb, "NoneExists",
-                                 "Excluded", reasons, None)
-    # search not attempted or inconclusive
-    if theory:
-        return FeasibilityReport(order, False, br, wb, "NotAttempted",
-                                 "Excluded", theory, None)
-    return FeasibilityReport(order, False, br, wb, "NotAttempted",
-                             "OpenByTheseTests", (), None)
+    result = exhaustive_search(order, search_budget) if order <= MAX_SEARCH_ORDER else None
+    # a search not run or out of budget reads NotAttempted (the wire format)
+    status = result.status if result and result.status != "BudgetExceeded" else "NotAttempted"
+    if status == "Found":
+        verdict, reasons = "Exists", ("multiplier-search",)
+    elif status == "NoneExists" or theory:
+        verdict, reasons = "Excluded", theory or ("multiplier-search",)
+    else:
+        verdict, reasons = "OpenByTheseTests", ()
+    return FeasibilityReport(order, False, br, wb, status, verdict, reasons,
+                             result.pds if result else None)

@@ -35,7 +35,7 @@ class NuOutOfRangeError(ValueError):
 class UnimodularTuple:
     """n angles in turns plus a global phase; z_k = e(thetas[k] + alpha_turns).
 
-    Angles are normalized into [0, 1) on construction.
+    Angles are normalized into [0, 1) on construction and must be finite.
     """
 
     thetas: tuple[float, ...]
@@ -44,9 +44,10 @@ class UnimodularTuple:
     def __post_init__(self):
         if len(self.thetas) < 2:
             raise ValueError("a tuple needs at least two points")
-        object.__setattr__(self, "thetas",
-                           tuple(float(t) % 1.0 for t in self.thetas))
+        object.__setattr__(self, "thetas", tuple(float(t) % 1.0 for t in self.thetas))
         object.__setattr__(self, "alpha_turns", float(self.alpha_turns) % 1.0)
+        if not all(map(math.isfinite, self.thetas + (self.alpha_turns,))):  # inf % 1.0 is NaN
+            raise ValueError("angles and phase must be finite")
 
     @property
     def n(self) -> int:
@@ -278,27 +279,34 @@ class RecoveryResult:
         }
 
 
+def _lattice_rounding(thetas: np.ndarray) -> tuple[list[int], float]:
+    """The n angles, shifted so the first is 0, rounded onto the grid j/m
+    with m = n^2-n+1: the j mod m, and max |shifted - j/m| taken before the
+    reduction, since an angle just below 1 lies close to j = m, not to 0."""
+    m = thetas.size * (thetas.size - 1) + 1
+    scaled = (thetas - thetas[0]) % 1.0 * m
+    js = np.rint(scaled)
+    return (js.astype(int) % m).tolist(), float(np.abs(scaled - js).max()) / m
+
+
 def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
     """Decide whether t is a global minimizer and extract its structure.
 
     A minimizer has a flat profile |S(nu)| = sqrt(n-1) for nu = 1 .. n^2-n;
     in that case the angles, shifted so the first point sits at phase zero,
     must be rationals j_k/m with m = n^2-n+1 and the j_k a perfect difference
-    set of order n-1.  The test snaps the shifted angles to the lattice,
-    requires the snap residual and the profile deviation to be within tol,
-    and builds the recovered set, which must pass verification.
+    set of order n-1.  The test snaps the shifted angles to the lattice
+    (``_lattice_rounding``, shared with the optimizer's snap), requires the
+    snap residual and the profile deviation to be within tol, and builds the
+    recovered set, which must pass verification.
     """
     n = t.n
-    m = n * n - n + 1
     target = math.sqrt(n - 1)
     profile = power_sums(t)
     profile_deviation = max(abs(a - target) for a in profile.abs_values)
 
-    base = t.thetas[0]
-    alpha_recovered = (t.alpha_turns + base) % 1.0
-    shifted = [(theta - base) % 1.0 for theta in t.thetas]
-    snapped = [round(ps * m) for ps in shifted]
-    residual = max(abs(ps * m - j) for ps, j in zip(shifted, snapped)) / m
+    alpha_recovered = (t.alpha_turns + t.thetas[0]) % 1.0
+    snapped, residual = _lattice_rounding(np.asarray(t.thetas))
 
     if profile_deviation <= tol and residual <= tol:
         try:

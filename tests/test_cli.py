@@ -202,6 +202,16 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
     assert err == "powersum: internal error: construction produced an invalid set\n"
 
 
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise TypeError("unexpected")
+    monkeypatch.setattr(cli, "cmd_search", broken)
+    code, out, err = run(capsys, "search", "--order", "2")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "powersum: internal error: unexpected\n"
+
+
 @pytest.mark.parametrize("argv", (("singer", "--q", "4"), ("search", "--order", "9")),
                          ids=["singer", "search"])
 def test_a_set_failing_the_library_self_check_exits_70(capsys, monkeypatch, argv):
@@ -285,3 +295,41 @@ def test_recover_csv_without_header_is_a_domain_error(capsys, tmp_path):
     assert code == cli.EXIT_DOMAIN
     assert out == ""
     assert "theta_turns" in err
+
+
+@pytest.mark.parametrize("alpha", ("nan", "inf", "-inf"))
+def test_profile_with_a_non_finite_phase_is_a_domain_error(capsys, alpha):
+    code, out, err = run(capsys, "profile", "--random", "3", f"--alpha={alpha}")
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == "powersum: error: angles and phase must be finite\n"
+
+
+@pytest.mark.parametrize("command", ("recover", "profile"))
+@pytest.mark.parametrize("text", ('{"thetas": [NaN, 0.2]}',
+                                  '{"thetas": [0.1, Infinity]}',
+                                  '{"thetas": [0.1, 0.2], "alpha_turns": -Infinity}'),
+                         ids=["nan", "infinity", "phase"])
+def test_a_non_finite_tuple_file_is_a_domain_error(capsys, tmp_path, command, text):
+    path = tmp_path / "tuple.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--tuple-file", str(path))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == "powersum: error: angles and phase must be finite\n"
+
+
+@pytest.mark.parametrize("command", ("recover", "profile"))
+@pytest.mark.parametrize("text", ('{"thetas": 5}',
+                                  '{"thetas": [null, 0.2]}',
+                                  '{"thetas": [[0.1], 0.2]}',
+                                  '{"thetas": [0.1, 0.2], "alpha_turns": null}'),
+                         ids=["number", "null-angle", "nested", "null-phase"])
+def test_a_malformed_tuple_file_is_a_domain_error(capsys, tmp_path, command, text):
+    path = tmp_path / "tuple.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--tuple-file", str(path))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"powersum: error: {path}: malformed tuple record: ")
+    assert err.count("\n") == 1 and err.endswith("\n")

@@ -95,6 +95,7 @@ def test_polish_converges_to_the_bound_near_a_minimizer(q):
     start = (start - start[0]) % 1.0
     thetas, value = minimax._polish(start, q + 1)
     assert value - math.sqrt(q) <= 1e-9
+    assert value == minimax._objective_raw(thetas, q + 1)  # to the bit
     assert thetas[0] == start[0] == 0.0
     recovered = recover_structure(UnimodularTuple(tuple(thetas)))
     assert recovered.status is RecoveryStatus.IS_MINIMIZER
@@ -199,6 +200,14 @@ def test_minimize_respects_lemma1_guard():
     assert report.best_value >= lower_bound(4) - 1e-9
     for v in report.per_restart_values:
         assert v >= lower_bound(4) - 1e-9
+
+
+def test_polish_checks_its_value_against_the_bound(monkeypatch):
+    # the polish guards the value it holds, with no second evaluation
+    monkeypatch.setattr(minimax, "lower_bound", lambda n: 10.0)
+    monkeypatch.setattr(minimax, "_objective_raw", None)
+    with pytest.raises(ArithmeticError, match="below the proven bound"):
+        minimax._polish(np.array([0.0, 0.3, 0.55]), 3)
 
 
 def test_report_record_shape():

@@ -19,6 +19,7 @@ from powersum import _orbits
 from powersum import pds as pds_module
 from powersum.gf import GfElement, factorize, make_field, primitive_element
 from powersum.pds import (
+    DEFAULT_SEARCH_BUDGET,
     CanonicalForm,
     EnumerationResult,
     InvalidPdsError,
@@ -586,6 +587,21 @@ def test_multiplier_search_found_set_is_fixed_by_multipliers(q):
         assert {p * a % m for a in residues} == residues
 
 
+@pytest.mark.parametrize("q", range(1, 33))
+def test_coset_leaders_lead_a_partition_of_the_units(q):
+    # the one coset walk behind the orbits of the search and the units that
+    # canonical_form examines
+    for d in _orbits.divisors(modulus_for_order(q)):
+        group = _orbits.generated_subgroup(sorted(factorize(q)), d, d)
+        leaders = _orbits.coset_leaders(group, d)
+        assert leaders == sorted(leaders)
+        cosets = [{u * h % d for h in group} for u in leaders]
+        assert all(len(coset) == len(group) and u == min(coset)
+                   for u, coset in zip(leaders, cosets))
+        assert sorted(c for coset in cosets for c in coset) == [
+            u for u in range(d) if gcd(u, d) == 1]
+
+
 def test_multiplier_search_respects_budget():
     assert exhaustive_search(10, budget=0) == SearchResult("BudgetExceeded", None, 0)
     for q in (1, 4, 6, 10, 11, 13):
@@ -700,6 +716,68 @@ def test_feasibility_decides_every_order_up_to_100():
         else:
             assert rep.verdict == "Excluded", order
             assert rep.exhaustive_result == "NoneExists", order
+
+
+# (verdict, reasons, exhaustive_result, witness) for orders 1 .. 40 at search
+# budget 0 and at budgets 5 and 10^8, which agree at every one of these
+# orders.  Budget 0 exhausts the search at once: it reads NotAttempted.
+FEASIBILITY_TABLE = """
+ 1  OpenByTheseTests - NotAttempted none             Exists multiplier-search Found set
+ 2  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+ 3  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+ 4  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+ 5  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+ 6  Excluded bruck-ryser,wilbrink NotAttempted none  Excluded bruck-ryser,wilbrink NoneExists none
+ 7  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+ 8  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+ 9  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+10  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+11  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+12  Excluded wilbrink NotAttempted none              Excluded wilbrink NoneExists none
+13  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+14  Excluded bruck-ryser NotAttempted none           Excluded bruck-ryser NoneExists none
+15  Excluded wilbrink NotAttempted none              Excluded wilbrink NoneExists none
+16  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+17  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+18  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+19  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+20  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+21  Excluded bruck-ryser,wilbrink NotAttempted none  Excluded bruck-ryser,wilbrink NoneExists none
+22  Excluded bruck-ryser NotAttempted none           Excluded bruck-ryser NoneExists none
+23  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+24  Excluded wilbrink NotAttempted none              Excluded wilbrink NoneExists none
+25  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+26  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+27  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+28  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+29  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+30  Excluded bruck-ryser,wilbrink NotAttempted none  Excluded bruck-ryser,wilbrink NoneExists none
+31  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+32  Exists prime-power NotAttempted set              Exists prime-power NotAttempted set
+33  Excluded bruck-ryser,wilbrink NotAttempted none  Excluded bruck-ryser,wilbrink NoneExists none
+34  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+35  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+36  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+37  Exists prime-power NotAttempted none             Exists prime-power NotAttempted none
+38  Excluded bruck-ryser NotAttempted none           Excluded bruck-ryser NoneExists none
+39  Excluded wilbrink NotAttempted none              Excluded wilbrink NoneExists none
+40  OpenByTheseTests - NotAttempted none             Excluded multiplier-search NoneExists none
+"""
+
+
+def _table_row(verdict, reasons, search, witness):
+    return verdict, () if reasons == "-" else tuple(reasons.split(",")), search, witness == "set"
+
+
+def test_feasibility_table_for_orders_up_to_40():
+    for line in FEASIBILITY_TABLE.strip().splitlines():
+        order, *fields = line.split()
+        expected = {0: _table_row(*fields[:4]), 5: _table_row(*fields[4:])}
+        expected[DEFAULT_SEARCH_BUDGET] = expected[5]
+        for budget, row in expected.items():
+            rep = feasibility(int(order), budget)
+            got = (rep.verdict, rep.reasons, rep.exhaustive_result, rep.witness is not None)
+            assert got == row, (order, budget)
 
 
 def test_feasibility_report_record_shape():

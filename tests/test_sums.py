@@ -436,3 +436,58 @@ def test_tuple_record_round_trip():
     rec = t.to_record()
     assert rec == {"n": 3, "alpha_turns": 0.25, "thetas": [0.125, 0.5, 0.8]}
     assert UnimodularTuple.from_record(rec) == t
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_tuple_rejects_non_finite_angles_and_phase(bad):
+    with pytest.raises(ValueError, match="finite"):
+        UnimodularTuple((0.1, bad))
+    with pytest.raises(ValueError, match="finite"):
+        UnimodularTuple((0.1, 0.2), alpha_turns=bad)
+
+
+# ---------------------------------------------------------------------------
+# lattice rounding, shared by recover_structure and the optimizer's snap
+# ---------------------------------------------------------------------------
+
+
+def _former_roundings(thetas):
+    """The two roundings onto j/m the library had before it shared one: the
+    optimizer's j list (numpy), and recover_structure's j list and residual
+    (Python floats, residual taken before reducing j)."""
+    n = len(thetas)
+    m = n * n - n + 1
+    optimizer_js = (np.rint((thetas - thetas[0]) % 1.0 * m).astype(int) % m).tolist()
+    shifted = [(float(theta) - float(thetas[0])) % 1.0 for theta in thetas]
+    snapped = [round(ps * m) for ps in shifted]
+    residual = max(abs(ps * m - j) for ps, j in zip(shifted, snapped)) / m
+    return optimizer_js, [j % m for j in snapped], residual
+
+
+def _rounding_cases():
+    rng = np.random.default_rng(1501)
+    for n in range(2, 10):
+        m = n * n - n + 1
+        for _ in range(20):
+            yield "random", rng.uniform(0.0, 1.0, n)
+        for _ in range(5):
+            yield "lattice", (rng.integers(0, m, n) / m + rng.uniform()) % 1.0
+            yield "tie", np.concatenate(([0.0], (rng.integers(0, m, n - 1) + 0.5) / m))
+    for first in (0.0, 0.3, 0.999):
+        below = (first - 1e-12) % 1.0  # lands 1e-12 below 1 after the shift
+        yield "wrap", np.array([first, below, (first + 3 / 7) % 1.0])
+
+
+def test_lattice_rounding_matches_both_former_roundings():
+    ties = 0
+    for kind, thetas in _rounding_cases():
+        js, residual = sums_module._lattice_rounding(thetas)
+        optimizer_js, recovered_js, former_residual = _former_roundings(thetas)
+        assert js == optimizer_js == recovered_js, (kind, thetas)
+        assert residual == former_residual, (kind, thetas)
+        m = thetas.size * (thetas.size - 1) + 1
+        ties += int(((thetas - thetas[0]) % 1.0 * m % 1.0 == 0.5).sum())
+        if kind == "wrap":
+            assert js[1] == 0 and residual < 1e-9
+    assert ties > 100  # the half-grid cases really tie
+
