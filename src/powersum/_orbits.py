@@ -11,7 +11,8 @@ q acting on Z_m by multiplication, so searching such unions is complete.
 union for ``pds.exhaustive_search`` and ``pds.feasibility``, or lists every
 one for ``pds.enumerate_all``.  Orbit residues do not arrive in ascending
 order, so the covered differences are kept as bitmasks over Z_m that are
-rotated by each value added.  Pure integer code with no dependency on the
+rotated by each value added (``_add_orbit``, also the orbit filter of
+``multiplier_orbits``).  Pure integer code with no dependency on the
 ``pds`` types; ``pds`` wraps the result and verifies any set found, and
 ``pds.canonical_form`` takes its one unit per coset from ``coset_leaders``.
 Statuses are the ``SearchResult`` ones: "Found", "NoneExists",
@@ -50,19 +51,6 @@ def generated_subgroup(generators, d: int, cap: int) -> Optional[list[int]]:
     return sorted(group)
 
 
-def distinct_differences(residues, d: int) -> bool:
-    """True when the pairwise differences of `residues` mod d are all distinct."""
-    differences = set()
-    for a in residues:
-        for b in residues:
-            if a != b:
-                diff = (a - b) % d
-                if diff in differences:
-                    return False
-                differences.add(diff)
-    return True
-
-
 def coset_leaders(group, d: int) -> list[int]:
     """The least unit u of each coset u*H of the subgroup H = `group` among
     the units mod d, in increasing order."""
@@ -84,7 +72,8 @@ def multiplier_orbits(q: int) -> list[tuple[int, ...]]:
     d = m / gcd(x, m); so each divisor d contributes the cosets u*H of H among
     the units u mod d, scaled by m/d.  Multiplying by a unit mod d permutes the
     differences, so either every coset for d repeats a difference or none does,
-    and d contributes nothing when H is too large or repeats one.
+    and d contributes nothing when H is too large or when the search's clash
+    test, ``_add_orbit`` on Z_d from the empty union, finds a repeat in H.
     """
     m = q * q + q + 1
     k = q + 1
@@ -92,7 +81,7 @@ def multiplier_orbits(q: int) -> list[tuple[int, ...]]:
     orbits = []
     for d in divisors(m):
         group = generated_subgroup(primes, d, k)
-        if group is None or not distinct_differences(group, d):
+        if group is None or _add_orbit(d, (1 << d) - 1, 0, 0, 0, group) is None:
             continue
         scale = m // d
         orbits.extend(tuple(sorted(scale * (u * h % d) for h in group))

@@ -37,6 +37,7 @@ from .pds import (
 from .sums import (
     RecoveryStatus,
     UnimodularTuple,
+    _RecordFieldError,
     fabrykowski_tuple,
     power_sums,
     recover_structure,
@@ -148,17 +149,17 @@ def load_tuple_file(path: str) -> UnimodularTuple:
     """Tuple input: the JSON record, or CSV with a theta_turns header."""
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        record = json.loads(text)
-        if "thetas" not in record:
-            raise ValueError(f"{path}: tuple JSON needs a 'thetas' field")
         try:
-            return UnimodularTuple.from_record(record)
-        except TypeError as exc:  # thetas not a list of numbers, or a null phase
+            return UnimodularTuple.from_record(json.loads(text))
+        except _RecordFieldError as exc:
             raise ValueError(f"{path}: malformed tuple record: {exc}") from exc
-    rows = list(csv_module.reader(io.StringIO(text)))
-    if not rows or [h.strip() for h in rows[0]][:1] != ["theta_turns"]:
+    rows = csv_module.reader(io.StringIO(text))
+    if [h.strip() for h in next(rows, [])][:1] != ["theta_turns"]:
         raise ValueError(f"{path}: CSV tuples need a 'theta_turns' header")
-    thetas = [float(r[0]) for r in rows[1:] if r and r[0].strip() != ""]
+    try:
+        thetas = [float(r[0]) for r in rows if r and r[0].strip() != ""]
+    except ValueError as exc:  # the reader stops on the row that failed
+        raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
     return UnimodularTuple(tuple(thetas))
 
 

@@ -24,7 +24,7 @@ at 15 and orders must fit comfortably in a native integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator
 
 
@@ -170,7 +170,6 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible of degree k over GF(p) with least integer encoding.
 

@@ -31,6 +31,10 @@ class NuOutOfRangeError(ValueError):
     """Exponent outside 1 .. m-1."""
 
 
+class _RecordFieldError(ValueError):
+    """A tuple record whose fields are not of their JSON types."""
+
+
 @dataclass(frozen=True)
 class UnimodularTuple:
     """n angles in turns plus a global phase; z_k = e(thetas[k] + alpha_turns).
@@ -64,8 +68,12 @@ class UnimodularTuple:
 
     @staticmethod
     def from_record(record: dict) -> "UnimodularTuple":
-        return UnimodularTuple(thetas=tuple(record["thetas"]),
-                               alpha_turns=record.get("alpha_turns", 0.0))
+        """The tuple of a ``to_record`` record: ``thetas`` a list of numbers and
+        ``alpha_turns`` a number (a boolean is not one), else ``ValueError``."""
+        thetas, alpha = record.get("thetas"), record.get("alpha_turns", 0.0)
+        if type(thetas) is not list or not {type(x) for x in thetas + [alpha]} <= {int, float}:
+            raise _RecordFieldError("'thetas' must be a list of numbers, 'alpha_turns' a number")
+        return UnimodularTuple(thetas=tuple(thetas), alpha_turns=alpha)
 
 
 @dataclass(frozen=True)
@@ -298,8 +306,11 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
     set of order n-1.  The test snaps the shifted angles to the lattice
     (``_lattice_rounding``, shared with the optimizer's snap), requires the
     snap residual and the profile deviation to be within tol, and builds the
-    recovered set, which must pass verification.
+    recovered set, which must pass verification.  tol must be finite and >= 0
+    (``ValueError``); a large one, such as 1, is the caller's choice.
     """
+    if not 0 <= tol < math.inf:  # false for NaN as well
+        raise ValueError(f"tol must be a finite number >= 0, not {tol}")
     n = t.n
     target = math.sqrt(n - 1)
     profile = power_sums(t)

@@ -333,3 +333,44 @@ def test_a_malformed_tuple_file_is_a_domain_error(capsys, tmp_path, command, tex
     assert out == ""
     assert err.startswith(f"powersum: error: {path}: malformed tuple record: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ("recover", "profile"))
+@pytest.mark.parametrize("name, text", (
+    ("tuple.json", '{"thetas": "05"}'),
+    ("tuple.json", '{"thetas": "0.1"}'),
+    ("tuple.json", '{"thetas": {"0.1": 1, "0.5": 2}}'),
+    ("tuple.json", '{"thetas": [true, 0.5]}'),
+    ("tuple.json", '{"thetas": [0.1, 0.5], "alpha_turns": "0.2"}'),
+    ("tuple.json", '{"alpha_turns": 0.2}'),
+    ("tuple.csv", "theta_turns\n0.1\nabc\n0.5\n"),
+), ids=["string", "numeral-string", "object", "boolean", "string-phase", "no-thetas",
+        "csv-word"])
+def test_a_tuple_file_of_the_wrong_types_names_the_file(capsys, tmp_path, command,
+                                                        name, text):
+    # a string was read as its characters, an object as its keys, true as 1.0,
+    # and a word in a CSV row failed with a message naming neither file nor line
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--tuple-file", str(path))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == f"powersum: error: {path}: " + (
+        "line 3: could not convert string to float: 'abc'\n" if name == "tuple.csv" else
+        "malformed tuple record: 'thetas' must be a list of numbers, 'alpha_turns' a number\n")
+
+
+@pytest.mark.parametrize("tol", ("inf", "-inf", "nan", "-1"))
+def test_recover_rejects_a_tol_that_is_not_a_finite_number_at_least_zero(
+        capsys, tmp_path, tol):
+    # profile deviation 0.94: inf called it IsMinimizer, nan and -1 rejected
+    # every tuple
+    path = tmp_path / "tuple.json"
+    path.write_text('{"thetas": [0.0, 0.16, 0.41]}', encoding="utf-8")
+    code, out, err = run(capsys, "recover", "--tuple-file", str(path), f"--tol={tol}")
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("powersum: error: tol must be a finite number >= 0")
+    code, out, _ = run(capsys, "recover", "--tuple-file", str(path), "--tol=1")
+    assert code == cli.EXIT_OK  # a large finite tol is the caller's choice
+    assert json.loads(out)["status"] == "IsMinimizer"

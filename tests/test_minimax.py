@@ -22,6 +22,7 @@ from powersum.pds import singer_construct, verify
 from powersum.sums import (
     RecoveryStatus,
     UnimodularTuple,
+    _lattice_rounding,
     fabrykowski_tuple,
     recover_structure,
 )
@@ -101,18 +102,24 @@ def test_polish_converges_to_the_bound_near_a_minimizer(q):
     assert recovered.status is RecoveryStatus.IS_MINIMIZER
 
 
+def _snap_at_n3(thetas):
+    # _snap takes the point's rounding and first angle, as _run_restart passes them
+    point = np.array(thetas)
+    return minimax._snap(_lattice_rounding(point)[0], point[0], 3)
+
+
 def test_snap_rounds_onto_a_verified_lattice_point():
-    snapped, value = minimax._snap(np.array([0.0, 1.01 / 7, 2.98 / 7]), 3)
+    snapped, value = _snap_at_n3([0.0, 1.01 / 7, 2.98 / 7])
     assert snapped.tolist() == [0.0, 1 / 7, 3 / 7]
     assert value == pytest.approx(math.sqrt(2), abs=1e-12)
-    shifted, _ = minimax._snap(np.array([0.25, 0.25 + 2.02 / 7, 0.25 + 5.97 / 7]), 3)
+    shifted, _ = _snap_at_n3([0.25, 0.25 + 2.02 / 7, 0.25 + 5.97 / 7])
     assert shifted == pytest.approx([0.25, 0.25 + 2 / 7, (0.25 + 6 / 7) % 1.0], abs=1e-15)
 
 
 @pytest.mark.parametrize("thetas", ([0.0, 0.01, 3.02 / 7],      # residues (0, 0, 3)
                                     [0.0, 0.99 / 7, 2.01 / 7]))  # (0, 1, 2), not a PDS
 def test_snap_without_a_difference_set_gives_no_candidate(thetas):
-    assert minimax._snap(np.array(thetas), 3) is None
+    assert _snap_at_n3(thetas) is None
 
 
 @pytest.mark.parametrize("polished_value, adopted", ((1.0, 0), (5.0, 4)))
@@ -152,6 +159,18 @@ def test_snap_verifies_a_repeated_rounding_once(monkeypatch):
         assert calls[-1] == (0, 1, 3)
         assert len(calls) == (1 if calls[0] == (0, 1, 3) else 2)
         assert value == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+def test_each_restart_rounds_its_start_and_its_polished_point_once(monkeypatch):
+    calls = []
+
+    def counting_rounding(thetas):
+        calls.append(thetas)
+        return _lattice_rounding(thetas)
+
+    monkeypatch.setattr(minimax, "_lattice_rounding", counting_rounding)
+    minimize(OptimizerConfig(4, restarts=10, seed=1))
+    assert len(calls) == 20
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))

@@ -602,6 +602,30 @@ def test_coset_leaders_lead_a_partition_of_the_units(q):
             u for u in range(d) if gcd(u, d) == 1]
 
 
+@pytest.mark.parametrize("q", range(1, 41))
+def test_multiplier_orbits_match_a_brute_force_orbit_walk(q):
+    # every orbit of Z_m under multiplication by the primes of q, walked
+    # element by element, kept when it has at most q+1 residues and its
+    # pairwise differences mod m are distinct
+    m = modulus_for_order(q)
+    primes = sorted(factorize(q))
+    seen, expected = set(), []
+    for x in range(m):
+        if x in seen:
+            continue
+        orbit, frontier = {x}, {x}
+        while frontier:
+            frontier = {p * y % m for y in frontier for p in primes} - orbit
+            orbit |= frontier
+        seen |= orbit
+        if len(orbit) > q + 1:
+            continue
+        differences = [(a - b) % m for a in orbit for b in orbit if a != b]
+        if len(differences) == len(set(differences)):
+            expected.append(tuple(sorted(orbit)))
+    assert _orbits.multiplier_orbits(q) == sorted(expected)
+
+
 def test_multiplier_search_respects_budget():
     assert exhaustive_search(10, budget=0) == SearchResult("BudgetExceeded", None, 0)
     for q in (1, 4, 6, 10, 11, 13):

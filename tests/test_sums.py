@@ -438,6 +438,28 @@ def test_tuple_record_round_trip():
     assert UnimodularTuple.from_record(rec) == t
 
 
+@pytest.mark.parametrize("record", ({"thetas": "05"}, {"thetas": {"0.1": 1, "0.5": 2}},
+                                    {"thetas": [True, 0.5]}, {"thetas": [[0.1], 0.5]},
+                                    {"thetas": [None, 0.5]}, {"thetas": 5},
+                                    {"thetas": [0.1, 0.5], "alpha_turns": False},
+                                    {"thetas": [0.1, 0.5], "alpha_turns": "0.2"}))
+def test_tuple_record_fields_must_be_numbers(record):
+    with pytest.raises(ValueError, match="must be a"):
+        UnimodularTuple.from_record(record)
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf, -1.0, -1e-300))
+def test_recover_structure_rejects_a_tol_that_is_not_finite_and_at_least_zero(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        recover_structure(UnimodularTuple((0.0, 0.16, 0.41)), tol=tol)
+
+
+def test_recover_structure_accepts_any_finite_tol_at_least_zero():
+    t = UnimodularTuple((0.0, 0.16, 0.41))  # profile deviation 0.94
+    assert recover_structure(t, tol=1.0).status is RecoveryStatus.IS_MINIMIZER
+    assert recover_structure(t, tol=0.0).status is RecoveryStatus.NOT_MINIMIZER
+
+
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_tuple_rejects_non_finite_angles_and_phase(bad):
     with pytest.raises(ValueError, match="finite"):
