@@ -147,10 +147,15 @@ def order_from_modulus(m: int) -> int:
 
 def load_tuple_file(path: str) -> UnimodularTuple:
     """Tuple input: the JSON record, or CSV with a theta_turns header."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             return UnimodularTuple.from_record(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
         except _RecordFieldError as exc:
             raise ValueError(f"{path}: malformed tuple record: {exc}") from exc
     rows = csv_module.reader(io.StringIO(text))

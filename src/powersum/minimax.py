@@ -114,14 +114,13 @@ class OptimizerReport:
 # ---------------------------------------------------------------------------
 
 
-def _abs_values_and_grads(thetas: np.ndarray, n: int):
-    """r_nu = |S(nu)| and the gradient rows d r_nu / d theta (gauge-fixed)."""
-    nu_max = n * n - n
-    u, s, powers = _abs_squared_and_powers(thetas, nu_max)
+def _abs_values_and_grads(u: np.ndarray, s: np.ndarray, powers: np.ndarray,
+                          scale: np.ndarray):
+    """r_nu = |S(nu)| and gradient rows d r_nu / d theta (gauge-fixed) from
+    ``_abs_squared_and_powers``, with ``scale`` the column -2 pi nu; the rows are
+    fresh and C-contiguous, as a strided view moves ``grads @ grads.T`` by ulps."""
     r = np.sqrt(u)
-    nus = np.arange(1, nu_max + 1)
-    inner = np.imag(np.conj(s)[:, None] * powers)
-    grads = -TWO_PI * nus[:, None] * inner / np.maximum(r, 1e-300)[:, None]
+    grads = scale * np.imag(np.conj(s)[:, None] * powers) / np.maximum(r, 1e-300)[:, None]
     grads[:, 0] = 0.0
     return r, grads
 
@@ -146,33 +145,38 @@ def _min_norm_weights(gram: np.ndarray, linear: np.ndarray,
     gradient.  It stops when the Frank-Wolfe gap is below _QP_TOL relative
     to the linear term, or when that index is already in the support, which
     in exact arithmetic cannot happen and marks the rounding floor.
+    Each KKT system is one index of ``gram`` into an empty bordered matrix,
+    with the ridge added in place on the diagonal.
     """
     weights = weights.copy()
     ridge = _QP_RIDGE * max(1.0, float(np.trace(gram)))
     tol = _QP_TOL * max(1.0, float(np.abs(linear).max()))
-    support = np.flatnonzero(weights)
+    support = weights.nonzero()[0]
     for _ in range(_QP_ITERS):
         while True:
             size = support.size
-            kkt = np.ones((size + 1, size + 1))
-            kkt[size, size] = 0.0
-            kkt[:size, :size] = gram[np.ix_(support, support)] + ridge * np.eye(size)
-            target = np.linalg.solve(kkt, np.append(linear[support], 1.0))[:size]
-            if (target > 0).all():
+            kkt = np.empty((size + 1, size + 1))
+            kkt[:size, :size] = gram[support[:, None], support]
+            kkt.reshape(-1)[:size * (size + 2):size + 2] += ridge  # its diagonal
+            kkt[size], kkt[:size, size], kkt[size, size] = 1.0, 1.0, 0.0
+            rhs = np.empty(size + 1)
+            rhs[:size], rhs[size] = linear[support], 1.0
+            target = np.linalg.solve(kkt, rhs)[:size]
+            if target.min() > 0:
                 break
             current = weights[support]
-            out = np.flatnonzero(target <= 0)
+            out = (target <= 0).nonzero()[0]
             ratios = current[out] / (current[out] - target[out])
-            drop = support[out[int(np.argmin(ratios))]]
-            weights[support] = current + ratios.min() * (target - current)
-            weights[drop] = 0.0
+            first = int(ratios.argmin())
+            weights[support] = current + ratios[first] * (target - current)
+            weights[support[out[first]]] = 0.0
             support = support[weights[support] > 0]
         weights[support] = target
         grad = gram @ weights - linear
-        toward = int(np.argmin(grad))
+        toward = int(grad.argmin())
         if float(weights @ grad) - grad[toward] <= tol or weights[toward] > 0:
             break
-        support = np.append(support, toward)
+        support = np.concatenate((support, (toward,)))
     return weights
 
 
@@ -184,13 +188,17 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     objective drops by at least a tenth of the decrease the linear model
     predicts, and mu then halves; a rejected step quadruples mu.  mu starts
     at the largest |g_nu|^2 (1 when every gradient vanishes, so d = 0).  The
-    loop ends when the predicted decrease is down to rounding level.
+    loop ends when the predicted decrease is down to rounding level.  A
+    candidate is judged on its value alone: gradient rows are built only for
+    the start and each accepted point, from the S(nu) and powers at hand.
     """
-    r, grads = _abs_values_and_grads(thetas, n)
+    nu_max = n * n - n
+    scale = -TWO_PI * np.arange(1, nu_max + 1)[:, None]
+    r, grads = _abs_values_and_grads(*_abs_squared_and_powers(thetas, nu_max), scale)
     value = float(r.max())
     mu = float((grads * grads).sum(axis=1).max()) or 1.0
-    weights = np.zeros(r.size)
-    weights[int(np.argmax(r))] = 1.0
+    weights = np.zeros(nu_max)
+    weights[int(r.argmax())] = 1.0
     for _ in range(_POLISH_STEPS):
         weights = _min_norm_weights(grads @ grads.T, mu * r, weights)
         step = -(weights @ grads) / mu
@@ -198,10 +206,11 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
         if predicted <= 1e-15 * value:
             break
         candidate = (thetas + step) % 1.0
-        cand_r, cand_grads = _abs_values_and_grads(candidate, n)
-        cand_value = float(cand_r.max())
+        u, s, powers = _abs_squared_and_powers(candidate, nu_max)
+        cand_value = math.sqrt(float(u.max()))
         if value - cand_value >= 0.1 * predicted:
-            thetas, r, grads, value = candidate, cand_r, cand_grads, cand_value
+            thetas, value = candidate, cand_value
+            r, grads = _abs_values_and_grads(u, s, powers, scale)
             mu *= 0.5
         else:
             mu *= 4.0

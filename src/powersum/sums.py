@@ -94,7 +94,14 @@ def _running_powers(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:
     the previous one times z, exactly the running-powers recurrence.
     """
     z = np.exp((2j * np.pi) * effective_thetas)
-    return np.cumprod(np.broadcast_to(z, (nu_max, z.size)), axis=0)
+    return np.broadcast_to(z, (nu_max, z.size)).cumprod(axis=0)
+
+
+def _abs_values_and_epsilons(t: UnimodularTuple, nu_max: int):
+    """|S(nu)| and eps_nu = |S(nu)|^2 - (n-1) for nu = 1 .. nu_max, as arrays."""
+    eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
+    abs_values = np.abs(_running_powers(eff, nu_max).sum(axis=1))
+    return abs_values, abs_values * abs_values - (t.n - 1)
 
 
 def power_sums(t: UnimodularTuple, nu_max: Optional[int] = None) -> PowerSumProfile:
@@ -109,10 +116,7 @@ def power_sums(t: UnimodularTuple, nu_max: Optional[int] = None) -> PowerSumProf
         nu_max = t.horizon
     if nu_max < 1:
         raise ValueError("nu_max must be >= 1")
-    eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
-    powers = _running_powers(eff, nu_max)
-    abs_values = np.abs(powers.sum(axis=1))
-    epsilons = abs_values * abs_values - (n - 1)
+    abs_values, epsilons = _abs_values_and_epsilons(t, nu_max)
     return PowerSumProfile(n=n, m=n * n - n + 1,
                            abs_values=tuple(abs_values.tolist()),
                            epsilons=tuple(epsilons.tolist()),
@@ -156,10 +160,9 @@ def fejer_certificate(t: UnimodularTuple) -> FejerCertificate:
     floating tolerance 1e-9 * n^2 (which would mean a numerical defect, not a
     counterexample)."""
     n = t.n
-    profile = power_sums(t)
-    eps = np.asarray(profile.epsilons)
-    m = profile.m
-    nus = np.arange(1, t.horizon + 1)
+    _, eps = _abs_values_and_epsilons(t, t.horizon)
+    m = t.horizon + 1
+    nus = np.arange(1, m)
     weighted = float(((1.0 - nus / m) * eps).sum())
     tol = 1e-9 * n * n
     if weighted < -tol:
@@ -313,8 +316,8 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
         raise ValueError(f"tol must be a finite number >= 0, not {tol}")
     n = t.n
     target = math.sqrt(n - 1)
-    profile = power_sums(t)
-    profile_deviation = max(abs(a - target) for a in profile.abs_values)
+    abs_values, _ = _abs_values_and_epsilons(t, t.horizon)
+    profile_deviation = float(np.abs(abs_values - target).max())
 
     alpha_recovered = (t.alpha_turns + t.thetas[0]) % 1.0
     snapped, residual = _lattice_rounding(np.asarray(t.thetas))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,24 @@ def test_optimize_n7_has_no_minimizer(capsys):
     record = json.loads(out)
     assert record["recovered"]["status"] == "NotMinimizer"
     assert record["gap_to_bound"] > 0
+
+
+def test_optimize_output_is_byte_identical_across_runs(capsys):
+    argv = ("optimize", "--n", "4", "--restarts", "3", "--seed", "7")
+    first = run(capsys, *argv)
+    assert run(capsys, *argv) == first
+    assert first[1].endswith("\n")
+
+
+@pytest.mark.parametrize("n, restarts, seed", ((4, 3, 1), (5, 4, 2)))
+def test_optimize_json_matches_the_golden_bytes(capsys, n, restarts, seed):
+    # stdout of the reference polish (tests/polish_oracle.py); the 12-digit
+    # float format keeps the bytes stable
+    golden = Path(__file__).parent / "golden" / f"optimize_n{n}_restarts{restarts}_seed{seed}.json"
+    code, out, _ = run(capsys, "optimize", "--n", str(n), "--restarts", str(restarts),
+                       "--seed", str(seed), "--format", "json")
+    assert code == cli.EXIT_NEGATIVE
+    assert out == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv, env", ((("optimize", "--n", "3", "--seed", "-1"), None),
@@ -358,6 +377,23 @@ def test_a_tuple_file_of_the_wrong_types_names_the_file(capsys, tmp_path, comman
     assert err == f"powersum: error: {path}: " + (
         "line 3: could not convert string to float: 'abc'\n" if name == "tuple.csv" else
         "malformed tuple record: 'thetas' must be a list of numbers, 'alpha_turns' a number\n")
+
+
+@pytest.mark.parametrize("command", ("recover", "profile"))
+@pytest.mark.parametrize("content, message", (
+    (b'{"thetas": [0.1,', "not valid JSON: Expecting value: line 1 column 17 (char 16)"),
+    (b"\xff\xfe0.1", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte"),
+), ids=["truncated-json", "not-utf8"])
+def test_an_undecodable_tuple_file_names_the_file(capsys, tmp_path, command, content,
+                                                  message):
+    # the decoder's message alone named neither the file nor what was wrong with it
+    path = tmp_path / "tuple.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, "--tuple-file", str(path))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == f"powersum: error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("tol", ("inf", "-inf", "nan", "-1"))

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import polish_oracle
 from powersum import minimax
 from powersum.minimax import (
     OptimizerConfig,
@@ -57,6 +58,14 @@ def _abs_power_sums(thetas):
     return np.abs(np.exp(2j * np.pi * np.outer(nus, thetas)).sum(axis=1))
 
 
+def _abs_values_and_grads(thetas):
+    # the polish's evaluation: |S|^2, S and the powers, then r and the rows
+    nu_max = thetas.size ** 2 - thetas.size
+    scale = -minimax.TWO_PI * np.arange(1, nu_max + 1)[:, None]
+    return minimax._abs_values_and_grads(
+        *minimax._abs_squared_and_powers(thetas, nu_max), scale)
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(73)
     h = 1e-6
@@ -64,7 +73,7 @@ def test_gradient_matches_finite_differences():
     while checked < 25:
         n = int(rng.integers(2, 7))
         thetas = rng.uniform(0, 1, n)
-        r, grads = minimax._abs_values_and_grads(thetas, n)
+        r, grads = _abs_values_and_grads(thetas)
         if r.min() <= 1e-3:
             continue
         assert r == pytest.approx(_abs_power_sums(thetas), abs=1e-12)
@@ -77,6 +86,88 @@ def test_gradient_matches_finite_differences():
             fd = (_abs_power_sums(up) - _abs_power_sums(dn)) / (2 * h)
             assert grads[:, k] == pytest.approx(fd, rel=1e-5, abs=1e-6)
         checked += 1
+
+
+def test_gradients_match_the_oracle_and_are_fresh_c_contiguous_arrays():
+    # a strided view of the rows sends grads @ grads.T down another BLAS path
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        for _ in range(10):
+            thetas = rng.uniform(0, 1, n)
+            r, grads = _abs_values_and_grads(thetas)
+            expected_r, expected_grads = polish_oracle._abs_values_and_grads(thetas, n)
+            assert np.array_equal(r, expected_r)
+            assert np.array_equal(grads, expected_grads)
+            assert grads.flags.c_contiguous and grads.flags.owndata
+
+
+def _qp_instances():
+    """196 dual problems as the polish poses them: the Gram matrix of
+    the gradient rows at a random point, n = 2..8, a warm start spread over
+    a random support, and linear term mu * r or 0."""
+    rng = np.random.default_rng(41)
+    for index in range(196):
+        n = 2 + index % 7
+        nu_max = n * n - n
+        thetas = rng.uniform(0, 1, n)
+        thetas[0] = 0.0
+        r, grads = polish_oracle._abs_values_and_grads(thetas, n)
+        weights = np.zeros(nu_max)
+        support = rng.choice(nu_max, size=int(rng.integers(1, min(n, nu_max) + 1)),
+                             replace=False)
+        weights[support] = rng.uniform(0.1, 1.0, support.size)
+        weights /= weights.sum()
+        mu = float((grads * grads).sum(axis=1).max()) * 2.0 ** int(rng.integers(-8, 9))
+        yield grads @ grads.T, mu * r if index % 2 else np.zeros(nu_max), weights
+
+
+def test_min_norm_weights_match_the_oracle_to_the_bit():
+    moved = 0
+    for gram, linear, weights in _qp_instances():
+        start = weights.copy()
+        got = minimax._min_norm_weights(gram, linear, weights)
+        assert np.array_equal(got, polish_oracle._min_norm_weights(gram, linear, weights))
+        assert np.array_equal(weights, start)  # the warm start is not written to
+        moved += not np.array_equal(got != 0, start != 0)
+    assert moved >= 100  # most instances change the support, so drops and adds run
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
+def test_polish_matches_the_oracle_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        start = rng.uniform(0, 1, n)
+        start[0] = 0.0
+        thetas, value = minimax._polish(start, n)
+        expected_thetas, expected_value = polish_oracle._polish(start, n)
+        assert np.array_equal(thetas, expected_thetas)
+        assert value == expected_value
+
+
+def test_polish_builds_gradients_once_per_accepted_point(monkeypatch):
+    builds, grams, evaluations = [], [], []
+    build, solve, evaluate = (minimax._abs_values_and_grads, minimax._min_norm_weights,
+                              minimax._abs_squared_and_powers)
+    monkeypatch.setattr(minimax, "_abs_values_and_grads",
+                        lambda *args: builds.append(1) or build(*args))
+    monkeypatch.setattr(minimax, "_min_norm_weights",
+                        lambda gram, *args: grams.append(gram) or solve(gram, *args))
+    monkeypatch.setattr(minimax, "_abs_squared_and_powers",
+                        lambda *args: evaluations.append(1) or evaluate(*args))
+    rng = np.random.default_rng(3)
+    rejected = 0
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            builds.clear(), grams.clear(), evaluations.clear()
+            start = rng.uniform(0, 1, n)
+            start[0] = 0.0
+            minimax._polish(start, n)
+            # the rows change exactly at an accepted step, and every step is
+            # followed by another dual solve until the predicted decrease ends it
+            accepted = sum(not np.array_equal(a, b) for a, b in zip(grams, grams[1:]))
+            assert len(builds) == 1 + accepted
+            rejected += len(evaluations) - len(builds)
+    assert rejected > 0  # rejected candidates were evaluated and got no rows
 
 
 def test_config_validation():
