@@ -6,7 +6,8 @@ n-tuples: minimizers are exactly the lattice tuples built on perfect
 difference sets of order n-1, and exist iff such a set does.
 """
 
-from .gf import GfElement, GfField, element_order, is_irreducible, make_field, primitive_element
+from .gf import (DomainError, GfElement, GfField, element_order, is_irreducible, make_field,
+                 primitive_element)
 from .minimax import OptimizerConfig, OptimizerReport, minimize, objective
 from .pds import (
     CanonicalForm,
@@ -42,6 +43,7 @@ from .sums import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "DomainError",
     "GfField", "GfElement", "make_field", "primitive_element", "element_order",
     "is_irreducible",
     "PerfectDifferenceSet", "CanonicalForm", "FeasibilityReport", "SearchResult",

@@ -4,10 +4,12 @@ Subcommands: singer, verify, feasibility, profile, recover, optimize,
 search.  Results go to stdout, diagnostics to stderr.  JSON output uses a
 fixed key order and 12-significant-digit floats so identical invocations are
 byte-identical.  Exit codes: 0 for success / Found / Exists, 1 for
-NoneExists / NotMinimizer / Excluded, 2 for invalid domain input, 3 for an
-inconclusive result (BudgetExceeded from search, OpenByTheseTests from
-feasibility), 64 for usage errors, 70 for an internal error (any other
-exception, such as a failed library self-check: a bug, not a verdict).
+NoneExists / NotMinimizer / Excluded, 2 for bad input (a ``DomainError`` or
+an ``OSError``, nothing else), 3 for an inconclusive result (BudgetExceeded
+from search, OpenByTheseTests from feasibility), 64 for usage errors, 70 for
+an internal error: any other exception, a failed library self-check, a
+non-finite number in the output, a bare ``ValueError`` and numpy's
+``LinAlgError`` included; that is a bug, not a verdict.
 POWERSUM_SEED provides the seed when --seed is absent.
 """
 
@@ -25,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .gf import DomainError
 from .minimax import OptimizerConfig, minimize
 from .pds import (
     DEFAULT_SEARCH_BUDGET,
@@ -37,7 +40,6 @@ from .pds import (
 from .sums import (
     RecoveryStatus,
     UnimodularTuple,
-    _RecordFieldError,
     fabrykowski_tuple,
     power_sums,
     recover_structure,
@@ -50,8 +52,7 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70  # EX_SOFTWARE
 
-# Every domain error of the library is a ValueError subclass.
-_DOMAIN_ERRORS = (ValueError, OSError)
+_DOMAIN_ERRORS = (DomainError, OSError)
 
 
 class CliParser(argparse.ArgumentParser):
@@ -68,8 +69,8 @@ class CliParser(argparse.ArgumentParser):
 
 
 def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value in output: {x}")
+    if not math.isfinite(x):  # every number the library reports is finite
+        raise ArithmeticError(f"non-finite value in output: {x}")
     return format(x, ".12g")
 
 
@@ -131,9 +132,9 @@ def resolve_seed(args) -> int:
         try:
             seed = int(env)
         except ValueError:
-            raise ValueError(f"POWERSUM_SEED is not an integer: {env!r}")
+            raise DomainError(f"POWERSUM_SEED is not an integer: {env!r}")
     if seed < 0:
-        raise ValueError("seed must be >= 0")
+        raise DomainError("seed must be >= 0")
     return seed
 
 
@@ -141,31 +142,31 @@ def order_from_modulus(m: int) -> int:
     """Invert m = q^2 + q + 1 for q >= 1; rejects moduli not of that form."""
     disc = 4 * m - 3
     if m < 3 or isqrt(disc) ** 2 != disc:
-        raise ValueError(f"modulus {m} is not of the form q^2+q+1")
+        raise DomainError(f"modulus {m} is not of the form q^2+q+1")
     return (isqrt(disc) - 1) // 2
 
 
 def load_tuple_file(path: str) -> UnimodularTuple:
-    """Tuple input: the JSON record, or CSV with a theta_turns header."""
+    """Tuple input: the JSON record, or CSV with a theta_turns header.  Every
+    error in the file's content is a ``DomainError`` that names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        try:
+        if text.lstrip().startswith("{"):
             return UnimodularTuple.from_record(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-        except _RecordFieldError as exc:
-            raise ValueError(f"{path}: malformed tuple record: {exc}") from exc
-    rows = csv_module.reader(io.StringIO(text))
-    if [h.strip() for h in next(rows, [])][:1] != ["theta_turns"]:
-        raise ValueError(f"{path}: CSV tuples need a 'theta_turns' header")
-    try:
-        thetas = [float(r[0]) for r in rows if r and r[0].strip() != ""]
-    except ValueError as exc:  # the reader stops on the row that failed
-        raise ValueError(f"{path}: line {rows.line_num}: {exc}") from exc
-    return UnimodularTuple(tuple(thetas))
+        rows = csv_module.reader(io.StringIO(text))
+        if [h.strip() for h in next(rows, [])][:1] != ["theta_turns"]:
+            raise DomainError("CSV tuples need a 'theta_turns' header")
+        try:
+            thetas = [float(r[0]) for r in rows if r and r[0].strip() != ""]
+        except ValueError as exc:  # the reader stops on the row that failed
+            raise DomainError(f"line {rows.line_num}: {exc}") from exc
+        return UnimodularTuple(tuple(thetas))
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: not valid JSON: {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,8 @@ def _profile_source(args) -> UnimodularTuple:
         return fabrykowski_tuple(singer_construct(args.from_pds),
                                  alpha_turns=args.alpha)
     rng = np.random.default_rng(resolve_seed(args))
-    thetas = rng.uniform(0.0, 1.0, args.random)
+    # numpy rejects a negative N with its own ValueError; the tuple rejects N < 2
+    thetas = rng.uniform(0.0, 1.0, max(args.random, 0))
     return UnimodularTuple(tuple(float(x) for x in thetas),
                            alpha_turns=args.alpha)
 

@@ -28,20 +28,13 @@ from functools import cached_property
 from typing import Iterator
 
 
-class NotPrimeError(ValueError):
-    """The requested field characteristic is not prime."""
+class DomainError(ValueError):
+    """Input the library does not accept: the caller's fault, not a bug.
 
-
-class DegreeOutOfRangeError(ValueError):
-    """The requested extension degree is outside the supported range."""
-
-
-class FieldMismatchError(ValueError):
-    """Two elements from different fields were combined."""
-
-
-class NotMonicError(ValueError):
-    """The irreducibility test was handed a non-monic polynomial."""
+    Every check of the package on outside input raises it, and nothing else
+    does, so the command line can report it as bad input (exit 2).  A failed
+    self-check raises ``ArithmeticError`` or ``RuntimeError`` instead.
+    """
 
 
 MAX_EXTENSION_DEGREE = 15
@@ -55,7 +48,7 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk-scale inputs)."""
     if n < 1:
-        raise ValueError("factorize expects a positive integer")
+        raise DomainError("factorize expects a positive integer")
     factors: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -153,11 +146,11 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     and a candidate with a small factor exits at that factor's degree.
     """
     if not isinstance(p, int) or not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise DomainError(f"{p} is not prime")
     mod = [c % p for c in poly]
     d = len(mod) - 1
     if d < 1 or mod[-1] != 1:
-        raise NotMonicError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
+        raise DomainError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
     width = _width(p, d)
     ring = _ring(mod, p, width)
     f = _pack(mod, width)
@@ -210,13 +203,13 @@ class GfField:
         """Build an element from any iterable of integers (reduced mod p)."""
         vec = [c % self.p for c in coeffs]
         if len(vec) > self.k:
-            raise ValueError(f"coefficient vector longer than degree {self.k}")
+            raise DomainError(f"coefficient vector longer than degree {self.k}")
         return GfElement(self, _pack(vec, _width(self.p, self.k)))
 
     def from_int(self, value: int) -> "GfElement":
         """Element whose coefficient vector is `value` written in base p."""
         if not 0 <= value < self.order:
-            raise ValueError(f"value {value} outside [0, {self.order})")
+            raise DomainError(f"value {value} outside [0, {self.order})")
         return self.element([value // self.p**i % self.p for i in range(self.k)])
 
     @property
@@ -250,7 +243,7 @@ class GfElement:
 
     def _check(self, other: "GfElement") -> None:
         if self.field is not other.field and self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
+            raise DomainError(f"elements of different fields: {self.field} vs {other.field}")
 
     def __add__(self, other: "GfElement") -> "GfElement":
         self._check(other)
@@ -295,12 +288,12 @@ def make_field(p: int, k: int = 1) -> GfField:
     nothing, so products are plain integer products mod p.
     """
     if not isinstance(p, int) or not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise DomainError(f"{p} is not prime")
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_EXTENSION_DEGREE:
-        raise DegreeOutOfRangeError(f"degree {k!r} is not an int in [1, {MAX_EXTENSION_DEGREE}]")
+        raise DomainError(f"degree {k!r} is not an int in [1, {MAX_EXTENSION_DEGREE}]")
     order = p**k
     if order > MAX_FIELD_ORDER:
-        raise DegreeOutOfRangeError(f"field order {order} exceeds the native cap")
+        raise DomainError(f"field order {order} exceeds the native cap")
     return GfField(p=p, k=k, modulus_poly=_smallest_irreducible(p, k), order=order)
 
 

@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from .gf import DomainError
 from .pds import verify
 from .sums import (RecoveryResult, UnimodularTuple, _lattice_rounding, _running_powers,
                    recover_structure)
@@ -83,11 +84,11 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise DomainError("n must be >= 2")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise DomainError("restarts must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise DomainError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -31,23 +31,11 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from . import _orbits
-from .gf import factorize, make_field, primitive_element
+from .gf import DomainError, factorize, make_field, primitive_element
 
 DEFAULT_SEARCH_BUDGET = 10**8
 MAX_SINGER_ORDER = 32
 MAX_SEARCH_ORDER = 3000
-
-
-class NotPrimePowerError(ValueError):
-    """The requested order is not a prime power."""
-
-
-class OrderTooLargeError(ValueError):
-    """The requested order is beyond the desk-scale cap."""
-
-
-class InvalidPdsError(ValueError):
-    """An operation required a verified perfect difference set."""
 
 
 def modulus_for_order(q: int) -> int:
@@ -60,8 +48,8 @@ class PerfectDifferenceSet:
     its q+1 residues, reduced mod m and sorted.
 
     The constructor reduces and sorts the residues and runs ``verify`` once.
-    Anything else, any other modulus included, is an ``InvalidPdsError``
-    (an order below 1 is the ``ValueError`` of ``verify``).
+    Anything else, any other modulus or an order below 1 included, is a
+    ``DomainError``.
     """
 
     q: int
@@ -70,12 +58,12 @@ class PerfectDifferenceSet:
 
     def __post_init__(self):
         if self.m != modulus_for_order(self.q):
-            raise InvalidPdsError(
+            raise DomainError(
                 f"modulus {self.m} is not q^2+q+1 = {modulus_for_order(self.q)} for q = {self.q}")
         object.__setattr__(self, "residues", tuple(sorted(x % self.m for x in self.residues)))
         check = verify(self.residues, self.q)
         if not check.valid:
-            raise InvalidPdsError(f"not a perfect difference set: {check}")
+            raise DomainError(f"not a perfect difference set: {check}")
 
     def to_record(self) -> dict:
         """JSON-ready record; the wire format used by the CLI and fixtures."""
@@ -112,7 +100,7 @@ def verify(candidate, q: int) -> Verification:
     positive difference before its negative).  Orders below 1 are rejected.
     """
     if q < 1:
-        raise ValueError("order must be >= 1")
+        raise DomainError("order must be >= 1")
     m = modulus_for_order(q)
     res = sorted(x % m for x in candidate)
     for i in range(1, len(res)):
@@ -137,7 +125,7 @@ def _library_set(residues, q: int, producer: str) -> PerfectDifferenceSet:
     """The set on residues the library computed; failing ``verify`` is a bug."""
     try:
         return PerfectDifferenceSet.from_residues(residues, q)
-    except InvalidPdsError as exc:
+    except DomainError as exc:
         raise ArithmeticError(f"{producer} produced an invalid set: {exc}") from exc
 
 
@@ -219,9 +207,9 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     """
     decomposition = prime_power(q)
     if decomposition is None:
-        raise NotPrimePowerError(f"{q} is not a prime power")
+        raise DomainError(f"{q} is not a prime power")
     if q > MAX_SINGER_ORDER:
-        raise OrderTooLargeError(f"order {q} exceeds the cap {MAX_SINGER_ORDER}")
+        raise DomainError(f"order {q} exceeds the cap {MAX_SINGER_ORDER}")
     p, e = decomposition
     field = make_field(p, 3 * e)
     g = primitive_element(field)
@@ -321,15 +309,15 @@ class EnumerationResult:
 
 def _validate_search_order(q: int) -> int:
     if q < 1:
-        raise ValueError("order must be >= 1")
+        raise DomainError("order must be >= 1")
     if q > MAX_SEARCH_ORDER:
-        raise OrderTooLargeError(f"order {q} exceeds the search cap {MAX_SEARCH_ORDER}")
+        raise DomainError(f"order {q} exceeds the search cap {MAX_SEARCH_ORDER}")
     return modulus_for_order(q)
 
 
 def _validate_budget(budget: int) -> None:
     if budget < 0:
-        raise ValueError("budget must be >= 0")
+        raise DomainError("budget must be >= 0")
 
 
 def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
@@ -341,7 +329,7 @@ def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResu
     the whole search.  A found set is fixed by every multiplier.  NoneExists
     means every union of size q+1 was ruled out, so no set of order q exists;
     BudgetExceeded means exactly `budget` nodes were visited without a
-    verdict.  A negative budget is a ValueError.
+    verdict.  A negative budget is a DomainError.
     """
     _validate_search_order(q)
     _validate_budget(budget)
@@ -362,7 +350,7 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
     sets can share a translate, so the translates are listed once each, in
     sorted order, and each has passed ``verify``.  Canonicalizing them
     surveys all classes.  ``complete`` is False when the budget ran out, in
-    which case the listing may be partial.  A negative budget is a ValueError.
+    which case the listing may be partial.  A negative budget is a DomainError.
     """
     m = _validate_search_order(q)
     _validate_budget(budget)
@@ -455,10 +443,10 @@ def feasibility(order: int,
     orbits is complete: its NoneExists excludes the order (reason
     ``multiplier-search``).
     Excluded is never claimed unless at least one test actually fired.  A
-    negative ``search_budget`` is a ValueError, whatever the order.
+    negative ``search_budget`` is a DomainError, whatever the order.
     """
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise DomainError("order must be >= 1")
     _validate_budget(search_budget)
     pp = is_prime_power(order)
     br = bruck_ryser_excludes(order)

@@ -24,15 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pds import InvalidPdsError, PerfectDifferenceSet
-
-
-class NuOutOfRangeError(ValueError):
-    """Exponent outside 1 .. m-1."""
-
-
-class _RecordFieldError(ValueError):
-    """A tuple record whose fields are not of their JSON types."""
+from .gf import DomainError
+from .pds import PerfectDifferenceSet
 
 
 @dataclass(frozen=True)
@@ -47,11 +40,11 @@ class UnimodularTuple:
 
     def __post_init__(self):
         if len(self.thetas) < 2:
-            raise ValueError("a tuple needs at least two points")
+            raise DomainError("a tuple needs at least two points")
         object.__setattr__(self, "thetas", tuple(float(t) % 1.0 for t in self.thetas))
         object.__setattr__(self, "alpha_turns", float(self.alpha_turns) % 1.0)
         if not all(map(math.isfinite, self.thetas + (self.alpha_turns,))):  # inf % 1.0 is NaN
-            raise ValueError("angles and phase must be finite")
+            raise DomainError("angles and phase must be finite")
 
     @property
     def n(self) -> int:
@@ -69,10 +62,11 @@ class UnimodularTuple:
     @staticmethod
     def from_record(record: dict) -> "UnimodularTuple":
         """The tuple of a ``to_record`` record: ``thetas`` a list of numbers and
-        ``alpha_turns`` a number (a boolean is not one), else ``ValueError``."""
+        ``alpha_turns`` a number (a boolean is not one), else ``DomainError``."""
         thetas, alpha = record.get("thetas"), record.get("alpha_turns", 0.0)
         if type(thetas) is not list or not {type(x) for x in thetas + [alpha]} <= {int, float}:
-            raise _RecordFieldError("'thetas' must be a list of numbers, 'alpha_turns' a number")
+            raise DomainError(
+                "malformed tuple record: 'thetas' must be a list of numbers, 'alpha_turns' a number")
         return UnimodularTuple(thetas=tuple(thetas), alpha_turns=alpha)
 
 
@@ -115,7 +109,7 @@ def power_sums(t: UnimodularTuple, nu_max: Optional[int] = None) -> PowerSumProf
     if nu_max is None:
         nu_max = t.horizon
     if nu_max < 1:
-        raise ValueError("nu_max must be >= 1")
+        raise DomainError("nu_max must be >= 1")
     abs_values, epsilons = _abs_values_and_epsilons(t, nu_max)
     return PowerSumProfile(n=n, m=n * n - n + 1,
                            abs_values=tuple(abs_values.tolist()),
@@ -130,7 +124,7 @@ def fejer_kernel(m: int, t: float) -> float:
     kernel is nonnegative everywhere.
     """
     if m < 1:
-        raise ValueError("kernel order must be >= 1")
+        raise DomainError("kernel order must be >= 1")
     x = t % 1.0
     if x == 0.0:
         return float(m)
@@ -218,7 +212,7 @@ def exact_abs_squared(pds: PerfectDifferenceSet, nu: int) -> int:
     """
     m = pds.m
     if not 1 <= nu <= m - 1:
-        raise NuOutOfRangeError(f"nu = {nu} outside 1 .. {m - 1}")
+        raise DomainError(f"nu = {nu} outside 1 .. {m - 1}")
     counts = [0] * m
     res = pds.residues
     for a in res:
@@ -310,10 +304,10 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
     (``_lattice_rounding``, shared with the optimizer's snap), requires the
     snap residual and the profile deviation to be within tol, and builds the
     recovered set, which must pass verification.  tol must be finite and >= 0
-    (``ValueError``); a large one, such as 1, is the caller's choice.
+    (``DomainError``); a large one, such as 1, is the caller's choice.
     """
     if not 0 <= tol < math.inf:  # false for NaN as well
-        raise ValueError(f"tol must be a finite number >= 0, not {tol}")
+        raise DomainError(f"tol must be a finite number >= 0, not {tol}")
     n = t.n
     target = math.sqrt(n - 1)
     abs_values, _ = _abs_values_and_epsilons(t, t.horizon)
@@ -325,7 +319,7 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
     if profile_deviation <= tol and residual <= tol:
         try:
             recovered = PerfectDifferenceSet.from_residues(snapped, n - 1)
-        except InvalidPdsError:
+        except DomainError:
             pass
         else:
             return RecoveryResult(RecoveryStatus.IS_MINIMIZER, alpha_recovered,

@@ -4,13 +4,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import singer_oracle
 from powersum import cli
 from powersum import pds as pds_module
 from powersum.pds import PerfectDifferenceSet, singer_construct, verify
-from powersum.sums import fabrykowski_tuple
+from powersum.sums import RecoveryResult, RecoveryStatus, fabrykowski_tuple
 
 
 def run(capsys, *argv):
@@ -231,6 +232,42 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert err == "powersum: internal error: unexpected\n"
 
 
+def test_a_bare_value_error_is_an_internal_error(capsys, monkeypatch):
+    # only a DomainError is bad input: a ValueError from anywhere else is a bug
+    def broken(args):
+        raise ValueError("unexpected")
+    monkeypatch.setattr(cli, "cmd_search", broken)
+    code, out, err = run(capsys, "search", "--order", "2")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "powersum: internal error: unexpected\n"
+
+
+def test_a_singular_kkt_system_is_an_internal_error(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError; it says nothing about the input
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code, out, err = run(capsys, "optimize", "--n", "3", "--restarts", "1")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "powersum: internal error: Singular matrix\n"
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf))
+def test_a_non_finite_number_in_the_output_is_an_internal_error(capsys, monkeypatch,
+                                                                tmp_path, value):
+    def non_finite(t, tol):
+        return RecoveryResult(RecoveryStatus.NOT_MINIMIZER, 0.0, None, value, 0.0)
+    monkeypatch.setattr(cli, "recover_structure", non_finite)
+    path = tmp_path / "tuple.json"
+    path.write_text('{"thetas": [0.0, 0.5]}', encoding="utf-8")
+    code, out, err = run(capsys, "recover", "--tuple-file", str(path))
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == f"powersum: internal error: non-finite value in output: {value}\n"
+
+
 @pytest.mark.parametrize("argv", (("singer", "--q", "4"), ("search", "--order", "9")),
                          ids=["singer", "search"])
 def test_a_set_failing_the_library_self_check_exits_70(capsys, monkeypatch, argv):
@@ -324,6 +361,14 @@ def test_profile_with_a_non_finite_phase_is_a_domain_error(capsys, alpha):
     assert err == "powersum: error: angles and phase must be finite\n"
 
 
+@pytest.mark.parametrize("size", ("-1", "0", "1"))
+def test_profile_of_a_random_tuple_below_two_points_is_a_domain_error(capsys, size):
+    code, out, err = run(capsys, "profile", f"--random={size}")
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == "powersum: error: a tuple needs at least two points\n"
+
+
 @pytest.mark.parametrize("command", ("recover", "profile"))
 @pytest.mark.parametrize("text", ('{"thetas": [NaN, 0.2]}',
                                   '{"thetas": [0.1, Infinity]}',
@@ -335,7 +380,22 @@ def test_a_non_finite_tuple_file_is_a_domain_error(capsys, tmp_path, command, te
     code, out, err = run(capsys, command, "--tuple-file", str(path))
     assert code == cli.EXIT_DOMAIN
     assert out == ""
-    assert err == "powersum: error: angles and phase must be finite\n"
+    assert err == f"powersum: error: {path}: angles and phase must be finite\n"
+
+
+@pytest.mark.parametrize("command", ("recover", "profile"))
+@pytest.mark.parametrize("name, text", (("tuple.json", '{"thetas": [0.1]}'),
+                                        ("tuple.json", '{"thetas": []}'),
+                                        ("tuple.csv", "theta_turns\n0.1\n")),
+                         ids=["json-one", "json-none", "csv-one"])
+def test_a_tuple_file_of_fewer_than_two_points_names_the_file(capsys, tmp_path, command,
+                                                              name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--tuple-file", str(path))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == f"powersum: error: {path}: a tuple needs at least two points\n"
 
 
 @pytest.mark.parametrize("command", ("recover", "profile"))

@@ -10,11 +10,8 @@ import random
 import pytest
 
 from powersum.gf import (
-    DegreeOutOfRangeError,
-    FieldMismatchError,
+    DomainError,
     GfElement,
-    NotMonicError,
-    NotPrimeError,
     _mulmod,
     _powmod,
     element_order,
@@ -114,26 +111,26 @@ def test_make_field_gf8_modulus_is_lex_smallest_irreducible():
 
 
 def test_make_field_rejects_non_prime():
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(DomainError, match="^4 is not prime$"):
         make_field(4, 1)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(DomainError, match="^1 is not prime$"):
         make_field(1, 2)
 
 
 def test_make_field_rejects_bad_degree():
-    with pytest.raises(DegreeOutOfRangeError):
+    with pytest.raises(DomainError, match=r"^degree 0 is not an int in \[1, 15\]$"):
         make_field(2, 0)
-    with pytest.raises(DegreeOutOfRangeError):
+    with pytest.raises(DomainError, match=r"^degree 16 is not an int in \[1, 15\]$"):
         make_field(2, 16)
 
 
 @pytest.mark.parametrize("k", (3.0, 2.5, "3", None, True))
 def test_make_field_rejects_a_non_int_degree_with_a_cold_or_warm_cache(k):
-    with pytest.raises(DegreeOutOfRangeError):
+    with pytest.raises(DomainError, match=r"^degree .+ is not an int in \[1, 15\]$"):
         make_field(2, k)
     make_field(2, 3)
     make_field(2, 1)
-    with pytest.raises(DegreeOutOfRangeError):
+    with pytest.raises(DomainError, match=r"^degree .+ is not an int in \[1, 15\]$"):
         make_field(2, k)
 
 
@@ -206,9 +203,9 @@ def test_inverse_round_trip():
 def test_field_mismatch_rejected():
     a = make_field(3).from_int(1)
     b = make_field(5).from_int(1)
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(DomainError, match="^elements of different fields: "):
         _ = a + b
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(DomainError, match="^elements of different fields: "):
         _ = a * b
 
 
@@ -283,15 +280,15 @@ def test_irreducible_matches_trial_division(p, degrees):
 
 
 def test_irreducible_rejects_non_monic():
-    with pytest.raises(NotMonicError):
+    with pytest.raises(DomainError, match="is not a monic nonconstant polynomial over GF"):
         is_irreducible([1, 1, 2], 3)
-    with pytest.raises(NotMonicError):
+    with pytest.raises(DomainError, match="is not a monic nonconstant polynomial over GF"):
         is_irreducible([1], 2)
 
 
 @pytest.mark.parametrize("p", (4, 0, 1, -3, 2.0))
 def test_irreducible_rejects_a_non_prime_characteristic(p):
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(DomainError, match=f"^{p} is not prime$"):
         is_irreducible([1, 0, 1], p)
 
 

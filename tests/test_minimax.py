@@ -12,6 +12,7 @@ import pytest
 
 import polish_oracle
 from powersum import minimax
+from powersum.gf import DomainError
 from powersum.minimax import (
     OptimizerConfig,
     OptimizerReport,
@@ -171,11 +172,11 @@ def test_polish_builds_gradients_once_per_accepted_point(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^n must be >= 2$"):
         OptimizerConfig(n=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^restarts must be >= 1$"):
         OptimizerConfig(n=3, restarts=0)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(DomainError, match="seed must be >= 0"):
         OptimizerConfig(n=3, seed=-1)
 
 

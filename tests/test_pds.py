@@ -17,14 +17,11 @@ import search_oracle
 import singer_oracle
 from powersum import _orbits
 from powersum import pds as pds_module
-from powersum.gf import GfElement, factorize, make_field, primitive_element
+from powersum.gf import DomainError, GfElement, factorize, make_field, primitive_element
 from powersum.pds import (
     DEFAULT_SEARCH_BUDGET,
     CanonicalForm,
     EnumerationResult,
-    InvalidPdsError,
-    NotPrimePowerError,
-    OrderTooLargeError,
     PerfectDifferenceSet,
     SearchResult,
     _minimal_polynomial,
@@ -127,7 +124,7 @@ def test_verify_random_candidates_match_oracle():
 
 @pytest.mark.parametrize("q", (-1, 0))
 def test_verify_rejects_orders_below_one(q):
-    with pytest.raises(ValueError, match="order must be >= 1"):
+    with pytest.raises(DomainError, match="order must be >= 1"):
         verify((0,), q)
 
 
@@ -160,15 +157,15 @@ INVALID_ORDER_2 = (((0, 1, 8), "duplicate-residue"),
 @pytest.mark.parametrize("residues, reason", INVALID_ORDER_2,
                          ids=[reason for _, reason in INVALID_ORDER_2])
 def test_constructor_and_from_residues_reject_an_invalid_set(residues, reason):
-    with pytest.raises(InvalidPdsError, match=reason):
+    with pytest.raises(DomainError, match=reason):
         PerfectDifferenceSet(q=2, m=7, residues=residues)
-    with pytest.raises(InvalidPdsError, match=reason):
+    with pytest.raises(DomainError, match=reason):
         PerfectDifferenceSet.from_residues(residues, 2)
 
 
 def test_constructor_rejects_a_wrong_modulus():
     # (0, 1, 3) is a valid set of order 2, but only modulo 7.
-    with pytest.raises(InvalidPdsError, match="modulus 8"):
+    with pytest.raises(DomainError, match="modulus 8"):
         PerfectDifferenceSet(q=2, m=8, residues=(0, 1, 3))
 
 
@@ -189,7 +186,8 @@ def test_an_invalid_set_from_the_library_is_an_internal_error(call, monkeypatch)
         lambda candidate, q: pds_module.Verification(False, "difference-covered-twice", 1))
     with pytest.raises(ArithmeticError, match="produced an invalid set") as excinfo:
         call()
-    assert isinstance(excinfo.value.__cause__, InvalidPdsError)
+    assert isinstance(excinfo.value.__cause__, DomainError)
+    assert str(excinfo.value.__cause__).startswith("not a perfect difference set: ")
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +205,14 @@ def test_singer_passes_verify(q):
 
 
 def test_singer_rejects_non_prime_power():
-    with pytest.raises(NotPrimePowerError):
+    with pytest.raises(DomainError, match="^6 is not a prime power$"):
         singer_construct(6)
-    with pytest.raises(NotPrimePowerError):
+    with pytest.raises(DomainError, match="^1 is not a prime power$"):
         singer_construct(1)
 
 
 def test_singer_rejects_oversized_order():
-    with pytest.raises(OrderTooLargeError):
+    with pytest.raises(DomainError, match="^order 37 exceeds the cap 32$"):
         singer_construct(37)
 
 
@@ -414,7 +412,7 @@ def test_canonical_form_matches_every_translate_on_enumerated_sets():
 
 
 def test_canonical_form_rejects_invalid():
-    with pytest.raises(InvalidPdsError):
+    with pytest.raises(DomainError, match="^not a perfect difference set: "):
         canonical_form(PerfectDifferenceSet.from_residues((0, 1, 2), 2))
 
 
@@ -545,7 +543,7 @@ def test_search_stops_exactly_at_the_budget():
     lambda: feasibility(9, search_budget=-1),
 ), ids=("exhaustive_search", "enumerate_all", "feasibility", "feasibility-prime-power"))
 def test_negative_budget_is_rejected(call):
-    with pytest.raises(ValueError, match="budget must be >= 0"):
+    with pytest.raises(DomainError, match="budget must be >= 0"):
         call()
 
 
@@ -637,9 +635,9 @@ def test_multiplier_search_respects_budget():
 
 
 def test_search_rejects_bad_orders():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^order must be >= 1$"):
         exhaustive_search(0)
-    with pytest.raises(OrderTooLargeError):
+    with pytest.raises(DomainError, match="^order 5000 exceeds the search cap 3000$"):
         exhaustive_search(5000)
 
 

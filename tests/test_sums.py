@@ -18,7 +18,6 @@ from powersum import sums as sums_module
 from powersum.pds import PerfectDifferenceSet, singer_construct, canonical_form
 from powersum.sums import (
     DifferenceSpectrum,
-    NuOutOfRangeError,
     RecoveryStatus,
     UnimodularTuple,
     difference_spectrum,
@@ -31,7 +30,7 @@ from powersum.sums import (
     power_sums,
     recover_structure,
 )
-from powersum.pds import InvalidPdsError
+from powersum.gf import DomainError
 
 
 def random_tuple(rng, n, alpha=None):
@@ -244,7 +243,7 @@ def test_fabrykowski_angles():
 
 
 def test_fabrykowski_rejects_invalid_set():
-    with pytest.raises(InvalidPdsError):
+    with pytest.raises(DomainError, match="^not a perfect difference set: "):
         fabrykowski_tuple(PerfectDifferenceSet.from_residues((0, 1, 2), 2))
 
 
@@ -253,7 +252,7 @@ def test_fabrykowski_rejects_invalid_set():
                          ids=["canonical_form", "fabrykowski_tuple", "exact_abs_squared"])
 def test_a_modulus_other_than_q2_q_1_is_rejected(entry):
     # (0, 1, 3) is a valid set of order 2, but only modulo 7.
-    with pytest.raises(InvalidPdsError):
+    with pytest.raises(DomainError, match=r"^modulus 8 is not q\^2\+q\+1 = 7 for q = 2$"):
         entry(PerfectDifferenceSet(q=2, m=8, residues=(0, 1, 3)))
 
 
@@ -275,11 +274,11 @@ def test_exact_abs_squared_examples():
 
 def test_exact_abs_squared_range_and_validity_errors():
     d2 = PerfectDifferenceSet.from_residues((0, 1, 3), 2)
-    with pytest.raises(NuOutOfRangeError):
+    with pytest.raises(DomainError, match=r"^nu = 0 outside 1 \.\. 6$"):
         exact_abs_squared(d2, 0)
-    with pytest.raises(NuOutOfRangeError):
+    with pytest.raises(DomainError, match=r"^nu = 7 outside 1 \.\. 6$"):
         exact_abs_squared(d2, 7)
-    with pytest.raises(InvalidPdsError):
+    with pytest.raises(DomainError, match="^not a perfect difference set: "):
         exact_abs_squared(PerfectDifferenceSet.from_residues((0, 1, 2), 2), 1)
 
 
@@ -444,13 +443,13 @@ def test_tuple_record_round_trip():
                                     {"thetas": [0.1, 0.5], "alpha_turns": False},
                                     {"thetas": [0.1, 0.5], "alpha_turns": "0.2"}))
 def test_tuple_record_fields_must_be_numbers(record):
-    with pytest.raises(ValueError, match="must be a"):
+    with pytest.raises(DomainError, match="^malformed tuple record: 'thetas' must be a"):
         UnimodularTuple.from_record(record)
 
 
 @pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf, -1.0, -1e-300))
 def test_recover_structure_rejects_a_tol_that_is_not_finite_and_at_least_zero(tol):
-    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+    with pytest.raises(DomainError, match="tol must be a finite number >= 0"):
         recover_structure(UnimodularTuple((0.0, 0.16, 0.41)), tol=tol)
 
 
@@ -462,9 +461,9 @@ def test_recover_structure_accepts_any_finite_tol_at_least_zero():
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_tuple_rejects_non_finite_angles_and_phase(bad):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(DomainError, match="^angles and phase must be finite$"):
         UnimodularTuple((0.1, bad))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(DomainError, match="^angles and phase must be finite$"):
         UnimodularTuple((0.1, 0.2), alpha_turns=bad)
 
 
