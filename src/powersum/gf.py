@@ -14,7 +14,12 @@ c*c' <= (p-1)^2, and reducing its k - 1 slots above the modulus's degree adds
 at most k - 1 more, so no slot can overflow the least width that holds
 (2k-1) * (p-1)^2, B = ((2k-1) * (p-1)^2).bit_length().  One multiply-mod
 (``_mulmod``) and one power (``_powmod``) serve both the field elements and
-the irreducibility test that picks the modulus, modulo each candidate.
+the field set-up, which works on packed ints and makes a ``GfElement`` only
+for what it returns.  Set-up is most of the cost of a Singer difference
+set, so it is kept to few multiply-mods: ``is_irreducible`` finds linear
+factors by evaluation at the points of a small GF(p) and the others with
+one gcd, and ``primitive_element`` settles the primes of p - 1 through a
+candidate's norm to GF(p).
 
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
@@ -84,6 +89,17 @@ def _pack(coeffs, width: int) -> int:
     return value
 
 
+def _pack_digits(value: int, p: int, width: int) -> int:
+    """The packed polynomial whose coefficients are the base-p digits of
+    value >= 0, least significant first."""
+    packed = s = 0
+    while value:
+        value, c = divmod(value, p)
+        packed |= c << s
+        s += width
+    return packed
+
+
 def _ring(mod, p: int, width: int) -> tuple:
     """What ``_mulmod`` needs to reduce modulo the monic mod (a coefficient
     list of degree k): (p, the packed x^k - mod, the slot width, k * width,
@@ -123,15 +139,59 @@ def _powmod(a: int, e: int, ring: tuple) -> int:
     return result
 
 
-def _poly_gcd(a: int, b: int, ring: tuple) -> int:
-    """A gcd of the packed a, of the ring's degree, and b, of lower degree."""
-    p, _, width, _, _, mask = ring
+def _shift_slot(a: int, s: int, delta: int, p: int, mask: int) -> int:
+    """The packed a with delta added, mod p, to its coefficient at bit offset s."""
+    c = a >> s & mask
+    return a + (((c + delta) % p - c) << s)
+
+
+def _poly_gcd(a: int, b: int, p: int, width: int) -> int:
+    """A gcd of the packed a and b, deg b < deg a <= k, in slots of a width
+    that holds a degree-k modulus (``_width``).
+
+    Each Euclid step reduces a modulo b in place, as ``_mulmod`` reduces
+    modulo a ring's modulus: b's leading term is x^db * lead, so every slot
+    s >= db of a, taken mod p and divided by lead, is cleared and added back
+    times -(b - lead * x^db) / lead, db slots lower.  A slot so gains at most
+    deg a - deg b + 1 <= k terms below (p - 1)^2, within the width.
+    """
+    mask = (1 << width) - 1
     while b:
-        kw = (b.bit_length() - 1) // width * width
-        inv_lead = pow(b >> kw, -1, p)
-        monic = [(b >> s & mask) * inv_lead % p for s in range(0, kw + 1, width)]
-        a, b = b, _mulmod(a, 1, _ring(monic, p, width))  # a mod b
+        db = (b.bit_length() - 1) // width * width
+        neg_inv_lead = p - pow(b >> db, -1, p)
+        low = range(0, db, width)
+        neg = 0
+        for s in low:
+            neg |= (b >> s & mask) * neg_inv_lead % p << s
+        for s in range((a.bit_length() - 1) // width * width, db - 1, -width):
+            top = a >> s
+            a ^= top << s
+            a += (top % p * neg) << (s - db)
+        r = 0
+        for s in low:
+            r |= (a >> s & mask) % p << s
+        a, b = b, r
     return a
+
+
+def _has_root(mod: list[int], p: int) -> bool:
+    """Whether the polynomial with these coefficients, constant term first,
+    vanishes at some point of GF(p), by Horner's rule at each point."""
+    top_down = mod[::-1]
+    for r in range(p):
+        acc = 0
+        for c in top_down:
+            acc = acc * r + c
+        if acc % p == 0:
+            return True
+    return False
+
+
+# Up to this characteristic the p Horner evaluations of ``_has_root`` cost
+# less than the Frobenius power x^p and the gcd that would find a linear
+# factor instead; for root-free cubics and sextics they break even between
+# p = 67 and p = 127.  Every field the Singer construction builds has p <= 31.
+_ROOT_SCAN_MAX_P = 64
 
 
 def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
@@ -141,9 +201,17 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     degree d is reducible iff it has an irreducible factor of some degree
     j <= d/2, that is iff gcd(x^(p^j) - x, f) is not constant for some
     j <= d/2: x^(p^j) - x is the product of the monic irreducibles of degree
-    dividing j, and an irreducible f has no root in GF(p^j) for j < d.  The
-    powers x^(p^j) are taken one Frobenius step at a time in GF(p)[x]/(f),
-    and a candidate with a small factor exits at that factor's degree.
+    dividing j, and an irreducible f has no root in GF(p^j) for j < d.
+
+    The factors of degree 1 are the roots in GF(p).  For p <=
+    ``_ROOT_SCAN_MAX_P`` they are found by evaluating f at each point, with no
+    power and no gcd, and a root-free f of degree <= 3 is irreducible; for a
+    larger p the scan would cost O(p), so j = 1 joins the product below,
+    at O(log p) multiplications.  The remaining x^(p^j) - x, j <= d/2, are
+    multiplied together modulo f, the powers x^(p^j) taken one Frobenius step
+    at a time, and one gcd with f decides: an irreducible factor of f that
+    divides the product divides one of its factors.  An irreducible f shares
+    no factor with any of them, so the gcd is a constant.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -151,16 +219,27 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     d = len(mod) - 1
     if d < 1 or mod[-1] != 1:
         raise DomainError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
+    if d == 1:
+        return True
+    first = 1
+    if p <= _ROOT_SCAN_MAX_P:
+        if _has_root(mod, p):
+            return False
+        if d <= 3:
+            return True
+        first = 2
     width = _width(p, d)
     ring = _ring(mod, p, width)
-    f = _pack(mod, width)
-    x = h = 1 << width
-    for _ in range(d // 2):
+    factors = []
+    h = x = 1 << width
+    for j in range(1, d // 2 + 1):
         h = _powmod(h, p, ring)  # x^(p^j)
-        h_minus_x = _mulmod(h + (p - 1) * x, 1, ring)
-        if _poly_gcd(f, h_minus_x, ring) >= x:  # the gcd is not a constant
-            return False
-    return True
+        if j >= first:
+            factors.append(_shift_slot(h, width, -1, p, ring[-1]))  # x^(p^j) - x
+    product = factors[0]
+    for factor in factors[1:]:
+        product = _mulmod(product, factor, ring)
+    return _poly_gcd(_pack(mod, width), product, p, width) < x  # the gcd is a constant
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -210,7 +289,7 @@ class GfField:
         """Element whose coefficient vector is `value` written in base p."""
         if not 0 <= value < self.order:
             raise DomainError(f"value {value} outside [0, {self.order})")
-        return self.element([value // self.p**i % self.p for i in range(self.k)])
+        return GfElement(self, _pack_digits(value, self.p, self._quotient[2]))
 
     @property
     def zero(self) -> "GfElement":
@@ -315,12 +394,33 @@ def primitive_element(field: GfField) -> GfElement:
     order is returned, so the result is deterministic for a given field.  For
     k > 1 the scan starts at the encoding p: the constants 1 .. p-1 lie in
     GF(p)*, so their order divides p - 1 < p^k - 1 and none of them generates.
+
+    a generates iff a^(n/r) != 1 for every prime r of n = p^k - 1.  For the
+    primes r of p - 1 that power is N(a)^((p-1)/r), where the norm
+    N(a) = a^(n/(p-1)) lies in GF(p), so integer powers mod p decide them
+    all.  The norm is the product of a's conjugates, a(y) over the roots y
+    of the modulus f; for a = c1*x + c0 = c1*(x - t) that is (-c1)^k * f(t),
+    with no arithmetic in the field, and any other candidate takes one power.
+    Each candidate is tested as its packed polynomial, and only the winner
+    is made a ``GfElement``.
     """
-    n = field.order - 1
+    p, n = field.p, field.order - 1
     ring = field._quotient
-    exponents = [n // r for r in factorize(n)]
-    for v in range(field.p if field.k > 1 else 1, field.order):
-        a = field.from_int(v)
-        if all(_powmod(a.packed, e, ring) != 1 for e in exponents):
-            return a
+    primes = factorize(n)
+    norm_tests = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+    field_tests = [n // r for r in primes if (p - 1) % r]
+    for v in range(p if field.k > 1 else 1, field.order):
+        a = _pack_digits(v, p, ring[2])
+        if norm_tests:
+            if p <= v < p * p:  # a = c1*x + c0
+                c1, c0 = divmod(v, p)
+                t = -c0 * pow(c1, -1, p) % p
+                f_t = sum(c * t**i for i, c in enumerate(field.modulus_poly))
+                norm = (-c1) ** field.k * f_t % p
+            else:
+                norm = _powmod(a, n // (p - 1), ring)  # in GF(p): its packed int is its value
+            if any(pow(norm, e, p) == 1 for e in norm_tests):
+                continue
+        if all(_powmod(a, e, ring) != 1 for e in field_tests):
+            return GfElement(field, a)
     raise RuntimeError("no primitive element found (impossible for a field)")

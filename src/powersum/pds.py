@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from . import _orbits
+from . import _orbits, gf
 from .gf import DomainError, factorize, make_field, primitive_element
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -149,26 +149,30 @@ def _subfield_tables(field, h, q: int):
 
     h generates GF(q)*.  The code of 0 is 0 and the code of h^j is j + 1;
     ``codes`` maps an element's packed polynomial (``GfElement.packed``) to
-    its code.  Row i + 1 of ``mul`` is 0 followed by the codes of h^i,
-    h^(i+1), ... cyclically.  ``add`` comes from Zech logarithms: zech[j] is
-    the code of 1 + h^j, and h^i + h^j = h^i * (1 + h^(j-i)), so row i + 1 of
-    ``add`` reads row i + 1 of ``mul`` at the zech codes rotated by i.
-    Returns (codes, add, mul), where add[a][b] and mul[a][b] are the codes of
-    the sum and the product.
+    its code.  The powers of h are walked on packed ints, one ``_mulmod``
+    each, and 1 + h^j is h^j with its constant slot moved up by 1 mod p.
+    Row i + 1 of ``mul`` is 0 followed by the codes of h^i, h^(i+1), ...
+    cyclically.  ``add`` comes from Zech logarithms: zech[j] is the code of
+    1 + h^j, and h^i + h^j = h^i * (1 + h^(j-i)), so row i + 1 of ``add``
+    reads row i + 1 of ``mul`` at the zech codes rotated by i.  Returns
+    (codes, add, mul), where add[a][b] and mul[a][b] are the codes of the sum
+    and the product.
     """
     n = q - 1
+    ring = field._quotient
+    mask = ring[-1]
     powers = []
-    cur = field.one
+    cur = 1
     for _ in range(n):
         powers.append(cur)
-        cur = cur * h
+        cur = gf._mulmod(cur, h.packed, ring)
     codes = {0: 0}
-    codes.update((x.packed, j + 1) for j, x in enumerate(powers))
-    if cur != field.one or len(codes) != q:
+    codes.update((x, j + 1) for j, x in enumerate(powers))
+    if cur != 1 or len(codes) != q:
         raise ArithmeticError("subfield reconstruction failed")
     # h has order q - 1 exactly, so {0} and its powers are all of GF(q), and
     # 1 + h^j has a code.
-    zech = [codes[(field.one + x).packed] for x in powers]
+    zech = [codes[gf._shift_slot(x, 0, 1, field.p, mask)] for x in powers]
     codes_of_powers = list(range(1, q))
     mul = [[0] * q] + [[0] + codes_of_powers[i:] + codes_of_powers[:i] for i in range(n)]
     add = [list(range(q))] + [[i + 1] + [mul[i + 1][z] for z in zech[n - i:] + zech[:n - i]]

@@ -28,11 +28,22 @@ from .gf import DomainError
 from .pds import PerfectDifferenceSet
 
 
+def _turns(x) -> float:
+    """x mod 1 as a float in [0, 1).  float(x) % 1.0 rounds a tiny negative x
+    up to 1.0, which is stored as 0.0, the same point of the circle."""
+    try:
+        t = float(x) % 1.0
+    except OverflowError as exc:  # an int beyond the float range
+        raise DomainError("angles and phase must fit in a float") from exc
+    return 0.0 if t == 1.0 else t
+
+
 @dataclass(frozen=True)
 class UnimodularTuple:
     """n angles in turns plus a global phase; z_k = e(thetas[k] + alpha_turns).
 
-    Angles are normalized into [0, 1) on construction and must be finite.
+    Angles are normalized into [0, 1) on construction and must be finite
+    floats, else ``DomainError``.
     """
 
     thetas: tuple[float, ...]
@@ -41,8 +52,8 @@ class UnimodularTuple:
     def __post_init__(self):
         if len(self.thetas) < 2:
             raise DomainError("a tuple needs at least two points")
-        object.__setattr__(self, "thetas", tuple(float(t) % 1.0 for t in self.thetas))
-        object.__setattr__(self, "alpha_turns", float(self.alpha_turns) % 1.0)
+        object.__setattr__(self, "thetas", tuple(map(_turns, self.thetas)))
+        object.__setattr__(self, "alpha_turns", _turns(self.alpha_turns))
         if not all(map(math.isfinite, self.thetas + (self.alpha_turns,))):  # inf % 1.0 is NaN
             raise DomainError("angles and phase must be finite")
 

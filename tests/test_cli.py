@@ -384,6 +384,19 @@ def test_a_non_finite_tuple_file_is_a_domain_error(capsys, tmp_path, command, te
 
 
 @pytest.mark.parametrize("command", ("recover", "profile"))
+@pytest.mark.parametrize("text", ('{"thetas": [1%s, 0.1]}' % ("0" * 400),
+                                  '{"thetas": [0.1, 0.2], "alpha_turns": -1%s}' % ("0" * 400)),
+                         ids=["angle", "phase"])
+def test_an_angle_beyond_the_float_range_is_a_domain_error(capsys, tmp_path, command, text):
+    path = tmp_path / "tuple.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--tuple-file", str(path))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == f"powersum: error: {path}: angles and phase must fit in a float\n"
+
+
+@pytest.mark.parametrize("command", ("recover", "profile"))
 @pytest.mark.parametrize("name, text", (("tuple.json", '{"thetas": [0.1]}'),
                                         ("tuple.json", '{"thetas": []}'),
                                         ("tuple.csv", "theta_turns\n0.1\n")),

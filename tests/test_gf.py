@@ -6,9 +6,11 @@ paths.
 """
 
 import random
+import time
 
 import pytest
 
+from powersum import gf as gf_module
 from powersum.gf import (
     DomainError,
     GfElement,
@@ -271,12 +273,49 @@ def test_irreducible_examples():
                 assert is_irreducible(poly, p) == cubic_is_irreducible_by_roots(poly, p)
 
 
-@pytest.mark.parametrize("p, degrees", ((2, range(2, 7)), (3, range(2, 5))))
+# Degrees 2 and 3 are decided by the root scan alone; from degree 4 on, a
+# product of the x^(p^j) - x and one gcd decide, over several j from degree 6.
+@pytest.mark.parametrize("p, degrees", ((2, range(2, 10)), (3, range(2, 7)), (5, range(2, 5)),
+                                        (7, range(2, 4))))
 def test_irreducible_matches_trial_division(p, degrees):
     for d in degrees:
         verdicts = [is_irreducible(poly, p) == irreducible_by_trial_division(poly, p)
                     for poly in monic_polys(p, d)]
         assert all(verdicts), d
+
+
+def test_irreducible_past_the_root_scan_limit_matches_the_oracles():
+    # The least prime past the limit takes Ben-Or's j = 1 step in the product.
+    p = next(p for p in range(gf_module._ROOT_SCAN_MAX_P + 1, 200) if is_prime(p))
+    rng = random.Random(19)
+    for _ in range(200):
+        cubic = [rng.randrange(p) for _ in range(3)] + [1]
+        assert is_irreducible(cubic, p) == cubic_is_irreducible_by_roots(cubic, p), cubic
+    quartics = [[rng.randrange(p) for _ in range(4)] + [1] for _ in range(16)]
+    verdicts = [is_irreducible(poly, p) for poly in quartics]
+    assert verdicts == [irreducible_by_trial_division(poly, p) for poly in quartics]
+    assert set(verdicts) == {True, False}
+
+
+def test_irreducible_at_a_large_prime_costs_log_p_multiplications(monkeypatch):
+    # Past the root-scan limit a root is found through x^p, in O(log p)
+    # multiplications: a scan of the 2^31 - 1 points would take minutes.
+    p = 2**31 - 1
+    assert p > gf_module._ROOT_SCAN_MAX_P
+    calls = 0
+
+    def counted(a, b, ring, _inner=gf_module._mulmod):
+        nonlocal calls
+        calls += 1
+        return _inner(a, b, ring)
+
+    monkeypatch.setattr(gf_module, "_mulmod", counted)
+    start = time.perf_counter()
+    for a in (2, 3, 4, 5, 7, p - 1):
+        # x^2 - a splits iff a is a square mod p (Euler's criterion).
+        assert is_irreducible([-a % p, 0, 1], p) == (pow(a, (p - 1) // 2, p) != 1), a
+    assert time.perf_counter() - start < 0.5
+    assert calls <= 6 * 2 * p.bit_length()
 
 
 def test_irreducible_rejects_non_monic():
@@ -366,6 +405,19 @@ def test_primitive_element_has_full_order():
         f = make_field(p, k)
         g = primitive_element(f)
         assert element_order(g) == f.order - 1
+
+
+@pytest.mark.parametrize("p, k", ((2, 8), (3, 4), (3, 5), (3, 8), (5, 1), (5, 3), (7, 3),
+                                  (11, 2), (13, 2), (19, 2)))
+def test_primitive_element_is_the_least_generator_by_enumeration(p, k):
+    # Candidates below p^2 are c1*x + c0, whose norm comes from the modulus;
+    # the others (in GF(5) and past 9 in GF(3^8)) take a power: both must
+    # agree with counting the order.
+    f = make_field(p, k)
+    g = primitive_element(f).to_int()
+    assert multiplicative_order_by_enumeration(f.from_int(g)) == f.order - 1
+    assert all(multiplicative_order_by_enumeration(f.from_int(v)) < f.order - 1
+               for v in range(1, g))
 
 
 def test_element_order_examples():

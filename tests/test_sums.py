@@ -467,6 +467,29 @@ def test_tuple_rejects_non_finite_angles_and_phase(bad):
         UnimodularTuple((0.1, 0.2), alpha_turns=bad)
 
 
+@pytest.mark.parametrize("big", (10**400, -(10**400)))
+def test_tuple_rejects_angles_and_phase_beyond_the_float_range(big):
+    with pytest.raises(DomainError, match="^angles and phase must fit in a float$"):
+        UnimodularTuple((0.1, big))
+    with pytest.raises(DomainError, match="^angles and phase must fit in a float$"):
+        UnimodularTuple((0.1, 0.2), alpha_turns=big)
+
+
+def test_tuple_angles_and_phase_stay_in_the_unit_interval():
+    # float(x) % 1.0 is 1.0 for a negative x of magnitude at most 2^-54.
+    assert -1e-20 % 1.0 == 1.0
+    t = UnimodularTuple((-1e-20, 0.5, -2.0**-60, -0.0), alpha_turns=-1e-20)
+    assert t.thetas == (0.0, 0.5, 0.0, 0.0)
+    assert t.alpha_turns == 0.0
+    # Every other angle keeps the bits of float(x) % 1.0.
+    for x in (-1e-20, -5.551115123125783e-17, -0.25, -1.0, 1.0, 2.5, 0.9999999999999999, 10**20):
+        theta = UnimodularTuple((x, 0.0)).thetas[0]
+        alpha = UnimodularTuple((0.0, 0.0), alpha_turns=x).alpha_turns
+        reduced = float(x) % 1.0
+        assert theta == alpha == (0.0 if reduced == 1.0 else reduced), x
+        assert 0.0 <= theta < 1.0, x
+
+
 # ---------------------------------------------------------------------------
 # lattice rounding, shared by recover_structure and the optimizer's snap
 # ---------------------------------------------------------------------------
