@@ -46,8 +46,36 @@ MAX_EXTENSION_DEGREE = 15
 MAX_FIELD_ORDER = 1 << 62
 
 
+# Miller-Rabin with the prime bases 2 .. 37 makes no mistake below this
+# bound, the least strong pseudoprime to all twelve of them (Sorenson and
+# Webster, Math. Comp. 86 (2017)); it is far above MAX_FIELD_ORDER.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+    """Exact primality: a deterministic Miller-Rabin test below
+    ``_MILLER_RABIN_EXACT_BELOW``, trial division (``factorize``) at or above it."""
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        return factorize(n) == {n: 1}
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -197,11 +225,25 @@ _ROOT_SCAN_MAX_P = 64
 def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     """Deterministic irreducibility test over GF(p) (Ben-Or's criterion).
 
-    `poly` is a monic coefficient list, constant term first.  A monic f of
-    degree d is reducible iff it has an irreducible factor of some degree
-    j <= d/2, that is iff gcd(x^(p^j) - x, f) is not constant for some
-    j <= d/2: x^(p^j) - x is the product of the monic irreducibles of degree
-    dividing j, and an irreducible f has no root in GF(p^j) for j < d.
+    `poly` is a monic coefficient list, constant term first; p must be a
+    prime and poly monic and nonconstant, else ``DomainError``.
+    """
+    if not isinstance(p, int) or not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    mod = [c % p for c in poly]
+    if len(mod) < 2 or mod[-1] != 1:
+        raise DomainError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
+    return _ben_or(mod, p)
+
+
+def _ben_or(mod: list[int], p: int) -> bool:
+    """Ben-Or's test on a monic coefficient list of degree d >= 1 with every
+    entry in [0, p), p prime, constant term first.
+
+    A monic f of degree d is reducible iff it has an irreducible factor of
+    some degree j <= d/2, that is iff gcd(x^(p^j) - x, f) is not constant for
+    some j <= d/2: x^(p^j) - x is the product of the monic irreducibles of
+    degree dividing j, and an irreducible f has no root in GF(p^j) for j < d.
 
     The factors of degree 1 are the roots in GF(p).  For p <=
     ``_ROOT_SCAN_MAX_P`` they are found by evaluating f at each point, with no
@@ -213,12 +255,7 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     divides the product divides one of its factors.  An irreducible f shares
     no factor with any of them, so the gcd is a constant.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    mod = [c % p for c in poly]
     d = len(mod) - 1
-    if d < 1 or mod[-1] != 1:
-        raise DomainError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
     if d == 1:
         return True
     first = 1
@@ -255,7 +292,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
         if c % p == 0:
             continue  # zero constant term means x divides the candidate
         candidate = [c // p**i % p for i in range(k)] + [1]
-        if is_irreducible(candidate, p):
+        if _ben_or(candidate, p):
             return tuple(candidate)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
 

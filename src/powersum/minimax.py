@@ -34,8 +34,7 @@ import numpy as np
 
 from .gf import DomainError
 from .pds import verify
-from .sums import (RecoveryResult, UnimodularTuple, _lattice_rounding, _running_powers,
-                   recover_structure)
+from .sums import RecoveryResult, UnimodularTuple, _lattice_rounding, recover_structure
 
 LOWER_BOUND_GUARD = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -53,6 +52,16 @@ def objective(t: UnimodularTuple) -> float:
     only mean a numerical defect, and raises.
     """
     return _objective_raw((np.asarray(t.thetas) + t.alpha_turns) % 1.0, t.n)
+
+
+def _running_powers(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:
+    """Matrix P[nu-1, k] = z_k^nu built by iterated multiplication.
+
+    Cumulative products avoid evaluating trig at large arguments: each row is
+    the previous one times z, exactly the running-powers recurrence.
+    """
+    z = np.exp((2j * np.pi) * effective_thetas)
+    return np.broadcast_to(z, (nu_max, z.size)).cumprod(axis=0)
 
 
 def _abs_squared_and_powers(thetas: np.ndarray, nu_max: int):

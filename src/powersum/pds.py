@@ -109,13 +109,16 @@ def verify(candidate, q: int) -> Verification:
     if len(res) != q + 1:
         return Verification(False, "wrong-size", None)
     covered = bytearray(m)
-    for i in range(len(res)):
-        for j in range(i):
-            d = res[i] - res[j]
-            for w in (d, m - d):
-                if covered[w]:
-                    return Verification(False, "difference-covered-twice", w)
-                covered[w] = 1
+    for i, a in enumerate(res):
+        for b in res[:i]:
+            w = a - b
+            if covered[w]:
+                return Verification(False, "difference-covered-twice", w)
+            covered[w] = 1
+            w = m - w
+            if covered[w]:
+                return Verification(False, "difference-covered-twice", w)
+            covered[w] = 1
     # q+1 residues give exactly q^2+q = m-1 differences, so full coverage
     # with no doubles is forced by counting; nothing can be missing here.
     return Verification(True, None, None)

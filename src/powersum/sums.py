@@ -12,6 +12,15 @@ nu = 1 .. n^2-n.  Three exact facts drive everything here:
   rational lattice j/(n^2-n+1) at positions forming a perfect difference
   set; ``fabrykowski_tuple`` builds such tuples and ``recover_structure``
   decides membership and extracts the set.
+
+Only the row sums S(nu) of the nu_max x n matrix of powers z_k^nu are
+needed, so the matrix is never built: with b = ceil(sqrt(nu_max)), the
+powers z^1 .. z^b and z^0, z^b, z^2b, ... are each one cumulative product,
+and one complex matrix product of the two blocks gives every S(j*b + i).
+That is O(n * sqrt(nu_max)) memory instead of O(n * nu_max).  It is exact
+enough: each product of unit complex numbers adds about one rounding, and a
+power reached by the blocks has gone through at most b + nu/b of them,
+against nu for the running product z^nu = z^(nu-1) * z.
 """
 
 from __future__ import annotations
@@ -92,20 +101,34 @@ class PowerSumProfile:
     max_abs: float
 
 
-def _running_powers(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:
-    """Matrix P[nu-1, k] = z_k^nu built by iterated multiplication.
+def _geometric_rows(first, ratio: np.ndarray, rows: int) -> np.ndarray:
+    """Rows first * ratio^j for j = 0 .. rows-1, one cumulative product:
+    each row is the previous one times ratio, so no trig is evaluated at a
+    large argument."""
+    out = np.empty((rows, ratio.size), dtype=complex)
+    out[0] = first
+    out[1:] = ratio
+    return out.cumprod(axis=0, out=out)
 
-    Cumulative products avoid evaluating trig at large arguments: each row is
-    the previous one times z, exactly the running-powers recurrence.
+
+def _power_sums(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:
+    """S(nu) = sum_k z_k^nu for nu = 1 .. nu_max, without the power matrix.
+
+    With b = ceil(sqrt(nu_max)) and nu = j*b + i (i = 1 .. b), S(nu) is the
+    entry (j, i) of high @ low.T, where the rows of low are z^1 .. z^b and
+    the rows of high are z^0, z^b, z^2b, ...
     """
     z = np.exp((2j * np.pi) * effective_thetas)
-    return np.broadcast_to(z, (nu_max, z.size)).cumprod(axis=0)
+    b = math.isqrt(nu_max - 1) + 1
+    low = _geometric_rows(z, z, b)
+    high = _geometric_rows(1, low[-1], -(-nu_max // b))
+    return np.dot(high, low.T).ravel()[:nu_max]
 
 
 def _abs_values_and_epsilons(t: UnimodularTuple, nu_max: int):
     """|S(nu)| and eps_nu = |S(nu)|^2 - (n-1) for nu = 1 .. nu_max, as arrays."""
     eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
-    abs_values = np.abs(_running_powers(eff, nu_max).sum(axis=1))
+    abs_values = np.abs(_power_sums(eff, nu_max))
     return abs_values, abs_values * abs_values - (t.n - 1)
 
 

@@ -318,6 +318,28 @@ def test_irreducible_at_a_large_prime_costs_log_p_multiplications(monkeypatch):
     assert calls <= 6 * 2 * p.bit_length()
 
 
+def test_irreducible_at_a_61_bit_prime_returns_at_once():
+    # 2^61 - 1 = 3 mod 4, so -1 is not a square and x^2 + 1 is irreducible.
+    start = time.perf_counter()
+    assert is_irreducible([1, 0, 1], 2**61 - 1)
+    assert make_field(2**61 - 1).order == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_modulus_search_checks_the_characteristic_once(monkeypatch):
+    # GF(3^9) scans 43 candidates; each is monic over GF(3) by construction.
+    calls = 0
+
+    def counted(n, _inner=gf_module.is_prime):
+        nonlocal calls
+        calls += 1
+        return _inner(n)
+
+    monkeypatch.setattr(gf_module, "is_prime", counted)
+    assert make_field(3, 9).modulus_poly == (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)
+    assert calls == 1
+
+
 def test_irreducible_rejects_non_monic():
     with pytest.raises(DomainError, match="is not a monic nonconstant polynomial over GF"):
         is_irreducible([1, 1, 2], 3)
@@ -452,6 +474,28 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-2, 32):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_agrees_with_factorize():
+    assert all(is_prime(n) == (factorize(n) == {n: 1}) for n in range(1, 10**5))
+    assert not any(is_prime(n) for n in (561, 1105, 1729))  # Carmichael numbers
+    assert is_prime(2**61 - 1) and not is_prime(65537 * (2**61 - 1))
+    # a strong pseudoprime to every prime base up to 31; only 37 exposes it
+    assert not is_prime(149491 * 747451 * 34233211)
+
+
+def test_is_prime_miller_rabin_bound_is_the_least_strong_pseudoprime(monkeypatch):
+    # Below the bound the twelve bases decide; the bound itself is composite
+    # and passes all twelve, so the Miller-Rabin part must stop short of it.
+    bound = gf_module._MILLER_RABIN_EXACT_BELOW
+    assert bound == 399165290221 * 798330580441
+    monkeypatch.setattr(gf_module, "_MILLER_RABIN_EXACT_BELOW", bound + 1)
+    assert is_prime(bound)
+
+
+def test_is_prime_at_or_above_the_bound_uses_factorize():
+    assert not is_prime(41**15)  # past the bound, and no base divides it
+    assert 41**15 >= gf_module._MILLER_RABIN_EXACT_BELOW
 
 
 def test_factorize():

@@ -15,6 +15,7 @@ import pytest
 
 import search_oracle
 import singer_oracle
+import verify_oracle
 from powersum import _orbits
 from powersum import gf as gf_module
 from powersum import pds as pds_module
@@ -121,6 +122,32 @@ def test_verify_random_candidates_match_oracle():
         for _ in range(300):
             cand = tuple(rng.sample(range(m), q + 1))
             assert verify(cand, q).valid == is_pds_by_counter(cand, q)
+
+
+def test_verify_matches_its_reference_on_random_candidates():
+    """Wrong sizes, repeats and residues outside 0 .. m-1, for q <= 16: the
+    same verdict, reason and witness as the reference scan."""
+    rng = random.Random(20_001)
+    for _ in range(10_000):
+        q = rng.randint(1, 16)
+        m = modulus_for_order(q)
+        size = max(0, q + 1 + rng.choice((-2, -1, 0, 0, 0, 0, 1)))
+        cand = [rng.randrange(-m, 2 * m) for _ in range(size)]
+        if cand and rng.random() < 0.2:
+            cand[rng.randrange(size)] = rng.choice(cand) + rng.choice((0, m, -m))
+        assert verify(cand, q) == verify_oracle.verify(cand, q)
+
+
+@pytest.mark.parametrize("q", SINGER_ORDERS)
+def test_verify_matches_its_reference_on_singer_sets_and_their_one_residue_changes(q):
+    residues = singer_construct(q).residues
+    assert verify(residues, q) == verify_oracle.verify(residues, q) == (True, None, None)
+    rng = random.Random(q)
+    m = modulus_for_order(q)
+    for _ in range(50):
+        cand = list(residues)
+        cand[rng.randrange(q + 1)] = rng.randrange(m)
+        assert verify(cand, q) == verify_oracle.verify(cand, q)
 
 
 @pytest.mark.parametrize("q", (-1, 0))

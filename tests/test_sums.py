@@ -8,6 +8,7 @@ the exact integer values.
 
 import cmath
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from powersum import pds as pds_module
 from powersum import sums as sums_module
-from powersum.pds import PerfectDifferenceSet, singer_construct, canonical_form
+from powersum.pds import PerfectDifferenceSet, singer_construct, canonical_form, prime_power
 from powersum.sums import (
     DifferenceSpectrum,
     RecoveryStatus,
@@ -31,6 +32,9 @@ from powersum.sums import (
     recover_structure,
 )
 from powersum.gf import DomainError
+
+
+SINGER_ORDERS = tuple(q for q in range(2, 33) if prime_power(q))
 
 
 def random_tuple(rng, n, alpha=None):
@@ -77,6 +81,38 @@ def test_power_sums_against_direct_summation():
             direct = abs(sum(cmath.exp(2j * cmath.pi * nu * (th + t.alpha_turns))
                              for th in t.thetas))
             assert p.abs_values[nu - 1] == pytest.approx(direct, abs=1e-10)
+
+
+def direct_abs_values(t, nu_max):
+    # oracle: each S(nu) from exp(2*pi*i*(nu*theta mod 1)), no running products
+    eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
+    nus = np.arange(1, nu_max + 1)[:, None]
+    return np.abs(np.exp(2j * np.pi * (nus * eff % 1.0)).sum(axis=1))
+
+
+@pytest.mark.parametrize("n", (2, 3, 7, 33, 60))
+def test_power_sums_at_the_block_edges(n):
+    """nu_max on both sides of a square b^2, where the block size
+    ceil(sqrt(nu_max)) steps, and at the ends 1, 2 and the horizon."""
+    t = random_tuple(np.random.default_rng(n), n)
+    b = math.isqrt(t.horizon)
+    for nu_max in sorted({1, 2, b * b - 1, b * b, b * b + 1, t.horizon} - {0}):
+        p = power_sums(t, nu_max)
+        assert len(p.abs_values) == nu_max
+        assert np.abs(np.array(p.abs_values) - direct_abs_values(t, nu_max)).max() <= 1e-10
+
+
+def test_power_sums_does_not_build_the_power_matrix():
+    """The nu_max x n matrix of powers at n = 200 is 127 MB of complex
+    numbers; the profile itself needs two tuples of 39 800 floats."""
+    t = random_tuple(np.random.default_rng(200), 200)
+    tracemalloc.start()
+    try:
+        power_sums(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_profile_phase_invariance():
@@ -148,7 +184,7 @@ def test_certificate_nonnegative_on_random_tuples():
 
 
 def test_certificate_on_fabrykowski_is_zero():
-    for q in (2, 3, 4):
+    for q in SINGER_ORDERS:
         cert = fejer_certificate(fabrykowski_tuple(singer_construct(q)))
         assert cert.weighted_sum == pytest.approx(0.0, abs=cert.tolerance)
         assert cert.max_epsilon == pytest.approx(0.0, abs=1e-9)
@@ -370,6 +406,13 @@ def test_recovery_round_trip_small_orders():
             rec = recover_structure(fabrykowski_tuple(d, alpha))
             assert rec.status is RecoveryStatus.IS_MINIMIZER
             assert canonical_form(rec.pds).residues == target
+
+
+@pytest.mark.parametrize("q", SINGER_ORDERS)
+def test_recovery_at_a_tight_tol_on_every_singer_order(q):
+    rec = recover_structure(fabrykowski_tuple(singer_construct(q)), tol=1e-9)
+    assert rec.status is RecoveryStatus.IS_MINIMIZER
+    assert rec.profile_deviation <= 1e-9
 
 
 def test_recovery_of_a_set_that_fails_verify_is_not_a_minimizer(monkeypatch):
