@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf import DomainError
-from .minimax import OptimizerConfig, minimize
+from .minimax import OptimizerConfig, _uniform_angles, minimize
 from .pds import (
     DEFAULT_SEARCH_BUDGET,
     exhaustive_search,
@@ -224,11 +224,9 @@ def _profile_source(args) -> UnimodularTuple:
     if args.from_pds is not None:
         return fabrykowski_tuple(singer_construct(args.from_pds),
                                  alpha_turns=args.alpha)
-    rng = np.random.default_rng(resolve_seed(args))
-    # numpy rejects a negative N with its own ValueError; the tuple rejects N < 2
-    thetas = rng.uniform(0.0, 1.0, max(args.random, 0))
-    return UnimodularTuple(tuple(float(x) for x in thetas),
-                           alpha_turns=args.alpha)
+    # a negative N draws no angles, and the tuple rejects every N < 2
+    thetas = _uniform_angles([resolve_seed(args)], max(args.random, 0))
+    return UnimodularTuple(tuple(thetas), alpha_turns=args.alpha)
 
 
 def cmd_profile(args) -> int:

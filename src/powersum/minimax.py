@@ -17,6 +17,12 @@ draws a uniform random start and runs two deterministic stages:
 
 Restarts run one after another, each on its own RNG stream derived from
 (seed, restart index), so a fixed config always produces the same report.
+The streams are numpy's: ``default_rng([seed, index]).uniform``, that is a
+SeedSequence seeding PCG64, reproduced in pure Python by ``_uniform_angles``.
+Importing ``numpy.random`` for them would cost more than a restart, and a
+numpy release that changed ``Generator.uniform`` can no longer move the
+starts.
+
 The optimizer gathers evidence only.  At default settings (50 restarts) it
 reaches sqrt(n-1), with the difference set recovered, at n <= 4 and, on some
 seeds, at n = 5; at n = 6 it has not reached the bound on any seed tried.
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .gf import DomainError
 from .pds import verify
@@ -58,10 +65,12 @@ def _running_powers(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:
     """Matrix P[nu-1, k] = z_k^nu built by iterated multiplication.
 
     Cumulative products avoid evaluating trig at large arguments: each row is
-    the previous one times z, exactly the running-powers recurrence.
+    the previous one times z, exactly the running-powers recurrence.  The
+    rows start as copies of z, which at n <= 8 costs less than the Python
+    wrapper of ``np.broadcast_to`` and gives the same bits.
     """
     z = np.exp((2j * np.pi) * effective_thetas)
-    return np.broadcast_to(z, (nu_max, z.size)).cumprod(axis=0)
+    return z[None, :].repeat(nu_max, axis=0).cumprod(axis=0)
 
 
 def _abs_squared_and_powers(thetas: np.ndarray, nu_max: int):
@@ -130,7 +139,7 @@ def _abs_values_and_grads(u: np.ndarray, s: np.ndarray, powers: np.ndarray,
     ``_abs_squared_and_powers``, with ``scale`` the column -2 pi nu; the rows are
     fresh and C-contiguous, as a strided view moves ``grads @ grads.T`` by ulps."""
     r = np.sqrt(u)
-    grads = scale * np.imag(np.conj(s)[:, None] * powers) / np.maximum(r, 1e-300)[:, None]
+    grads = scale * (np.conj(s)[:, None] * powers).imag / np.maximum(r, 1e-300)[:, None]
     grads[:, 0] = 0.0
     return r, grads
 
@@ -139,6 +148,11 @@ _QP_ITERS = 100
 _QP_TOL = 1e-12
 _QP_RIDGE = 1e-13
 _POLISH_STEPS = 200
+
+
+def _singular(err: str, flag: int) -> None:
+    """errstate callback: the LAPACK solve flags a singular system as invalid."""
+    raise ArithmeticError("Singular matrix")
 
 
 def _min_norm_weights(gram: np.ndarray, linear: np.ndarray,
@@ -155,38 +169,48 @@ def _min_norm_weights(gram: np.ndarray, linear: np.ndarray,
     gradient.  It stops when the Frank-Wolfe gap is below _QP_TOL relative
     to the linear term, or when that index is already in the support, which
     in exact arithmetic cannot happen and marks the rounding floor.
-    Each KKT system is one index of ``gram`` into an empty bordered matrix,
-    with the ridge added in place on the diagonal.
+
+    The bordered matrix [[gram + ridge I, 1], [1', 0]] and the right-hand
+    side [linear, 1] are built once; each KKT system is one fancy index of
+    them by the support and the border index, solved by LAPACK's gesv
+    through ``solve1``, the gufunc behind ``np.linalg.solve``, with the same
+    bits and without that wrapper's per-call cost.  A singular system raises
+    ArithmeticError.
     """
-    weights = weights.copy()
-    ridge = _QP_RIDGE * max(1.0, float(np.trace(gram)))
+    size = linear.size
+    # a weight of 1 stands for the border, so filtering ``idx`` by weight
+    # keeps the border index last
+    extended = np.concatenate((weights, (1.0,)))
+    weights = extended[:size]
+    ridge = _QP_RIDGE * max(1.0, float(gram.trace()))
     tol = _QP_TOL * max(1.0, float(np.abs(linear).max()))
-    support = weights.nonzero()[0]
-    for _ in range(_QP_ITERS):
-        while True:
-            size = support.size
-            kkt = np.empty((size + 1, size + 1))
-            kkt[:size, :size] = gram[support[:, None], support]
-            kkt.reshape(-1)[:size * (size + 2):size + 2] += ridge  # its diagonal
-            kkt[size], kkt[:size, size], kkt[size, size] = 1.0, 1.0, 0.0
-            rhs = np.empty(size + 1)
-            rhs[:size], rhs[size] = linear[support], 1.0
-            target = np.linalg.solve(kkt, rhs)[:size]
-            if target.min() > 0:
+    bordered = np.empty((size + 1, size + 1))
+    bordered[:size, :size] = gram
+    bordered.reshape(-1)[:size * (size + 2):size + 2] += ridge  # its diagonal
+    bordered[size], bordered[:size, size], bordered[size, size] = 1.0, 1.0, 0.0
+    rhs = np.concatenate((linear, (1.0,)))
+    idx = extended.nonzero()[0]
+    with np.errstate(call=_singular, invalid="call"):
+        for _ in range(_QP_ITERS):
+            while True:
+                target = _solve1(bordered[idx[:, None], idx], rhs[idx],
+                                 signature="dd->d")[:-1]
+                support = idx[:-1]
+                if target.min() > 0:
+                    break
+                current = weights[support]
+                out = (target <= 0).nonzero()[0]
+                ratios = current[out] / (current[out] - target[out])
+                first = int(ratios.argmin())
+                weights[support] = current + ratios[first] * (target - current)
+                weights[support[out[first]]] = 0.0
+                idx = idx[extended[idx] > 0]
+            weights[support] = target
+            grad = gram @ weights - linear
+            toward = int(grad.argmin())
+            if float(weights @ grad) - grad[toward] <= tol or weights[toward] > 0:
                 break
-            current = weights[support]
-            out = (target <= 0).nonzero()[0]
-            ratios = current[out] / (current[out] - target[out])
-            first = int(ratios.argmin())
-            weights[support] = current + ratios[first] * (target - current)
-            weights[support[out[first]]] = 0.0
-            support = support[weights[support] > 0]
-        weights[support] = target
-        grad = gram @ weights - linear
-        toward = int(grad.argmin())
-        if float(weights @ grad) - grad[toward] <= tol or weights[toward] > 0:
-            break
-        support = np.concatenate((support, (toward,)))
+            idx = np.concatenate((support, (toward, size)))
     return weights
 
 
@@ -199,8 +223,9 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     predicts, and mu then halves; a rejected step quadruples mu.  mu starts
     at the largest |g_nu|^2 (1 when every gradient vanishes, so d = 0).  The
     loop ends when the predicted decrease is down to rounding level.  A
-    candidate is judged on its value alone: gradient rows are built only for
-    the start and each accepted point, from the S(nu) and powers at hand.
+    candidate is judged on its value alone: gradient rows and their Gram
+    matrix are built only for the start and each accepted point, from the
+    S(nu) and powers at hand, and a rejected step reuses them.
     """
     nu_max = n * n - n
     scale = -TWO_PI * np.arange(1, nu_max + 1)[:, None]
@@ -209,8 +234,9 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     mu = float((grads * grads).sum(axis=1).max()) or 1.0
     weights = np.zeros(nu_max)
     weights[int(r.argmax())] = 1.0
+    gram = grads @ grads.T
     for _ in range(_POLISH_STEPS):
-        weights = _min_norm_weights(grads @ grads.T, mu * r, weights)
+        weights = _min_norm_weights(gram, mu * r, weights)
         step = -(weights @ grads) / mu
         predicted = value - float((r + grads @ step).max())
         if predicted <= 1e-15 * value:
@@ -221,6 +247,7 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
         if value - cand_value >= 0.1 * predicted:
             thetas, value = candidate, cand_value
             r, grads = _abs_values_and_grads(u, s, powers, scale)
+            gram = grads @ grads.T
             mu *= 0.5
         else:
             mu *= 4.0
@@ -241,9 +268,69 @@ def _snap(js: list[int], shift: float, n: int) -> Optional[tuple[np.ndarray, flo
     return snapped, _objective_raw(snapped, n)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_angles(entropy: list[int], n: int) -> list[float]:
+    """``np.random.default_rng(entropy).uniform(0.0, 1.0, n).tolist()``, bit
+    for bit, in pure Python; the ints of ``entropy`` are non-negative.
+
+    A SeedSequence with a pool of four 32-bit words hashes the entropy, each
+    int split into little-endian 32-bit words; four 64-bit words of its state
+    seed PCG64 (the 128-bit LCG with the XSL-RR output), and each draw is
+    (x >> 11) * 2^-53.  The constants are those of numpy's SeedSequence and
+    PCG64.
+    """
+    words = []
+    for value in entropy:
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    mult = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        state.append(value ^ value >> 16)
+    seed = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = (seed[2] << 64 | seed[3]) << 1 | 1
+    # seeding steps once from 0, adds the initial state and steps again
+    lcg = (inc + (seed[0] << 64 | seed[1])) * _PCG64_MULT + inc & _MASK128
+    draws = []
+    for _ in range(n):
+        lcg = lcg * _PCG64_MULT + inc & _MASK128
+        x, rot = (lcg >> 64 ^ lcg) & _MASK64, lcg >> 122
+        draws.append((((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0 ** -53)
+    return draws
+
+
 def _run_restart(config: OptimizerConfig, index: int) -> tuple[np.ndarray, float]:
-    rng = np.random.default_rng([config.seed, index])
-    start = rng.uniform(0.0, 1.0, config.n)
+    start = np.array(_uniform_angles([config.seed, index], config.n))
     start[0] = 0.0
     thetas, value = _polish(start, config.n)
     # each point is rounded once; the polish leaves the first angle at 0, so

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import singer_oracle
-from powersum import cli
+from powersum import cli, minimax
 from powersum import pds as pds_module
 from powersum.pds import PerfectDifferenceSet, singer_construct, verify
 from powersum.sums import RecoveryResult, RecoveryStatus, fabrykowski_tuple
@@ -245,9 +245,9 @@ def test_a_bare_value_error_is_an_internal_error(capsys, monkeypatch):
 
 def test_a_singular_kkt_system_is_an_internal_error(capsys, monkeypatch):
     # numpy's LinAlgError is a ValueError; it says nothing about the input
-    def singular(a, b):
+    def singular(gram, linear, weights):
         raise np.linalg.LinAlgError("Singular matrix")
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(minimax, "_min_norm_weights", singular)
     code, out, err = run(capsys, "optimize", "--n", "3", "--restarts", "1")
     assert code == cli.EXIT_INTERNAL
     assert out == ""

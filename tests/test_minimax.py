@@ -133,6 +133,25 @@ def test_min_norm_weights_match_the_oracle_to_the_bit():
     assert moved >= 100  # most instances change the support, so drops and adds run
 
 
+def test_a_singular_kkt_system_raises_instead_of_returning_nan(monkeypatch):
+    # without the ridge, coinciding gradients make the bordered system singular
+    monkeypatch.setattr(minimax, "_QP_RIDGE", 0.0)
+    with pytest.raises(ArithmeticError, match="^Singular matrix$"):
+        minimax._min_norm_weights(np.zeros((2, 2)), np.zeros(2), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 9))
+def test_uniform_angles_are_numpys_pcg64_stream_to_the_bit(n):
+    seeds = [*range(50), 2**31, 2**32 + 5, 2**40 + 3, 10**12, 2**64 + 1]
+    for seed in seeds:
+        for index in range(60):
+            expected = np.random.default_rng([seed, index]).uniform(0.0, 1.0, n).tolist()
+            assert minimax._uniform_angles([seed, index], n) == expected
+        # numpy reads an int seed as the entropy [seed], which cli's profile passes
+        assert minimax._uniform_angles([seed], n) == \
+            np.random.default_rng(seed).uniform(0.0, 1.0, n).tolist()
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
 def test_polish_matches_the_oracle_to_the_bit(n):
     rng = np.random.default_rng(n)
@@ -167,6 +186,7 @@ def test_polish_builds_gradients_once_per_accepted_point(monkeypatch):
             # followed by another dual solve until the predicted decrease ends it
             accepted = sum(not np.array_equal(a, b) for a, b in zip(grams, grams[1:]))
             assert len(builds) == 1 + accepted
+            assert len({id(gram) for gram in grams}) == 1 + accepted  # one Gram matrix each
             rejected += len(evaluations) - len(builds)
     assert rejected > 0  # rejected candidates were evaluated and got no rows
 
