@@ -1,15 +1,19 @@
 """Command-line frontend.
 
 Subcommands: singer, verify, feasibility, profile, recover, optimize,
-search.  Results go to stdout, diagnostics to stderr.  JSON output uses a
-fixed key order and 12-significant-digit floats so identical invocations are
-byte-identical.  Exit codes: 0 for success / Found / Exists, 1 for
-NoneExists / NotMinimizer / Excluded, 2 for bad input (a ``DomainError`` or
-an ``OSError``, nothing else), 3 for an inconclusive result (BudgetExceeded
-from search, OpenByTheseTests from feasibility), 64 for usage errors, 70 for
-an internal error: any other exception, a failed library self-check, a
-non-finite number in the output, a bare ``ValueError`` and numpy's
-``LinAlgError`` included; that is a bug, not a verdict.
+search.  Results go to stdout, diagnostics to stderr.  Each subcommand
+returns its exit code, its JSON record and its text lines (for ``profile
+--format csv`` the CSV rows) and writes nothing; ``main`` picks the format
+and writes stdout once, after the whole text is built, so a failure leaves
+stdout empty.  JSON output uses a fixed key order and 12-significant-digit
+floats so identical invocations are byte-identical.  Exit codes: 0 for
+success / Found / Exists, 1 for NoneExists / NotMinimizer / Excluded, 2 for
+bad input (a ``DomainError`` or an ``OSError``, nothing else), 3 for an
+inconclusive result (BudgetExceeded from search, OpenByTheseTests from
+feasibility), 64 for usage errors, 70 for an internal error: any other
+exception, a failed library self-check, a non-finite number in the output, a
+bare ``ValueError`` and numpy's ``LinAlgError`` included; that is a bug, not
+a verdict.
 POWERSUM_SEED provides the seed when --seed is absent.
 """
 
@@ -24,8 +28,6 @@ import os
 import sys
 from math import isqrt
 from pathlib import Path
-
-import numpy as np
 
 from .gf import DomainError
 from .minimax import OptimizerConfig, _uniform_angles, minimize
@@ -95,22 +97,13 @@ def render_json(value, indent: int = 0) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot render {type(value)!r}")
-
-
-def emit_json(record: dict) -> None:
-    sys.stdout.write(render_json(record) + "\n")
-
-
-def emit_human(lines) -> None:
-    for line in lines:
-        sys.stdout.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +119,7 @@ def residue_list(text: str) -> list[int]:
 
 
 def resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     if seed is None:
         env = os.environ.get("POWERSUM_SEED", "0")
         try:
@@ -174,17 +167,14 @@ def load_tuple_file(path: str) -> UnimodularTuple:
 # ---------------------------------------------------------------------------
 
 
-def cmd_singer(args) -> int:
+def cmd_singer(args) -> tuple[int, dict, list[str]]:
     pds = singer_construct(args.q)  # verifies its output
-    if args.format == "human":
-        emit_human([f"q={pds.q} m={pds.m}",
-                    "residues: " + ",".join(map(str, pds.residues))])
-    else:
-        emit_json(pds.to_record())
-    return EXIT_OK
+    lines = [f"q={pds.q} m={pds.m}",
+             "residues: " + ",".join(map(str, pds.residues))]
+    return EXIT_OK, pds.to_record(), lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict, list[str]]:
     q = args.q if args.q is not None else order_from_modulus(args.modulus)
     result = verify(args.set, q)
     record = {
@@ -194,28 +184,22 @@ def cmd_verify(args) -> int:
         "reason": result.reason,
         "witness": result.witness,
     }
-    if args.format == "human":
-        verdict = "valid" if result.valid else f"invalid ({result.reason}, witness {result.witness})"
-        emit_human([f"q={q} set={','.join(map(str, args.set))}: {verdict}"])
-    else:
-        emit_json(record)
-    return EXIT_OK if result.valid else EXIT_NEGATIVE
+    verdict = "valid" if result.valid else f"invalid ({result.reason}, witness {result.witness})"
+    lines = [f"q={q} set={','.join(map(str, args.set))}: {verdict}"]
+    return EXIT_OK if result.valid else EXIT_NEGATIVE, record, lines
 
 
-def cmd_feasibility(args) -> int:
+def cmd_feasibility(args) -> tuple[int, dict, list[str]]:
     report = feasibility(args.order, search_budget=args.budget)
-    if args.format == "human":
-        lines = [f"order {report.order}: {report.verdict}"]
-        if report.reasons:
-            lines.append("reasons: " + ", ".join(report.reasons))
-        lines.append(f"search: {report.exhaustive_result}")
-        if report.witness:
-            lines.append("witness: " + ",".join(map(str, report.witness.residues)))
-        emit_human(lines)
-    else:
-        emit_json(report.to_record())
-    return {"Excluded": EXIT_NEGATIVE,
+    lines = [f"order {report.order}: {report.verdict}"]
+    if report.reasons:
+        lines.append("reasons: " + ", ".join(report.reasons))
+    lines.append(f"search: {report.exhaustive_result}")
+    if report.witness:
+        lines.append("witness: " + ",".join(map(str, report.witness.residues)))
+    code = {"Excluded": EXIT_NEGATIVE,
             "OpenByTheseTests": EXIT_INCONCLUSIVE}.get(report.verdict, EXIT_OK)
+    return code, report.to_record(), lines
 
 
 def _profile_source(args) -> UnimodularTuple:
@@ -229,63 +213,56 @@ def _profile_source(args) -> UnimodularTuple:
     return UnimodularTuple(tuple(thetas), alpha_turns=args.alpha)
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> tuple[int, dict, list[str]]:
     t = _profile_source(args)
     profile = power_sums(t, nu_max=args.nu_max)
     rows = list(zip(range(1, len(profile.abs_values) + 1),
                     profile.abs_values, profile.epsilons))
+    record = {
+        "n": profile.n,
+        "m": profile.m,
+        "alpha_turns": t.alpha_turns,
+        "max_abs": profile.max_abs,
+        "rows": [[nu, a, e] for nu, a, e in rows],
+    }
     if args.format == "csv":
-        sys.stdout.write("nu,abs,epsilon\n")
-        for nu, a, e in rows:
-            sys.stdout.write(f"{nu},{format_float(a)},{format_float(e)}\n")
-    elif args.format == "human":
-        emit_human([f"n={profile.n} m={profile.m} max|S|={format_float(profile.max_abs)}"]
-                   + [f"  nu={nu:4d}  |S|={format_float(a):18s} eps={format_float(e)}"
-                      for nu, a, e in rows])
+        lines = ["nu,abs,epsilon"] + [f"{nu},{format_float(a)},{format_float(e)}"
+                                      for nu, a, e in rows]
     else:
-        emit_json({
-            "n": profile.n,
-            "m": profile.m,
-            "alpha_turns": t.alpha_turns,
-            "max_abs": profile.max_abs,
-            "rows": [[nu, a, e] for nu, a, e in rows],
-        })
-    return EXIT_OK
+        lines = ([f"n={profile.n} m={profile.m} max|S|={format_float(profile.max_abs)}"]
+                 + [f"  nu={nu:4d}  |S|={format_float(a):18s} eps={format_float(e)}"
+                    for nu, a, e in rows])
+    return EXIT_OK, record, lines
 
 
-def cmd_recover(args) -> int:
+def cmd_recover(args) -> tuple[int, dict, list[str]]:
     t = load_tuple_file(args.tuple_file)
     result = recover_structure(t, tol=args.tol)
-    if args.format == "human":
-        lines = [f"status: {result.status.value}",
-                 f"residual: {format_float(result.residual)}",
-                 f"profile deviation: {format_float(result.profile_deviation)}"]
-        if result.pds:
-            lines.append("recovered set: " + ",".join(map(str, result.pds.residues)))
-        emit_human(lines)
-    else:
-        emit_json(result.to_record())
-    return EXIT_OK if result.status is RecoveryStatus.IS_MINIMIZER else EXIT_NEGATIVE
+    lines = [f"status: {result.status.value}",
+             f"residual: {format_float(result.residual)}",
+             f"profile deviation: {format_float(result.profile_deviation)}"]
+    if result.pds:
+        lines.append("recovered set: " + ",".join(map(str, result.pds.residues)))
+    code = EXIT_OK if result.status is RecoveryStatus.IS_MINIMIZER else EXIT_NEGATIVE
+    return code, result.to_record(), lines
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[int, dict, list[str]]:
     config = OptimizerConfig(n=args.n, restarts=args.restarts,
                              seed=resolve_seed(args))
     report = minimize(config)
-    if args.format == "human":
-        emit_human([
-            f"n={args.n} restarts={args.restarts} seed={config.seed}",
-            f"best value: {format_float(report.best_value)}",
-            f"gap to sqrt(n-1): {format_float(report.gap_to_bound)}",
-            f"recovered: {report.recovered.status.value}",
-        ])
-    else:
-        emit_json(report.to_record())
-    return (EXIT_OK if report.recovered.status is RecoveryStatus.IS_MINIMIZER
+    lines = [
+        f"n={args.n} restarts={args.restarts} seed={config.seed}",
+        f"best value: {format_float(report.best_value)}",
+        f"gap to sqrt(n-1): {format_float(report.gap_to_bound)}",
+        f"recovered: {report.recovered.status.value}",
+    ]
+    code = (EXIT_OK if report.recovered.status is RecoveryStatus.IS_MINIMIZER
             else EXIT_NEGATIVE)
+    return code, report.to_record(), lines
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[int, dict, list[str]]:
     result = exhaustive_search(args.order, budget=args.budget)
     record = {
         "order": args.order,
@@ -294,15 +271,12 @@ def cmd_search(args) -> int:
         "residues": list(result.pds.residues) if result.pds else None,
         "nodes": result.nodes,
     }
-    if args.format == "human":
-        lines = [f"order {args.order}: {result.status} ({result.nodes} nodes)"]
-        if result.pds:
-            lines.append("residues: " + ",".join(map(str, result.pds.residues)))
-        emit_human(lines)
-    else:
-        emit_json(record)
-    return {"NoneExists": EXIT_NEGATIVE,
+    lines = [f"order {args.order}: {result.status} ({result.nodes} nodes)"]
+    if result.pds:
+        lines.append("residues: " + ",".join(map(str, result.pds.residues)))
+    code = {"NoneExists": EXIT_NEGATIVE,
             "BudgetExceeded": EXIT_INCONCLUSIVE}.get(result.status, EXIT_OK)
+    return code, record, lines
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +357,10 @@ def build_parser() -> CliParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, record, lines = args.func(args)
+        text = render_json(record) if args.format == "json" else "\n".join(lines)
+        sys.stdout.write(text + "\n")  # the one write, after the whole text is built
+        return code
     except _DOMAIN_ERRORS as exc:
         print(f"powersum: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

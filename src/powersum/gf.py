@@ -177,11 +177,10 @@ def _poly_gcd(a: int, b: int, p: int, width: int) -> int:
     """A gcd of the packed a and b, deg b < deg a <= k, in slots of a width
     that holds a degree-k modulus (``_width``).
 
-    Each Euclid step reduces a modulo b in place, as ``_mulmod`` reduces
-    modulo a ring's modulus: b's leading term is x^db * lead, so every slot
-    s >= db of a, taken mod p and divided by lead, is cleared and added back
-    times -(b - lead * x^db) / lead, db slots lower.  A slot so gains at most
-    deg a - deg b + 1 <= k terms below (p - 1)^2, within the width.
+    Each Euclid step reduces a modulo b with ``_mulmod``, b standing in for a
+    ring's modulus: b's leading term is x^db * lead, so x^db is replaced by
+    -(b - lead * x^db) / lead, every coefficient in [0, p).  A slot so gains
+    at most deg a - deg b + 1 <= k terms below (p - 1)^2, within the width.
     """
     mask = (1 << width) - 1
     while b:
@@ -191,14 +190,7 @@ def _poly_gcd(a: int, b: int, p: int, width: int) -> int:
         neg = 0
         for s in low:
             neg |= (b >> s & mask) * neg_inv_lead % p << s
-        for s in range((a.bit_length() - 1) // width * width, db - 1, -width):
-            top = a >> s
-            a ^= top << s
-            a += (top % p * neg) << (s - db)
-        r = 0
-        for s in low:
-            r |= (a >> s & mask) % p << s
-        a, b = b, r
+        a, b = b, _mulmod(a, 1, (p, neg, width, db, low, mask))
     return a
 
 

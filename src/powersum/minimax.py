@@ -255,16 +255,16 @@ def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return thetas, _guarded(value, n)
 
 
-def _snap(js: list[int], shift: float, n: int) -> Optional[tuple[np.ndarray, float]]:
-    """The exact lattice tuple j_k/m + ``shift``, with its value, for a point's
-    rounding ``js`` by ``sums._lattice_rounding`` and its first angle ``shift``.
+def _snap(js: list[int], n: int) -> Optional[tuple[np.ndarray, float]]:
+    """The exact lattice tuple j_k/m, with its value, for a point's rounding
+    ``js`` by ``sums._lattice_rounding``; the restarts fix the first angle at 0.
 
     The tuple counts only when the j_k form a verified difference set of
     order n-1, and None is returned otherwise.
     """
     if not verify(js, n - 1).valid:
         return None
-    snapped = (np.array(js) / (n * n - n + 1) + shift) % 1.0
+    snapped = np.array(js) / (n * n - n + 1)
     return snapped, _objective_raw(snapped, n)
 
 
@@ -335,12 +335,12 @@ def _run_restart(config: OptimizerConfig, index: int) -> tuple[np.ndarray, float
     thetas, value = _polish(start, config.n)
     # each point is rounded once; the polish leaves the first angle at 0, so
     # a repeated rounding names the same lattice tuple and is verified once
-    points = [(_lattice_rounding(start)[0], start[0])]
+    roundings = [_lattice_rounding(start)[0]]
     polished = _lattice_rounding(thetas)[0]
-    if polished != points[0][0]:
-        points.append((polished, thetas[0]))
-    for js, shift in points:
-        snapped = _snap(js, shift, config.n)
+    if polished != roundings[0]:
+        roundings.append(polished)
+    for js in roundings:
+        snapped = _snap(js, config.n)
         if snapped is not None and snapped[1] < value:
             thetas, value = snapped
     return thetas, value

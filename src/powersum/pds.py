@@ -212,11 +212,11 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     It is walked with GF(q) addition and multiplication tables, and the
     i mod q^2+q+1 with s_i = 0 form the difference set.
     """
+    if q > MAX_SINGER_ORDER:  # first: prime_power factorizes by trial division
+        raise DomainError(f"order {q} exceeds the cap {MAX_SINGER_ORDER}")
     decomposition = prime_power(q)
     if decomposition is None:
         raise DomainError(f"{q} is not a prime power")
-    if q > MAX_SINGER_ORDER:
-        raise DomainError(f"order {q} exceeds the cap {MAX_SINGER_ORDER}")
     p, e = decomposition
     field = make_field(p, 3 * e)
     g = primitive_element(field)

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes and byte-identical JSON on stdout."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -268,6 +269,20 @@ def test_a_non_finite_number_in_the_output_is_an_internal_error(capsys, monkeypa
     assert err == f"powersum: internal error: non-finite value in output: {value}\n"
 
 
+@pytest.mark.parametrize("fmt", ("csv", "human", "json"))
+def test_a_failure_while_rendering_leaves_stdout_empty(capsys, monkeypatch, fmt):
+    # the last |S| is NaN: the rows before it must not reach stdout either
+    def last_nan(t, nu_max=None, _inner=cli.power_sums):
+        profile = _inner(t, nu_max)
+        return dataclasses.replace(profile,
+                                   abs_values=profile.abs_values[:-1] + (math.nan,))
+    monkeypatch.setattr(cli, "power_sums", last_nan)
+    code, out, err = run(capsys, "profile", "--from-pds", "2", "--format", fmt)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "powersum: internal error: non-finite value in output: nan\n"
+
+
 @pytest.mark.parametrize("argv", (("singer", "--q", "4"), ("search", "--order", "9")),
                          ids=["singer", "search"])
 def test_a_set_failing_the_library_self_check_exits_70(capsys, monkeypatch, argv):
@@ -286,6 +301,16 @@ def test_singer_non_prime_power_is_a_domain_error(capsys):
     assert code == cli.EXIT_DOMAIN
     assert out == ""
     assert "not a prime power" in err
+
+
+def test_singer_above_the_cap_is_a_domain_error_without_factorizing(capsys, monkeypatch):
+    def no_factorizing(n):
+        raise AssertionError(f"prime_power({n}) called above the cap")
+    monkeypatch.setattr(pds_module, "prime_power", no_factorizing)
+    code, out, err = run(capsys, "singer", "--q", str(10**18 + 3))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err == "powersum: error: order 1000000000000000003 exceeds the cap 32\n"
 
 
 @pytest.mark.parametrize("argv, expected", (

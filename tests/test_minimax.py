@@ -215,17 +215,14 @@ def test_polish_converges_to_the_bound_near_a_minimizer(q):
 
 
 def _snap_at_n3(thetas):
-    # _snap takes the point's rounding and first angle, as _run_restart passes them
-    point = np.array(thetas)
-    return minimax._snap(_lattice_rounding(point)[0], point[0], 3)
+    # _snap takes the point's rounding, as _run_restart passes it
+    return minimax._snap(_lattice_rounding(np.array(thetas))[0], 3)
 
 
 def test_snap_rounds_onto_a_verified_lattice_point():
     snapped, value = _snap_at_n3([0.0, 1.01 / 7, 2.98 / 7])
     assert snapped.tolist() == [0.0, 1 / 7, 3 / 7]
     assert value == pytest.approx(math.sqrt(2), abs=1e-12)
-    shifted, _ = _snap_at_n3([0.25, 0.25 + 2.02 / 7, 0.25 + 5.97 / 7])
-    assert shifted == pytest.approx([0.25, 0.25 + 2 / 7, (0.25 + 6 / 7) % 1.0], abs=1e-15)
 
 
 @pytest.mark.parametrize("thetas", ([0.0, 0.01, 3.02 / 7],      # residues (0, 0, 3)
