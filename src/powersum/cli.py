@@ -203,14 +203,17 @@ def cmd_feasibility(args) -> tuple[int, dict, list[str]]:
 
 
 def _profile_source(args) -> UnimodularTuple:
+    """The tuple to profile.  A given ``--alpha`` sets its phase; without it
+    a tuple file keeps its own phase and the other sources take 0."""
+    alpha = 0.0 if args.alpha is None else args.alpha
     if args.tuple_file is not None:
-        return load_tuple_file(args.tuple_file)
+        t = load_tuple_file(args.tuple_file)
+        return t if args.alpha is None else UnimodularTuple(t.thetas, alpha_turns=alpha)
     if args.from_pds is not None:
-        return fabrykowski_tuple(singer_construct(args.from_pds),
-                                 alpha_turns=args.alpha)
+        return fabrykowski_tuple(singer_construct(args.from_pds), alpha_turns=alpha)
     # a negative N draws no angles, and the tuple rejects every N < 2
     thetas = _uniform_angles([resolve_seed(args)], max(args.random, 0))
-    return UnimodularTuple(tuple(thetas), alpha_turns=args.alpha)
+    return UnimodularTuple(tuple(thetas), alpha_turns=alpha)
 
 
 def cmd_profile(args) -> tuple[int, dict, list[str]]:
@@ -324,7 +327,8 @@ def build_parser() -> CliParser:
                         help="lattice tuple of the Singer set of order Q")
     source.add_argument("--random", type=int, metavar="N",
                         help="seeded uniform random tuple of size N")
-    p.add_argument("--alpha", type=float, default=0.0, help="global phase in turns")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="global phase in turns (default: the file's phase, else 0)")
     p.add_argument("--nu-max", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     _add_format(p, default="csv", csv_allowed=True)

@@ -8,18 +8,44 @@ agree on the representation, hence on primitive elements and on the Singer
 difference sets built from them.
 
 A polynomial is packed into one Python int (Kronecker substitution), with
-coefficient i, in [0, p), in the bit slot [i*B, (i+1)*B); one big-int product
-multiplies two polynomials.  A product's slot is a sum of at most k terms
-c*c' <= (p-1)^2, and reducing its k - 1 slots above the modulus's degree adds
-at most k - 1 more, so no slot can overflow the least width that holds
-(2k-1) * (p-1)^2, B = ((2k-1) * (p-1)^2).bit_length().  One multiply-mod
-(``_mulmod``) and one power (``_powmod``) serve both the field elements and
-the field set-up, which works on packed ints and makes a ``GfElement`` only
-for what it returns.  Set-up is most of the cost of a Singer difference
-set, so it is kept to few multiply-mods: ``is_irreducible`` finds linear
-factors by evaluation at the points of a small GF(p) and the others with
-one gcd, and ``primitive_element`` settles the primes of p - 1 through a
-candidate's norm to GF(p).
+coefficient i, in [0, p), in the bit slot [i*W, (i+1)*W); one big-int product
+multiplies two polynomials.  ``_mulmod`` reduces the product modulo the
+degree-k modulus f by polynomial Barrett reduction (Barrett, CRYPTO '86),
+with every slot taken mod p at once through a multiplier (Granlund and
+Montgomery, PLDI '94), in a fixed handful of big-int steps whatever k is:
+
+    c = a*b;  t = ((c >> kW) * mu) >> (k-2)W;  q = t mod p;
+    r = (c + q*g) mod x^k;  result = r mod p,
+
+where mu = floor(x^(2k-2) / f) mod p and g = -f mod p, whose x^k slot is
+p - 1.  For deg c <= 2k - 2 the polynomial Barrett quotient
+floor(floor(c / x^k) * mu / x^(k-2)) is floor(c / f) exactly, with no error
+term, so c + q*g = c - q*f (mod p) vanishes mod p at x^k and above, and its
+k low slots hold the remainder.  A slot-wise v mod p is v - p*floor(v*M / 2^S)
+with M = ceil(2^S / p), taken in all slots at once and masked by the pattern
+P of the low B bits of each slot: floor(v*M / 2^S) = floor(v / p) exactly for
+0 <= v < 2^B when S = B + p.bit_length() + 1, and v*M stays below 2^W for
+W = B + S, so no slot spills into the next.
+
+B is the bit length of V = max((k-1)*k*(p-1)^3, (3k-1)*(p-1)^2), the
+largest slot value the kernel reduces, for every operand shape the package
+passes: reduced a and b; b a sum of two reduced elements; b = p - 1; or
+b = 1 and a a sum of two reduced elements, or of three when k >= 2
+(``_mulmod(a, 1, ring)`` reduces a alone).  With b a sum of two, a slot of
+c is at most 2k(p-1)^2, a slot of c's top k - 1 slots times mu at most
+(k-1)*k*(p-1)^3, and a slot of c + q*g below x^k at most (3k-1)*(p-1)^2;
+reduced operands reach half the second bound and (2k-1)*(p-1)^2.  ``_ring``
+precomputes mu, g, M and P once per modulus.
+
+One multiply-mod (``_mulmod``) and one power (``_powmod``) serve both the
+field elements and the field set-up, which works on packed ints and makes a
+``GfElement`` only for what it returns.  Euclid's algorithm in
+``_poly_gcd`` divides by a new polynomial at each step, so it keeps a slot
+loop of its own (``_poly_rem``).  Set-up is most of the cost of a Singer
+difference set, so it is kept to few multiply-mods: ``is_irreducible``
+finds linear factors by evaluation at the points of a small GF(p) and the
+others with one gcd, and ``primitive_element`` settles the primes of p - 1
+through a candidate's norm to GF(p).
 
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
@@ -104,11 +130,6 @@ def factorize(n: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _width(p: int, k: int) -> int:
-    """Slot width B for products modulo a degree-k polynomial over GF(p)."""
-    return ((2 * k - 1) * (p - 1) ** 2).bit_length()
-
-
 def _pack(coeffs, width: int) -> int:
     """The packed polynomial with these nonnegative coefficients."""
     value = 0
@@ -128,31 +149,49 @@ def _pack_digits(value: int, p: int, width: int) -> int:
     return packed
 
 
-def _ring(mod, p: int, width: int) -> tuple:
-    """What ``_mulmod`` needs to reduce modulo the monic mod (a coefficient
-    list of degree k): (p, the packed x^k - mod, the slot width, k * width,
-    the shifts of the slots 0 .. k-1, the mask of one slot)."""
-    kw = (len(mod) - 1) * width
-    return (p, _pack([-c % p for c in mod[:-1]], width), width, kw, range(0, kw, width),
-            (1 << width) - 1)
+def _ring(mod, p: int) -> tuple:
+    """What ``_mulmod`` needs to reduce modulo the monic mod, a coefficient
+    list of degree k with entries in [0, p): (p, g = -mod, mu, k*W, the shift
+    (k-2)*W, S, M, the pattern P, the mask of the k low slots, W).
+
+    mu = floor(x^(2k-2) / mod) mod p comes from the power series of the
+    reversed modulus: its coefficients, top first, are h_0 = 1 and
+    h_i = -(sum over j = 1 .. i of mod[k-j] * h_(i-j)), each h_i added into
+    the sums of the later ones once it is reduced.  For k = 1 the quotient
+    of any product is 0, and so is mu.
+    """
+    k = len(mod) - 1
+    b = max((k - 1) * k * (p - 1) ** 3, (3 * k - 1) * (p - 1) ** 2).bit_length()
+    s = b + p.bit_length() + 1
+    width = b + s
+    kw = k * width
+    h = [1] + [0] * (k - 2)
+    for i in range(k - 1):
+        hi = h[i] % p
+        h[i] = hi
+        if hi:
+            for j in range(i + 1, k - 1):
+                h[j] -= mod[k - j + i] * hi
+    low = (1 << kw) - 1
+    ones = low // ((1 << width) - 1)  # 1 in each of the k low slots
+    return (p, _pack([-c % p for c in mod], width), _pack(h[::-1], width) if k > 1 else 0,
+            kw, max(k - 2, 0) * width, s, -(-(1 << s) // p), ones * ((1 << b) - 1), low, width)
 
 
 def _mulmod(a: int, b: int, ring: tuple) -> int:
     """a * b modulo the ring's modulus, every coefficient in [0, p); b = 1
-    reduces a alone.  Each slot from the product's top down to slot k is
-    cleared and its value mod p, times x^k - mod, added k slots lower; then
-    the k low slots are taken mod p.
+    reduces a alone.  Polynomial Barrett reduction, with every slot taken mod
+    p at once by the multiplier M (see the module): t is the product's top
+    k - 1 slots times mu, shifted down to the quotient's degree; q is t mod
+    p, the quotient; c + q*g is c - q*mod mod p slot-wise, and its k low slots
+    are the remainder.
     """
-    p, neg, width, kw, low, mask = ring
+    p, g, mu, kw, shift, s, m, pattern, low, _ = ring
     c = a * b
-    for s in range((c.bit_length() - 1) // width * width, kw - 1, -width):
-        top = c >> s
-        c ^= top << s
-        c += (top % p * neg) << (s - kw)
-    result = 0
-    for s in low:
-        result |= ((c >> s & mask) % p) << s
-    return result
+    t = ((c >> kw) * mu) >> shift
+    q = t - p * (((t * m) >> s) & pattern)
+    r = (c + q * g) & low
+    return r - p * (((r * m) >> s) & pattern)
 
 
 def _powmod(a: int, e: int, ring: tuple) -> int:
@@ -173,12 +212,30 @@ def _shift_slot(a: int, s: int, delta: int, p: int, mask: int) -> int:
     return a + (((c + delta) % p - c) << s)
 
 
-def _poly_gcd(a: int, b: int, p: int, width: int) -> int:
-    """A gcd of the packed a and b, deg b < deg a <= k, in slots of a width
-    that holds a degree-k modulus (``_width``).
+def _poly_rem(c: int, p: int, neg: int, width: int, dw: int) -> int:
+    """c modulo a monic divisor of degree d = dw / width, neg = x^d - divisor
+    packed, every coefficient in [0, p).  Each slot from c's top down to
+    slot d is cleared and its value mod p, times neg, added d slots lower;
+    then the d low slots are taken mod p.  It takes O(deg c - d) steps, but
+    needs no precomputation for the divisor, unlike ``_mulmod``.
+    """
+    mask = (1 << width) - 1
+    for s in range((c.bit_length() - 1) // width * width, dw - 1, -width):
+        top = c >> s
+        c ^= top << s
+        c += (top % p * neg) << (s - dw)
+    result = 0
+    for s in range(0, dw, width):
+        result |= ((c >> s & mask) % p) << s
+    return result
 
-    Each Euclid step reduces a modulo b with ``_mulmod``, b standing in for a
-    ring's modulus: b's leading term is x^db * lead, so x^db is replaced by
+
+def _poly_gcd(a: int, b: int, p: int, width: int) -> int:
+    """A gcd of the packed a and b, deg b < deg a <= k, in slots of the
+    width of a degree-k modulus (``_ring``).
+
+    Each Euclid step reduces a modulo a new divisor b with ``_poly_rem``:
+    b's leading term is x^db * lead, so x^db is replaced by
     -(b - lead * x^db) / lead, every coefficient in [0, p).  A slot so gains
     at most deg a - deg b + 1 <= k terms below (p - 1)^2, within the width.
     """
@@ -186,11 +243,10 @@ def _poly_gcd(a: int, b: int, p: int, width: int) -> int:
     while b:
         db = (b.bit_length() - 1) // width * width
         neg_inv_lead = p - pow(b >> db, -1, p)
-        low = range(0, db, width)
         neg = 0
-        for s in low:
+        for s in range(0, db, width):
             neg |= (b >> s & mask) * neg_inv_lead % p << s
-        a, b = b, _mulmod(a, 1, (p, neg, width, db, low, mask))
+        a, b = b, _poly_rem(a, p, neg, width, db)
     return a
 
 
@@ -257,14 +313,14 @@ def _ben_or(mod: list[int], p: int) -> bool:
         if d <= 3:
             return True
         first = 2
-    width = _width(p, d)
-    ring = _ring(mod, p, width)
+    ring = _ring(mod, p)
+    width = ring[-1]
     factors = []
     h = x = 1 << width
     for j in range(1, d // 2 + 1):
         h = _powmod(h, p, ring)  # x^(p^j)
         if j >= first:
-            factors.append(_shift_slot(h, width, -1, p, ring[-1]))  # x^(p^j) - x
+            factors.append(_shift_slot(h, width, -1, p, (1 << width) - 1))  # x^(p^j) - x
     product = factors[0]
     for factor in factors[1:]:
         product = _mulmod(product, factor, ring)
@@ -305,20 +361,20 @@ class GfField:
 
     @cached_property
     def _quotient(self) -> tuple:
-        return _ring(self.modulus_poly, self.p, _width(self.p, self.k))
+        return _ring(self.modulus_poly, self.p)
 
     def element(self, coeffs) -> "GfElement":
         """Build an element from any iterable of integers (reduced mod p)."""
         vec = [c % self.p for c in coeffs]
         if len(vec) > self.k:
             raise DomainError(f"coefficient vector longer than degree {self.k}")
-        return GfElement(self, _pack(vec, _width(self.p, self.k)))
+        return GfElement(self, _pack(vec, self._quotient[-1]))
 
     def from_int(self, value: int) -> "GfElement":
         """Element whose coefficient vector is `value` written in base p."""
         if not 0 <= value < self.order:
             raise DomainError(f"value {value} outside [0, {self.order})")
-        return GfElement(self, _pack_digits(value, self.p, self._quotient[2]))
+        return GfElement(self, _pack_digits(value, self.p, self._quotient[-1]))
 
     @property
     def zero(self) -> "GfElement":
@@ -346,8 +402,10 @@ class GfElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """The coefficient vector, constant term first, of length k."""
-        *_, low, mask = self.field._quotient
-        return tuple([self.packed >> s & mask for s in low])
+        ring = self.field._quotient
+        kw, width = ring[3], ring[-1]
+        mask = (1 << width) - 1
+        return tuple([self.packed >> s & mask for s in range(0, kw, width)])
 
     def _check(self, other: "GfElement") -> None:
         if self.field is not other.field and self.field != other.field:
@@ -355,8 +413,7 @@ class GfElement:
 
     def __add__(self, other: "GfElement") -> "GfElement":
         self._check(other)
-        # A slot of the sum is at most 2(p - 1), within B except in GF(2),
-        # where the carry lands in slot 1 and reducing by the modulus x clears it.
+        # A slot of the sum is at most 2(p - 1), which _mulmod reduces alone.
         return GfElement(self.field, _mulmod(self.packed + other.packed, 1, self.field._quotient))
 
     def __sub__(self, other: "GfElement") -> "GfElement":
@@ -439,7 +496,7 @@ def primitive_element(field: GfField) -> GfElement:
     norm_tests = [(p - 1) // r for r in primes if (p - 1) % r == 0]
     field_tests = [n // r for r in primes if (p - 1) % r]
     for v in range(p if field.k > 1 else 1, field.order):
-        a = _pack_digits(v, p, ring[2])
+        a = _pack_digits(v, p, ring[-1])
         if norm_tests:
             if p <= v < p * p:  # a = c1*x + c0
                 c1, c0 = divmod(v, p)

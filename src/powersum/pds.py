@@ -132,67 +132,105 @@ def _library_set(residues, q: int, producer: str) -> PerfectDifferenceSet:
         raise ArithmeticError(f"{producer} produced an invalid set: {exc}") from exc
 
 
+def _integer_root(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1 and e >= 1, by Newton's method on integers
+    from 2^ceil(bits/e), which is at least the root."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+# Prime factors up to the largest Miller-Rabin base are found by division.
+_SMALL_PRIMES = gf._MILLER_RABIN_BASES
+
+
 def prime_power(n: int) -> Optional[tuple[int, int]]:
-    """(p, e) with n = p^e for prime p, or None.  n = 1 is not a prime power."""
+    """(p, e) with n = p^e for prime p, or None.  n = 1 is not a prime power.
+
+    A prime factor p <= 37 is found by division, and then n must be its
+    power.  Otherwise every prime factor exceeds 37, so n = r^e needs
+    37^e < n, and n is a prime power iff one of those e has an exact
+    integer root r that ``gf.is_prime`` accepts.  That is deterministic
+    Miller-Rabin below about 3 * 10^23, so no order below it is factored.
+    """
     if n < 2:
         return None
-    factors = factorize(n)
-    if len(factors) != 1:
-        return None
-    return next(iter(factors.items()))
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            e = 1
+            n //= p
+            while n % p == 0:
+                e += 1
+                n //= p
+            return (p, e) if n == 1 else None
+    e = 1
+    while _SMALL_PRIMES[-1] ** e < n:
+        r = _integer_root(n, e)
+        if r ** e == n and gf.is_prime(r):
+            return r, e
+        e += 1
+    return None
 
 
 def is_prime_power(n: int) -> bool:
     return prime_power(n) is not None
 
 
-def _subfield_tables(field, h, q: int):
-    """GF(q) inside `field` as integer codes, with addition and
-    multiplication tables.
+def _subfield_tables(h: int, q: int, ring: tuple):
+    """GF(q) inside the field of the ring (``GfField._quotient``) as integer
+    codes, with addition and multiplication tables.
 
-    h generates GF(q)*.  The code of 0 is 0 and the code of h^j is j + 1;
-    ``codes`` maps an element's packed polynomial (``GfElement.packed``) to
+    h, a packed polynomial, generates GF(q)*.  The code of 0 is 0 and the
+    code of h^j is j + 1; ``codes`` maps an element's packed polynomial to
     its code.  The powers of h are walked on packed ints, one ``_mulmod``
-    each, and 1 + h^j is h^j with its constant slot moved up by 1 mod p.
-    Row i + 1 of ``mul`` is 0 followed by the codes of h^i, h^(i+1), ...
-    cyclically.  ``add`` comes from Zech logarithms: zech[j] is the code of
-    1 + h^j, and h^i + h^j = h^i * (1 + h^(j-i)), so row i + 1 of ``add``
-    reads row i + 1 of ``mul`` at the zech codes rotated by i.  Returns
-    (codes, add, mul), where add[a][b] and mul[a][b] are the codes of the sum
-    and the product.
+    each.  Row i + 1 of ``mul`` is 0 followed by the codes of h^i, h^(i+1),
+    ... cyclically.  ``add`` comes from Zech logarithms: zech[j] is the code
+    of 1 + h^j, which is h^j with its constant slot raised by 1 mod p, and
+    h^i + h^j = h^i * (1 + h^(j-i)), so row i + 1 of ``add`` reads row i + 1
+    of ``mul`` at the zech codes rotated by i.  Returns (codes, add, mul),
+    where add[a][b] and mul[a][b] are the codes of the sum and the product.
     """
     n = q - 1
-    ring = field._quotient
-    mask = ring[-1]
+    p, mask = ring[0], (1 << ring[-1]) - 1  # mask: one slot
     powers = []
     cur = 1
     for _ in range(n):
         powers.append(cur)
-        cur = gf._mulmod(cur, h.packed, ring)
-    codes = {0: 0}
-    codes.update((x, j + 1) for j, x in enumerate(powers))
+        cur = gf._mulmod(cur, h, ring)
+    codes = dict(zip(powers, range(1, q)))
+    codes[0] = 0
     if cur != 1 or len(codes) != q:
         raise ArithmeticError("subfield reconstruction failed")
     # h has order q - 1 exactly, so {0} and its powers are all of GF(q), and
     # 1 + h^j has a code.
-    zech = [codes[gf._shift_slot(x, 0, 1, field.p, mask)] for x in powers]
+    zech = [codes[gf._shift_slot(x, 0, 1, p, mask)] for x in powers]
     codes_of_powers = list(range(1, q))
     mul = [[0] * q] + [[0] + codes_of_powers[i:] + codes_of_powers[:i] for i in range(n)]
-    add = [list(range(q))] + [[i + 1] + [mul[i + 1][z] for z in zech[n - i:] + zech[:n - i]]
+    add = [list(range(q))] + [[i + 1, *map(mul[i + 1].__getitem__, zech[n - i:] + zech[:n - i])]
                               for i in range(n)]
     return codes, add, mul
 
 
-def _minimal_polynomial(g, q: int):
-    """(e1, e2, e3) with g^3 = e1*g^2 - e2*g + e3.
+def _minimal_polynomial(g: int, q: int, ring: tuple):
+    """(e1, e2, e3), packed, with g^3 = e1*g^2 - e2*g + e3 for the packed g
+    in the field of the ring (``GfField._quotient``).
 
     They are the elementary symmetric functions of the conjugates g, g^q and
     g^(q^2) of g over GF(q), so x^3 - e1*x^2 + e2*x - e3 is the minimal
-    polynomial of g over GF(q) and each e_i is fixed by x -> x^q.
+    polynomial of g over GF(q) and each e_i is fixed by x -> x^q.  With
+    u = g^q * g^(q^2): e1 is the reduced sum of the three conjugates,
+    e2 = g * (g^q + g^(q^2)) + u and e3 = g * u = g^(1+q+q^2).
     """
-    gq = g**q
-    gqq = gq**q
-    return g + gq + gqq, g * gq + g * gqq + gq * gqq, g * gq * gqq
+    mulmod = gf._mulmod
+    gq = gf._powmod(g, q, ring)
+    gqq = gf._powmod(gq, q, ring)
+    u = mulmod(gq, gqq, ring)
+    e1 = mulmod(g + gq + gqq, 1, ring)
+    e2 = mulmod(mulmod(g, gq + gqq, ring) + u, 1, ring)
+    return e1, e2, mulmod(g, u, ring)
 
 
 def singer_construct(q: int) -> PerfectDifferenceSet:
@@ -210,25 +248,28 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     the s_i follow Singer's third-order linear recurrence over GF(q):
     s_0, s_1, s_2 = 0, 0, 1 and s_(i+3) = e1*s_(i+2) - e2*s_(i+1) + e3*s_i.
     It is walked with GF(q) addition and multiplication tables, and the
-    i mod q^2+q+1 with s_i = 0 form the difference set.
+    i mod q^2+q+1 with s_i = 0 form the difference set.  The tables are
+    built on h = e3 = g^(1+q+q^2) = g^m: GF(q)* is the unique cyclic
+    subgroup of index m of GF(q^3)*, so g^m generates it.  The field work
+    runs on packed ints (``gf._mulmod``), with no ``GfElement`` past g.
     """
-    if q > MAX_SINGER_ORDER:  # first: prime_power factorizes by trial division
+    if q > MAX_SINGER_ORDER:  # first: the cap answers a huge order at once
         raise DomainError(f"order {q} exceeds the cap {MAX_SINGER_ORDER}")
     decomposition = prime_power(q)
     if decomposition is None:
         raise DomainError(f"{q} is not a prime power")
     p, e = decomposition
     field = make_field(p, 3 * e)
-    g = primitive_element(field)
+    ring = field._quotient
+    g = primitive_element(field).packed
     m = modulus_for_order(q)
 
-    # The subfield GF(q)* is the unique cyclic subgroup of index m; its
-    # generator is g^m.
-    codes, add, mul = _subfield_tables(field, g**m, q)
-    e1, e2, e3 = _minimal_polynomial(g, q)
-    if not all(x.packed in codes for x in (e1, e2, e3)):
+    e1, e2, e3 = _minimal_polynomial(g, q, ring)
+    codes, add, mul = _subfield_tables(e3, q, ring)
+    if e1 not in codes or e2 not in codes:
         raise ArithmeticError("minimal polynomial is not over the subfield")
-    row1, row2, row3 = (mul[codes[x.packed]] for x in (e1, -e2, e3))
+    minus_e2 = mul[codes[e2]][codes[p - 1]]  # the packed constant p - 1 is -1
+    row1, row2, row3 = mul[codes[e1]], mul[minus_e2], mul[codes[e3]]
 
     residues = []
     a, b, c = 0, 0, 1  # s_i, s_(i+1), s_(i+2)
@@ -236,9 +277,9 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
         if a == 0:
             residues.append(i)
         a, b, c = b, c, add[add[row1[c]][row2[b]]][row3[a]]
-    # g^m = g^(1+q+q^2) = e3, so after m steps the state is e3 * (0, 0, 1):
-    # the walk has gone once round the plane.
-    if (a, b, c) != (0, 0, codes[e3.packed]):
+    # g^m = e3, so after m steps the state is e3 * (0, 0, 1): the walk has
+    # gone once round the plane.
+    if (a, b, c) != (0, 0, codes[e3]):
         raise ArithmeticError("recurrence did not close after m steps")
     return _library_set(residues, q, "construction")
 

@@ -346,6 +346,15 @@ def test_profile_from_pds_is_flat(capsys):
     assert all(abs(float(r[1]) - math.sqrt(3)) <= 1e-9 for r in rows)
 
 
+@pytest.mark.parametrize("alpha, expected", ((("--alpha", "0.5"), 0.5), ((), 0.125)))
+def test_profile_alpha_replaces_the_phase_of_a_tuple_file(capsys, tmp_path, alpha, expected):
+    path = tmp_path / "tuple.json"
+    path.write_text('{"thetas": [0.0, 0.25, 0.5], "alpha_turns": 0.125}', encoding="utf-8")
+    code, out, _ = run(capsys, "profile", "--tuple-file", str(path), *alpha, "--format", "json")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["alpha_turns"] == expected
+
+
 def _lattice_tuple_q2():
     return fabrykowski_tuple(singer_construct(2))
 

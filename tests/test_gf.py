@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import mulmod_oracle
 from powersum import gf as gf_module
 from powersum.gf import (
     DomainError,
@@ -394,6 +395,90 @@ def test_packed_arithmetic_matches_schoolbook(p, k):
     x = f.element(full).packed
     assert _powmod(x, f.order - 1, f._quotient) == 1  # Fermat
     assert _powmod(x, f.order, f._quotient) == x
+
+
+# ---------------------------------------------------------------------------
+# The Barrett multiply-mod against the slot loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def check_against_slot_loop(mod, p, triples):
+    """For each (a, b, c) of reduced coefficient vectors, ``_mulmod`` gives,
+    bit for bit, the slot loop's coefficients repacked at its own width, on
+    every operand shape the package passes: a * b, the sums a + b and
+    a + b + c alone, a * (p - 1) and a * (b + c)."""
+    k = len(mod) - 1
+    ring = gf_module._ring(mod, p)
+    width = ring[-1]
+    old = mulmod_oracle._ring(mod, p, mulmod_oracle._width(p, k))
+    old_mulmod = mulmod_oracle._mulmod
+    for a, b, c in triples:
+        x, y, z = (gf_module._pack(v, width) for v in (a, b, c))
+        ox, oy, oz = (mulmod_oracle._pack(v, old[2]) for v in (a, b, c))
+        y_plus_z = old_mulmod(oy + oz, 1, old)
+        got = (_mulmod(x, y, ring), _mulmod(x + y, 1, ring), _mulmod(x + y + z, 1, ring),
+               _mulmod(x, p - 1, ring), _mulmod(x, y + z, ring))
+        want = (old_mulmod(ox, oy, old), old_mulmod(ox + oy, 1, old),
+                old_mulmod(ox + y_plus_z, 1, old), old_mulmod(ox, p - 1, old),
+                old_mulmod(ox, y_plus_z, old))
+        assert got == tuple(gf_module._pack(mulmod_oracle.coefficients(w, old), width)
+                            for w in want), (mod, p, a, b, c)
+
+
+@pytest.mark.parametrize("p, k", ((2, 3), (2, 4), (3, 2), (5, 2)))
+def test_mulmod_matches_the_slot_loop_on_every_pair(p, k):
+    f = make_field(p, k)
+    elements = [f.from_int(v).coeffs for v in range(f.order)]
+    check_against_slot_loop(f.modulus_poly, p, ((a, b, elements[-1 - i])
+                                                for i, a in enumerate(elements)
+                                                for b in elements))
+
+
+# The Singer fields, GF(2^61 - 1), and GF((2^61 - 1)^2) modulo x^2 + 1,
+# irreducible since 2^61 - 1 = 3 mod 4.
+RANDOM_PAIR_FIELDS = ([(p, make_field(p, k).modulus_poly) for p, k in SINGER_PK]
+                      + [(2**61 - 1, (0, 1)), (2**61 - 1, (1, 0, 1))])
+
+
+@pytest.mark.parametrize("p, mod", RANDOM_PAIR_FIELDS,
+                         ids=[f"GF({p}^{len(mod) - 1})" for p, mod in RANDOM_PAIR_FIELDS])
+def test_mulmod_matches_the_slot_loop_on_random_pairs(p, mod):
+    k = len(mod) - 1
+    rng = random.Random(p * 100 + k)
+    full = (p - 1,) * k  # fills every slot of a product the most
+
+    def draw():
+        return tuple(rng.randrange(p) for _ in range(k))
+    triples = [(full, full, full)] + [(draw(), draw(), draw()) for _ in range(1999)]
+    check_against_slot_loop(mod, p, triples)
+
+
+def modulus_with_the_largest_mu(p, k):
+    """The monic f of degree k, f_0 = f_1 = 1, whose Barrett constant
+    floor(x^(2k-2) / f) has every coefficient below the leading 1 at p - 1.
+    Reducible or not, it is a modulus ``_mulmod`` must handle (Ben-Or's test
+    builds a ring for every candidate), and with all-(p - 1) operands it
+    takes the kernel's slots to their bound V."""
+    f = [1] * (k + 1)
+    h = [1]  # the coefficients of mu, top first
+    for i in range(1, k - 1):
+        f[k - i] = (1 - sum(f[k - j] * h[i - j] for j in range(1, i))) % p
+        h.append(p - 1)
+    return tuple(f)
+
+
+@pytest.mark.parametrize("p, k", SINGER_PK, ids=[f"GF({p}^{k})" for p, k in SINGER_PK])
+def test_mulmod_matches_the_slot_loop_at_its_bound(p, k):
+    mod = modulus_with_the_largest_mu(p, k)
+    ring = gf_module._ring(mod, p)
+    assert ring[2] == gf_module._pack([p - 1] * (k - 2) + [1], ring[-1])
+    rng = random.Random(p * 100 + k)
+    full = (p - 1,) * k
+
+    def draw():
+        return tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(k))
+    check_against_slot_loop(mod, p, [(full, full, full)] + [(draw(), draw(), draw())
+                                                             for _ in range(199)])
 
 
 # ---------------------------------------------------------------------------

@@ -329,21 +329,26 @@ def test_singer_construct_calls_make_field_and_primitive_element_once(q, monkeyp
 def test_singer_field_work_stays_within_its_multiplication_count(monkeypatch):
     # Every GF(p^k) multiplication, power and field set-up goes through
     # gf._mulmod, so its call count over all Singer orders is a deterministic
-    # measure of the field work: 1584 calls, 90 of them the Euclid reductions
-    # of the modulus search.  Without those it is 1494, against 4124 when that
-    # search took a gcd per Frobenius step and the primitive element a power
-    # per prime of p^k - 1.  The ceiling is about 10 % above 1494.
-    calls = 0
+    # measure of the field work: 1217 calls, against 1494 when the Singer
+    # set-up took g^m and the minimal polynomial as GfElement arithmetic, and
+    # 4124 when the modulus search took a gcd per Frobenius step and the
+    # primitive element a power per prime of p^k - 1.  The Euclid steps of
+    # the modulus search reduce by gf._poly_rem instead, 90 times (they were
+    # _mulmod calls too, 1584 in all).  The ceilings are about 10 % above.
+    calls = {"_mulmod": 0, "_poly_rem": 0}
 
-    def counted(a, b, ring, _inner=gf_module._mulmod):
-        nonlocal calls
-        calls += 1
-        return _inner(a, b, ring)
+    def counting(name, inner):
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
 
-    monkeypatch.setattr(gf_module, "_mulmod", counted)
+    for name in calls:
+        monkeypatch.setattr(gf_module, name, counting(name, getattr(gf_module, name)))
     for q in SINGER_ORDERS:
         singer_construct(q)
-    assert 0 < calls <= 1650, calls
+    assert 0 < calls["_mulmod"] <= 1340, calls
+    assert 0 < calls["_poly_rem"] <= 100, calls
 
 
 def _singer_field(q):
@@ -354,8 +359,8 @@ def _singer_field(q):
 
 @pytest.mark.parametrize("q", SINGER_ORDERS)
 def test_minimal_polynomial_is_over_the_subfield_and_annihilates_g(q):
-    _, g = _singer_field(q)
-    e1, e2, e3 = _minimal_polynomial(g, q)
+    field, g = _singer_field(q)
+    e1, e2, e3 = (GfElement(field, x) for x in _minimal_polynomial(g.packed, q, field._quotient))
     for x in (e1, e2, e3):
         assert x**q == x
     assert g**3 == e1 * g**2 - e2 * g + e3
@@ -364,7 +369,7 @@ def test_minimal_polynomial_is_over_the_subfield_and_annihilates_g(q):
 @pytest.mark.parametrize("q", (4, 8, 9, 16))
 def test_subfield_tables_match_field_arithmetic(q):
     field, g = _singer_field(q)
-    codes, add, mul = _subfield_tables(field, g ** modulus_for_order(q), q)
+    codes, add, mul = _subfield_tables((g ** modulus_for_order(q)).packed, q, field._quotient)
     element = {code: GfElement(field, packed) for packed, code in codes.items()}
     assert sorted(element) == list(range(q))
     assert element[0] == field.zero and element[1] == field.one
@@ -710,6 +715,34 @@ def test_prime_power_decomposition():
     assert prime_power(12) is None
     assert prime_power(1) is None
     assert is_prime_power(16) and not is_prime_power(6)
+
+
+def _prime_power_by_factoring(n):
+    factors = factorize(n) if n > 1 else {}
+    return next(iter(factors.items())) if len(factors) == 1 else None
+
+
+def forbid_factoring(monkeypatch):
+    def no_factoring(n):
+        pytest.fail(f"factorize({n}) called")
+    monkeypatch.setattr(gf_module, "factorize", no_factoring)
+    monkeypatch.setattr(pds_module, "factorize", no_factoring)
+
+
+def test_prime_power_needs_no_factoring(monkeypatch):
+    expected = [_prime_power_by_factoring(n) for n in range(10**5)]
+    forbid_factoring(monkeypatch)
+    assert prime_power(10**18 + 3) == (10**18 + 3, 1)
+    assert prime_power(3**37) == (3, 37)
+    assert prime_power(41**6) == (41, 6)  # every prime factor past the divisions
+    assert prime_power(41**3 * 43**3) is None  # a cube, but not of a prime
+    assert [prime_power(n) for n in range(10**5)] == expected
+
+
+def test_feasibility_of_a_huge_prime_order_answers_at_once(monkeypatch):
+    forbid_factoring(monkeypatch)
+    rep = feasibility(10**18 + 3)
+    assert (rep.verdict, rep.reasons, rep.witness) == ("Exists", ("prime-power",), None)
 
 
 def test_bruck_ryser_examples():
