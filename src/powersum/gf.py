@@ -45,7 +45,10 @@ loop of its own (``_poly_rem``).  Set-up is most of the cost of a Singer
 difference set, so it is kept to few multiply-mods: ``is_irreducible``
 finds linear factors by evaluation at the points of a small GF(p) and the
 others with one gcd, and ``primitive_element`` settles the primes of p - 1
-through a candidate's norm to GF(p).
+through a candidate's norm to GF(p).  The modulus search takes its
+candidates in blocks of p that differ only in the constant term; one
+evaluation per point of a small GF(p) crosses off the candidate of the block
+with a root there, so only root-free candidates reach Ben-Or's test.
 
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
@@ -274,45 +277,47 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     """Deterministic irreducibility test over GF(p) (Ben-Or's criterion).
 
     `poly` is a monic coefficient list, constant term first; p must be a
-    prime and poly monic and nonconstant, else ``DomainError``.
+    prime and poly monic and nonconstant, else ``DomainError``.  For p <=
+    ``_ROOT_SCAN_MAX_P`` the linear factors are found by ``_has_root`` and
+    only a root-free poly goes on to ``_ben_or``.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise DomainError(f"{p} is not prime")
     mod = [c % p for c in poly]
     if len(mod) < 2 or mod[-1] != 1:
         raise DomainError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
-    return _ben_or(mod, p)
+    if len(mod) == 2:
+        return True
+    scanned = p <= _ROOT_SCAN_MAX_P
+    if scanned and _has_root(mod, p):
+        return False
+    return _ben_or(mod, p, scanned)
 
 
-def _ben_or(mod: list[int], p: int) -> bool:
-    """Ben-Or's test on a monic coefficient list of degree d >= 1 with every
-    entry in [0, p), p prime, constant term first.
+def _ben_or(mod: list[int], p: int, rootless: bool) -> bool:
+    """Ben-Or's test on a monic coefficient list of degree d >= 2 with every
+    entry in [0, p), p prime, constant term first; ``rootless`` says that
+    mod is known to have no root in GF(p).
 
     A monic f of degree d is reducible iff it has an irreducible factor of
     some degree j <= d/2, that is iff gcd(x^(p^j) - x, f) is not constant for
     some j <= d/2: x^(p^j) - x is the product of the monic irreducibles of
     degree dividing j, and an irreducible f has no root in GF(p^j) for j < d.
 
-    The factors of degree 1 are the roots in GF(p).  For p <=
-    ``_ROOT_SCAN_MAX_P`` they are found by evaluating f at each point, with no
-    power and no gcd, and a root-free f of degree <= 3 is irreducible; for a
-    larger p the scan would cost O(p), so j = 1 joins the product below,
-    at O(log p) multiplications.  The remaining x^(p^j) - x, j <= d/2, are
+    The factors of degree 1 are the roots in GF(p).  When the caller has
+    ruled them out (by evaluation, which costs O(p) and so is done only for
+    p <= ``_ROOT_SCAN_MAX_P``), a root-free f of degree <= 3 is irreducible
+    and j = 1 is left out below; otherwise j = 1 joins the product, at
+    O(log p) multiplications.  The remaining x^(p^j) - x, j <= d/2, are
     multiplied together modulo f, the powers x^(p^j) taken one Frobenius step
     at a time, and one gcd with f decides: an irreducible factor of f that
     divides the product divides one of its factors.  An irreducible f shares
     no factor with any of them, so the gcd is a constant.
     """
     d = len(mod) - 1
-    if d == 1:
+    if rootless and d <= 3:
         return True
-    first = 1
-    if p <= _ROOT_SCAN_MAX_P:
-        if _has_root(mod, p):
-            return False
-        if d <= 3:
-            return True
-        first = 2
+    first = 2 if rootless else 1
     ring = _ring(mod, p)
     width = ring[-1]
     factors = []
@@ -333,15 +338,32 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     Candidates x^k + c, with c encoding the low-order coefficients in base p
     (constant term least significant), are scanned in increasing c.  For k = 1
     this yields the polynomial x.
+
+    The scan goes block by block: the p candidates of a block share the
+    coefficients c_1 .. c_(k-1) and differ in c_0.  With
+    h(x) = c_1 + c_2*x + ... + x^(k-1), a candidate is c_0 + x*h(x), so for
+    p <= ``_ROOT_SCAN_MAX_P`` one Horner pass of h per point r of GF(p)
+    crosses off the one c_0 = -r*h(r) with a root at r, and c_0 = 0, the
+    root 0.  Only the rest reach Ben-Or's test, as known to be root-free.
+    For a larger p nothing is crossed off but c_0 = 0, and Ben-Or's test
+    finds the roots itself.
     """
     if k == 1:
         return (0, 1)
-    for c in range(1, p**k):
-        if c % p == 0:
-            continue  # zero constant term means x divides the candidate
-        candidate = [c // p**i % p for i in range(k)] + [1]
-        if _ben_or(candidate, p):
-            return tuple(candidate)
+    sieve = p <= _ROOT_SCAN_MAX_P
+    for block in range(p ** (k - 1)):
+        high = [block // p**i % p for i in range(k - 1)] + [1]  # c_1 .. c_(k-1), 1
+        rooted = {0}
+        if sieve:
+            top_down = high[::-1]
+            for r in range(1, p):
+                acc = 0
+                for c in top_down:
+                    acc = acc * r + c
+                rooted.add(-acc * r % p)
+        for c0 in range(1, p):
+            if c0 not in rooted and _ben_or([c0] + high, p, sieve):
+                return (c0, *high)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 

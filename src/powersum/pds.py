@@ -4,30 +4,33 @@ forms, exhaustive search, and order-feasibility tests.
 A perfect difference set of order q is a set of q+1 residues modulo
 m = q^2 + q + 1 whose q^2 + q ordered pairwise differences hit every nonzero
 residue exactly once (equivalently: a cyclic projective plane of order q).
-``verify`` checks that property directly.  ``PerfectDifferenceSet`` runs it
-once on construction, so every instance is a verified set and no consumer
-checks it again.  ``singer_construct`` realizes the property for
-prime-power q as the zeros of Singer's linear recurrence over GF(q)
-(Singer 1938): its terms are the g^2-coordinates of the powers of a
-primitive element g of GF(q^3), so a term vanishes exactly when that power
-lies on the line spanned by {1, g}.  ``canonical_form`` names a set's class
-under translation and unit scaling: by Hall's multiplier theorem it needs
-one unit per coset of the group the primes of q generate, and a
-lexicographic scan over their candidates.  ``exhaustive_search`` and
-``enumerate_all`` share one complete search, over unions of multiplier
-orbits (``_orbits``): it is complete by Hall's multiplier theorem (every
-prime dividing q is a multiplier) and the McFarland-Rice theorem (some
-translate is fixed by every multiplier), and runs serially under a single
-node budget.  ``feasibility`` combines the Bruck-Ryser and Wilbrink
-nonexistence tests with ``exhaustive_search``; a verdict that rests on that
-search carries the reason ``multiplier-search``.  A plain backtracker over
-the sets containing {0, 1} is kept only in the tests, as this search's oracle.
+``verify`` checks that property directly, as q+1 translates of the set's
+bitmask that must meet pairwise in 0 alone; it shares no code with the
+search it checks.  ``PerfectDifferenceSet`` runs it once on construction, so
+every instance is a verified set and no consumer checks it again.
+``singer_construct`` realizes the property for prime-power q as the zeros of
+Singer's linear recurrence over GF(q) (Singer 1938): its terms are the
+g^2-coordinates of the powers of a primitive element g of GF(q^3), so a term
+vanishes exactly when that power lies on the line spanned by {1, g}.
+``canonical_form`` names a set's class under translation and unit scaling:
+by Hall's multiplier theorem it needs one unit per coset of the group the
+primes of q generate, and a lexicographic scan over their candidates.
+``exhaustive_search`` and ``enumerate_all`` share one complete search, over
+unions of multiplier orbits (``_orbits``): it is complete by Hall's
+multiplier theorem (every prime dividing q is a multiplier) and the
+McFarland-Rice theorem (some translate is fixed by every multiplier), and
+runs serially under a single node budget.  ``feasibility`` combines the
+Bruck-Ryser and Wilbrink nonexistence tests with ``exhaustive_search``; a
+verdict that rests on that search carries the reason ``multiplier-search``.
+A plain backtracker over the sets containing {0, 1} is kept only in the
+tests, as this search's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import index
 from typing import NamedTuple, Optional
 
 from . import _orbits, gf
@@ -95,14 +98,42 @@ def verify(candidate, q: int) -> Verification:
     """Check the defining property: q+1 distinct residues mod q^2+q+1 whose
     differences cover each nonzero residue exactly once.
 
+    With D as a bitmask over Z_m, the translate D - a is D rotated by a, and
+    its bits are the differences x - a for x in D.  A nonzero difference
+    occurs twice, x - a = y - b with (x, a) != (y, b), exactly when a != b
+    and it lies in both D - a and D - b; so the differences are distinct iff
+    each translate meets the union of the earlier ones in {0} alone, a test
+    of q+1 big-int steps.  It is written here, not shared with the search
+    kernel (``_orbits``), because ``verify`` is the independent check on what
+    that search returns.
+
     On failure the witness pins the problem down: a repeated residue, or the
     first difference that is covered twice (scanning pairs in sorted order,
-    positive difference before its negative).  Orders below 1 are rejected.
+    positive difference before its negative); that pair scan runs only once
+    the translate test has failed.  Orders below 1 are rejected.
     """
     if q < 1:
         raise DomainError("order must be >= 1")
     m = modulus_for_order(q)
-    res = sorted(x % m for x in candidate)
+    res = [x % m for x in map(index, candidate)]  # Python ints: numpy's shift overflows
+    bits = 0
+    for x in res:
+        bits |= 1 << x
+    if len(res) == bits.bit_count() == q + 1:  # q+1 distinct residues
+        # They give q^2+q = m-1 differences, so distinct ones cover every
+        # nonzero residue: nothing can be missing.  A right shift of D
+        # next to D + m is a rotation.
+        doubled = bits | bits << m
+        mask = (1 << m) - 1
+        union = 0
+        for a in res:
+            translate = doubled >> a & mask
+            if union & translate > 1:  # bit 0 is in every translate
+                break
+            union |= translate
+        else:
+            return Verification(True, None, None)
+    res.sort()
     for i in range(1, len(res)):
         if res[i] == res[i - 1]:
             return Verification(False, "duplicate-residue", res[i])
@@ -119,9 +150,7 @@ def verify(candidate, q: int) -> Verification:
             if covered[w]:
                 return Verification(False, "difference-covered-twice", w)
             covered[w] = 1
-    # q+1 residues give exactly q^2+q = m-1 differences, so full coverage
-    # with no doubles is forced by counting; nothing can be missing here.
-    return Verification(True, None, None)
+    raise ArithmeticError("the translate test and the pair scan disagree")
 
 
 def _library_set(residues, q: int, producer: str) -> PerfectDifferenceSet:
@@ -418,16 +447,47 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
 # ---------------------------------------------------------------------------
 
 
+# Trial division for ``is_sum_of_two_squares`` stops at this bound: at most
+# about 0.1 s of divisions.
+TWO_SQUARES_TRIAL_BOUND = 10**6
+
+
 def is_sum_of_two_squares(n: int) -> bool:
-    """Direct enumeration, 0 allowed: n = a^2 + b^2 for integers a, b."""
-    a = 0
-    while a * a * 2 <= n:
-        b2 = n - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            return True
-        a += 1
-    return False
+    """n = a^2 + b^2 for integers a, b, 0 allowed.
+
+    By Fermat and Euler, n >= 1 is such a sum iff every prime = 3 (mod 4)
+    divides it to an even power, so the test reads n's factorization.  The
+    primes up to ``TWO_SQUARES_TRIAL_BOUND`` are divided out, and one of them
+    = 3 (mod 4) to an odd power settles False.  The cofactor c left then has
+    no prime factor below the bound.  It is settled False when c = 3 (mod 4),
+    and True when it is 1, a prime or a prime's square.  Any other cofactor
+    would need factoring: that is a ``DomainError`` naming the bound, never
+    a guess and never a long loop.
+    """
+    if n < 1:
+        return n == 0
+    whole, f = n, 2
+    while f <= TWO_SQUARES_TRIAL_BOUND and f * f <= n:
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        if e % 2 and f % 4 == 3:
+            return False
+        f += 1 if f == 2 else 2
+    # No prime below f divides the cofactor n, so n < f^2 is 1 or a prime.
+    # A product of primes = 1 (mod 4) and of even powers is = 1 (mod 4), so
+    # an odd n = 3 (mod 4) has a prime = 3 (mod 4) to an odd power.
+    if n % 4 == 3:
+        return False
+    if n < f * f or gf.is_prime(n):
+        return True
+    r = isqrt(n)
+    if r * r == n and gf.is_prime(r):
+        return True
+    raise DomainError(f"cannot tell whether {whole} is a sum of two squares: its cofactor {n} "
+                      f"has no prime factor up to the trial-division bound "
+                      f"{TWO_SQUARES_TRIAL_BOUND} and needs factoring")
 
 
 def bruck_ryser_excludes(order: int) -> bool:
@@ -491,7 +551,9 @@ def feasibility(order: int,
     orbits is complete: its NoneExists excludes the order (reason
     ``multiplier-search``).
     Excluded is never claimed unless at least one test actually fired.  A
-    negative ``search_budget`` is a DomainError, whatever the order.
+    negative ``search_budget`` is a DomainError, whatever the order, and so
+    is an order whose Bruck-Ryser test needs factoring past
+    ``TWO_SQUARES_TRIAL_BOUND`` (``is_sum_of_two_squares``).
     """
     if order < 1:
         raise DomainError("order must be >= 1")

@@ -21,6 +21,12 @@ That is O(n * sqrt(nu_max)) memory instead of O(n * nu_max).  It is exact
 enough: each product of unit complex numbers adds about one rounding, and a
 power reached by the blocks has gone through at most b + nu/b of them,
 against nu for the running product z^nu = z^(nu-1) * z.
+
+A tuple's profile up to its horizon n^2-n is computed once, on first use,
+and kept on the tuple as read-only arrays: ``power_sums``,
+``fejer_certificate`` and ``recover_structure`` on one tuple share it.  Any
+other ``nu_max`` (``is_regular_ngon`` asks for n-1) is computed afresh,
+since the blocks, and so the roundings, depend on it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -74,6 +81,16 @@ class UnimodularTuple:
     def horizon(self) -> int:
         """Largest exponent of interest, n^2 - n."""
         return self.n * self.n - self.n
+
+    @cached_property
+    def _profile(self) -> tuple[np.ndarray, np.ndarray]:
+        """|S(nu)| and eps_nu for nu = 1 .. n^2 - n as read-only arrays,
+        computed on first use and kept (the tuple is frozen, so they cannot
+        go stale); equality, hash and records see only the fields."""
+        arrays = _abs_values_and_epsilons(self, self.horizon)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def to_record(self) -> dict:
         return {"n": self.n, "alpha_turns": self.alpha_turns,
@@ -144,7 +161,10 @@ def power_sums(t: UnimodularTuple, nu_max: Optional[int] = None) -> PowerSumProf
         nu_max = t.horizon
     if nu_max < 1:
         raise DomainError("nu_max must be >= 1")
-    abs_values, epsilons = _abs_values_and_epsilons(t, nu_max)
+    if nu_max == t.horizon:
+        abs_values, epsilons = t._profile
+    else:
+        abs_values, epsilons = _abs_values_and_epsilons(t, nu_max)
     return PowerSumProfile(n=n, m=n * n - n + 1,
                            abs_values=tuple(abs_values.tolist()),
                            epsilons=tuple(epsilons.tolist()),
@@ -188,7 +208,7 @@ def fejer_certificate(t: UnimodularTuple) -> FejerCertificate:
     floating tolerance 1e-9 * n^2 (which would mean a numerical defect, not a
     counterexample)."""
     n = t.n
-    _, eps = _abs_values_and_epsilons(t, t.horizon)
+    eps = t._profile[1]
     m = t.horizon + 1
     nus = np.arange(1, m)
     weighted = float(((1.0 - nus / m) * eps).sum())
@@ -344,7 +364,7 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
         raise DomainError(f"tol must be a finite number >= 0, not {tol}")
     n = t.n
     target = math.sqrt(n - 1)
-    abs_values, _ = _abs_values_and_epsilons(t, t.horizon)
+    abs_values = t._profile[0]
     profile_deviation = float(np.abs(abs_values - target).max())
 
     alpha_recovered = (t.alpha_turns + t.thetas[0]) % 1.0

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,22 @@ def test_feasibility_order0_is_a_domain_error(capsys):
     assert code == cli.EXIT_DOMAIN == 2
     assert out == ""
     assert "order must be >= 1" in err
+
+
+def test_feasibility_of_a_huge_order_2_mod_4_is_excluded_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "feasibility", "--order", "1000000000000000002", "--format", "json")
+    assert time.perf_counter() - start < 0.5
+    record = json.loads(out)
+    assert code == cli.EXIT_NEGATIVE
+    assert (record["verdict"], record["reasons"]) == ("Excluded", ["bruck-ryser", "wilbrink"])
+
+
+def test_feasibility_past_the_two_squares_bound_exits_2(capsys):
+    order = (10**9 + 9) * (10**9 + 21)
+    code, out, err = run(capsys, "feasibility", "--order", str(order))
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert f"trial-division bound {pds_module.TWO_SQUARES_TRIAL_BOUND}" in err
 
 
 def test_feasibility_output_is_byte_identical_across_runs(capsys):

@@ -169,6 +169,26 @@ def test_moduli_and_primitive_elements_are_pinned():
             assert primitive_element(f).to_int() == g, (p, k)
 
 
+def first_irreducible_by_scan(p, k):
+    """The first monic degree-k candidate, in the order of the integer
+    encoding, that the public is_irreducible accepts."""
+    for c in range(p**k):
+        candidate = [c // p**i % p for i in range(k)] + [1]
+        if is_irreducible(candidate, p):
+            return tuple(candidate)
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 72) if is_prime(p)])
+def test_the_sieved_modulus_search_equals_a_scan_of_is_irreducible(p):
+    # Every prime p <= 71, on both sides of _ROOT_SCAN_MAX_P = 64, where the
+    # search stops sieving roots per block.
+    assert gf_module._ROOT_SCAN_MAX_P == 64
+    degrees = [k for k in range(2, 5) if p**k <= 2 * 10**5]
+    assert degrees
+    for k in degrees:
+        assert gf_module._smallest_irreducible(p, k) == first_irreducible_by_scan(p, k), k
+
+
 def test_make_field_deterministic():
     a = make_field(3, 4)
     b = make_field(3, 4)

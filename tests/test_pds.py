@@ -7,10 +7,15 @@ enumeration of the full transform orbit and against a scan of every translate
 of every unit image.
 """
 
+import ast
+import inspect
 import random
+import textwrap
+import time
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 import search_oracle
@@ -148,6 +153,37 @@ def test_verify_matches_its_reference_on_singer_sets_and_their_one_residue_chang
         cand = list(residues)
         cand[rng.randrange(q + 1)] = rng.randrange(m)
         assert verify(cand, q) == verify_oracle.verify(cand, q)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13))
+def test_verify_matches_its_reference_on_every_unit_image_of_a_singer_set(q):
+    # u*D is a perfect difference set for every unit u, so this is the valid
+    # path in bulk; random candidates almost never reach it.
+    residues = singer_construct(q).residues
+    m = modulus_for_order(q)
+    images = [[u * x % m for x in residues] for u in range(1, m) if gcd(u, m) == 1]
+    for image in images:
+        assert verify(image, q) == verify_oracle.verify(image, q) == (True, None, None)
+
+
+def test_verify_takes_numpy_integers_like_ints():
+    residues = singer_construct(32).residues
+    clash = residues[:-1] + (residues[0] + 1,)
+    for cand in (residues, clash, residues + (5,)):
+        assert verify(np.array(cand), 32) == verify(list(cand), 32)
+    with pytest.raises(TypeError):
+        verify([0.0, 1.0, 3.0], 2)
+
+
+def test_verify_refers_to_nothing_in_the_search_kernel():
+    # verify checks what _orbits.search returns, so it must not share its code.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(pds_module.verify)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_orbits" not in names
+    for name in names:
+        value = getattr(pds_module, name, None)
+        assert value is not _orbits, name
+        assert getattr(value, "__module__", None) != _orbits.__name__, name
 
 
 @pytest.mark.parametrize("q", (-1, 0))
@@ -759,6 +795,59 @@ def test_sum_of_two_squares_matches_factorization_rule():
     for n in range(1, 500):
         by_rule = all(e % 2 == 0 for p, e in factorize(n).items() if p % 4 == 3)
         assert is_sum_of_two_squares(n) == by_rule, n
+
+
+def sum_of_two_squares_by_enumeration(n):
+    a = 0
+    while a * a * 2 <= n:
+        b2 = n - a * a
+        b = isqrt(b2)
+        if b * b == b2:
+            return True
+        a += 1
+    return False
+
+
+def test_sum_of_two_squares_matches_the_enumeration():
+    verdicts = [is_sum_of_two_squares(n) for n in range(-3, 20_001)]
+    assert verdicts == [sum_of_two_squares_by_enumeration(n) for n in range(-3, 20_001)]
+
+
+BIG = pds_module.TWO_SQUARES_TRIAL_BOUND
+BIG_PRIME_1, BIG_PRIME_3 = 1000033, 1000003  # = 1 and = 3 (mod 4), above the bound
+
+
+@pytest.mark.parametrize("n, expected", (
+    (10**18 + 9, True),  # a prime = 1 (mod 4)
+    (2 * 5 * BIG_PRIME_1, True),
+    (5 * BIG_PRIME_3, False),  # the cofactor is a prime = 3 (mod 4)
+    (2 * BIG_PRIME_3**2, True),  # the cofactor is a prime's square
+    (3 * (10**9 + 9) * (10**9 + 21), False),  # an odd power of 3 settles it
+    (2 * (10**9 + 7) * (10**9 + 9), False),  # the cofactor is = 3 (mod 4)
+))
+def test_sum_of_two_squares_of_a_large_n_reads_its_factorization(n, expected):
+    assert all(map(gf_module.is_prime, (BIG_PRIME_1, BIG_PRIME_3, 10**9 + 9, 10**9 + 21)))
+    assert BIG_PRIME_1 % 4 == 1 and BIG_PRIME_3 % 4 == 3 and BIG_PRIME_3 > BIG
+    start = time.perf_counter()
+    assert is_sum_of_two_squares(n) is expected
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sum_of_two_squares_past_the_bound_is_a_domain_error_not_a_guess():
+    n = (10**9 + 9) * (10**9 + 21)  # = 1 (mod 4): two primes past the bound
+    with pytest.raises(DomainError, match=f"trial-division bound {BIG}"):
+        is_sum_of_two_squares(n)
+    with pytest.raises(DomainError, match=f"trial-division bound {BIG}"):
+        feasibility(n)
+
+
+def test_feasibility_of_a_huge_order_1_or_2_mod_4_answers_at_once():
+    # 10^18 + 2 = 2 * 3 * 17 * 131 * 1427 * 52445056723
+    start = time.perf_counter()
+    rep = feasibility(10**18 + 2)
+    assert time.perf_counter() - start < 0.5
+    assert (rep.verdict, rep.reasons) == ("Excluded", ("bruck-ryser", "wilbrink"))
+    assert factorize(10**18 + 2) == {2: 1, 3: 1, 17: 1, 131: 1, 1427: 1, 52445056723: 1}
 
 
 def test_wilbrink_examples():

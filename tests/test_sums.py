@@ -115,6 +115,59 @@ def test_power_sums_does_not_build_the_power_matrix():
     assert peak < 16 * 2**20
 
 
+def test_one_tuple_makes_one_profile_for_the_three_sums(monkeypatch):
+    calls = []
+    inner = sums_module._power_sums
+
+    def counted(thetas, nu_max):
+        calls.append(nu_max)
+        return inner(thetas, nu_max)
+
+    monkeypatch.setattr(sums_module, "_power_sums", counted)
+    t = fabrykowski_tuple(singer_construct(7))
+    power_sums(t)
+    fejer_certificate(t)
+    recover_structure(t)
+    power_sums(t, nu_max=t.horizon)
+    assert calls == [t.horizon]
+    is_regular_ngon(t)  # a shorter profile is computed afresh
+    assert calls == [t.horizon, t.n - 1]
+
+
+def test_the_kept_profile_rejects_writes():
+    t = fabrykowski_tuple(singer_construct(4))
+    power_sums(t)
+    for array in t._profile:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_a_kept_profile_leaves_equality_hash_and_record_alone():
+    rng = np.random.default_rng(61)
+    t = random_tuple(rng, 6)
+    twin = UnimodularTuple(t.thetas, t.alpha_turns)
+    before = (hash(t), repr(t), t.to_record())
+    fejer_certificate(t)
+    assert "_profile" in vars(t) and "_profile" not in vars(twin)
+    assert t == twin and (hash(t), repr(t), t.to_record()) == before
+    assert hash(twin) == hash(t)
+    assert UnimodularTuple.from_record(t.to_record()) == t
+
+
+def test_profiles_at_any_nu_max_have_the_bits_of_a_fresh_computation():
+    rng = np.random.default_rng(67)
+    for n in (2, 3, 5, 8):
+        t = random_tuple(rng, n)
+        eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
+        power_sums(t)  # the horizon profile is now kept
+        for nu_max in sorted({1, n - 1, t.horizon - 1, t.horizon, t.horizon + 3} - {0}):
+            direct = np.abs(sums_module._power_sums(eff, nu_max))
+            profile = power_sums(t, nu_max=nu_max)
+            assert profile.abs_values == tuple(direct.tolist()), (n, nu_max)
+            assert profile.epsilons == tuple((direct * direct - (n - 1)).tolist())
+            assert profile.max_abs == float(direct.max())
+
+
 def test_profile_phase_invariance():
     rng = np.random.default_rng(5)
     for _ in range(30):
