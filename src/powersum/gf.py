@@ -39,16 +39,18 @@ precomputes mu, g, M and P once per modulus.
 
 One multiply-mod (``_mulmod``) and one power (``_powmod``) serve both the
 field elements and the field set-up, which works on packed ints and makes a
-``GfElement`` only for what it returns.  Euclid's algorithm in
-``_poly_gcd`` divides by a new polynomial at each step, so it keeps a slot
-loop of its own (``_poly_rem``).  Set-up is most of the cost of a Singer
+``GfElement`` only for what it returns; ``_mulmod`` is the one kernel that
+reduces packed polynomials.  Euclid's algorithm divides by a new polynomial
+at each step, which a precomputed ring does not serve, so ``_poly_gcd``
+works on coefficient lists.  Set-up is most of the cost of a Singer
 difference set, so it is kept to few multiply-mods: ``is_irreducible``
 finds linear factors by evaluation at the points of a small GF(p) and the
 others with one gcd, and ``primitive_element`` settles the primes of p - 1
 through a candidate's norm to GF(p).  The modulus search takes its
 candidates in blocks of p that differ only in the constant term; one
 evaluation per point of a small GF(p) crosses off the candidate of the block
-with a root there, so only root-free candidates reach Ben-Or's test.
+with a root there (``_rooted_constants``, which ``is_irreducible`` calls
+too), so only root-free candidates reach Ben-Or's test.
 
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
@@ -82,16 +84,28 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MILLER_RABIN_EXACT_BELOW = 318665857834031151167461
 
 
+# Past the exact Miller-Rabin range, and for the cofactors that
+# ``pds.is_sum_of_two_squares`` settles, trial division stops at this bound:
+# at most about 0.1 s of divisions.
+TRIAL_DIVISION_BOUND = 10**6
+
+
 def is_prime(n: int) -> bool:
     """Exact primality: a deterministic Miller-Rabin test below
-    ``_MILLER_RABIN_EXACT_BELOW``, trial division (``factorize``) at or above it."""
+    ``_MILLER_RABIN_EXACT_BELOW``.  At or above it a factor up to
+    ``TRIAL_DIVISION_BOUND`` settles False, and any other n is a
+    ``DomainError`` naming the bound, never a guess and never a long loop."""
     if n < 2:
         return False
     for a in _MILLER_RABIN_BASES:
         if n % a == 0:
             return n == a
     if n >= _MILLER_RABIN_EXACT_BELOW:
-        return factorize(n) == {n: 1}
+        if any(n % f == 0 for f in range(41, TRIAL_DIVISION_BOUND + 1, 2)):
+            return False  # the bases took every factor below 41
+        raise DomainError(f"cannot tell whether {n} is prime: it has no factor up to the "
+                          f"trial-division bound {TRIAL_DIVISION_BOUND} and is past the exact "
+                          f"Miller-Rabin range")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in _MILLER_RABIN_BASES:
@@ -139,6 +153,12 @@ def _pack(coeffs, width: int) -> int:
     for c in reversed(coeffs):
         value = value << width | c
     return value
+
+
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    """The coefficients in the count low slots of the packed value."""
+    mask = (1 << width) - 1
+    return [value >> s & mask for s in range(0, count * width, width)]
 
 
 def _pack_digits(value: int, p: int, width: int) -> int:
@@ -215,71 +235,62 @@ def _shift_slot(a: int, s: int, delta: int, p: int, mask: int) -> int:
     return a + (((c + delta) % p - c) << s)
 
 
-def _poly_rem(c: int, p: int, neg: int, width: int, dw: int) -> int:
-    """c modulo a monic divisor of degree d = dw / width, neg = x^d - divisor
-    packed, every coefficient in [0, p).  Each slot from c's top down to
-    slot d is cleared and its value mod p, times neg, added d slots lower;
-    then the d low slots are taken mod p.  It takes O(deg c - d) steps, but
-    needs no precomputation for the divisor, unlike ``_mulmod``.
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b, deg b < deg a, as coefficient lists over GF(p):
+    constant term first, entries in [0, p), no leading zero, [] for 0.
+
+    Euclid's algorithm: each step clears a's coefficients from the top down
+    to deg b with multiples of b, and goes on with b and what is left.
     """
-    mask = (1 << width) - 1
-    for s in range((c.bit_length() - 1) // width * width, dw - 1, -width):
-        top = c >> s
-        c ^= top << s
-        c += (top % p * neg) << (s - dw)
-    result = 0
-    for s in range(0, dw, width):
-        result |= ((c >> s & mask) % p) << s
-    return result
-
-
-def _poly_gcd(a: int, b: int, p: int, width: int) -> int:
-    """A gcd of the packed a and b, deg b < deg a <= k, in slots of the
-    width of a degree-k modulus (``_ring``).
-
-    Each Euclid step reduces a modulo a new divisor b with ``_poly_rem``:
-    b's leading term is x^db * lead, so x^db is replaced by
-    -(b - lead * x^db) / lead, every coefficient in [0, p).  A slot so gains
-    at most deg a - deg b + 1 <= k terms below (p - 1)^2, within the width.
-    """
-    mask = (1 << width) - 1
     while b:
-        db = (b.bit_length() - 1) // width * width
-        neg_inv_lead = p - pow(b >> db, -1, p)
-        neg = 0
-        for s in range(0, db, width):
-            neg |= (b >> s & mask) * neg_inv_lead % p << s
-        a, b = b, _poly_rem(a, p, neg, width, db)
+        a = a[:]
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for top in range(len(a) - 1, db - 1, -1):
+            c = a[top] * inv % p
+            if c:
+                for j in range(db):
+                    a[top - db + j] = (a[top - db + j] - c * b[j]) % p
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return a
 
 
-def _has_root(mod: list[int], p: int) -> bool:
-    """Whether the polynomial with these coefficients, constant term first,
-    vanishes at some point of GF(p), by Horner's rule at each point."""
-    top_down = mod[::-1]
-    for r in range(p):
-        acc = 0
-        for c in top_down:
-            acc = acc * r + c
-        if acc % p == 0:
-            return True
-    return False
-
-
-# Up to this characteristic the p Horner evaluations of ``_has_root`` cost
-# less than the Frobenius power x^p and the gcd that would find a linear
+# Up to this characteristic the p Horner evaluations of ``_rooted_constants``
+# cost less than the Frobenius power x^p and the gcd that would find a linear
 # factor instead; for root-free cubics and sextics they break even between
 # p = 67 and p = 127.  Every field the Singer construction builds has p <= 31.
 _ROOT_SCAN_MAX_P = 64
+
+
+def _rooted_constants(high: list[int], p: int) -> set[int]:
+    """The constant terms c_0 for which c_0 + x*h(x) has a root in GF(p),
+    where h has the coefficients high, constant term first.
+
+    The root 0 gives c_0 = 0.  For p <= ``_ROOT_SCAN_MAX_P`` one Horner pass
+    of h per point r != 0 gives the one c_0 = -r*h(r) with a root at r; for
+    a larger p only c_0 = 0 is returned, and Ben-Or's test finds the roots.
+    """
+    rooted = {0}
+    if p <= _ROOT_SCAN_MAX_P:
+        top_down = high[::-1]
+        for r in range(1, p):
+            acc = 0
+            for c in top_down:
+                acc = acc * r + c
+            rooted.add(-acc * r % p)
+    return rooted
 
 
 def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     """Deterministic irreducibility test over GF(p) (Ben-Or's criterion).
 
     `poly` is a monic coefficient list, constant term first; p must be a
-    prime and poly monic and nonconstant, else ``DomainError``.  For p <=
-    ``_ROOT_SCAN_MAX_P`` the linear factors are found by ``_has_root`` and
-    only a root-free poly goes on to ``_ben_or``.
+    prime and poly monic and nonconstant, else ``DomainError``.  A poly with
+    a root that ``_rooted_constants`` finds is reducible, and the rest go on
+    to ``_ben_or``.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -288,40 +299,38 @@ def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
         raise DomainError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
     if len(mod) == 2:
         return True
-    scanned = p <= _ROOT_SCAN_MAX_P
-    if scanned and _has_root(mod, p):
-        return False
-    return _ben_or(mod, p, scanned)
+    return mod[0] not in _rooted_constants(mod[1:], p) and _ben_or(mod, p)
 
 
-def _ben_or(mod: list[int], p: int, rootless: bool) -> bool:
+def _ben_or(mod: list[int], p: int) -> bool:
     """Ben-Or's test on a monic coefficient list of degree d >= 2 with every
-    entry in [0, p), p prime, constant term first; ``rootless`` says that
-    mod is known to have no root in GF(p).
+    entry in [0, p), p prime, constant term first, with no root that
+    ``_rooted_constants`` finds.
 
     A monic f of degree d is reducible iff it has an irreducible factor of
     some degree j <= d/2, that is iff gcd(x^(p^j) - x, f) is not constant for
     some j <= d/2: x^(p^j) - x is the product of the monic irreducibles of
     degree dividing j, and an irreducible f has no root in GF(p^j) for j < d.
 
-    The factors of degree 1 are the roots in GF(p).  When the caller has
-    ruled them out (by evaluation, which costs O(p) and so is done only for
-    p <= ``_ROOT_SCAN_MAX_P``), a root-free f of degree <= 3 is irreducible
-    and j = 1 is left out below; otherwise j = 1 joins the product, at
-    O(log p) multiplications.  The remaining x^(p^j) - x, j <= d/2, are
-    multiplied together modulo f, the powers x^(p^j) taken one Frobenius step
-    at a time, and one gcd with f decides: an irreducible factor of f that
-    divides the product divides one of its factors.  An irreducible f shares
-    no factor with any of them, so the gcd is a constant.
+    The factors of degree 1 are the roots in GF(p).  For p <=
+    ``_ROOT_SCAN_MAX_P`` they are all ruled out, so f of degree <= 3 is
+    irreducible and j = 1 is left out below; for a larger p, j = 1 joins the
+    product, at O(log p) multiplications.  The remaining x^(p^j) - x,
+    j <= d/2, are multiplied together modulo f, the powers x^(p^j) taken one
+    Frobenius step at a time, and one gcd with f, on coefficient lists,
+    decides: an irreducible factor of f that divides the product divides one
+    of its factors.  An irreducible f shares no factor with any of them, so
+    the gcd is a constant.
     """
     d = len(mod) - 1
+    rootless = p <= _ROOT_SCAN_MAX_P
     if rootless and d <= 3:
         return True
     first = 2 if rootless else 1
     ring = _ring(mod, p)
     width = ring[-1]
     factors = []
-    h = x = 1 << width
+    h = 1 << width  # x
     for j in range(1, d // 2 + 1):
         h = _powmod(h, p, ring)  # x^(p^j)
         if j >= first:
@@ -329,7 +338,10 @@ def _ben_or(mod: list[int], p: int, rootless: bool) -> bool:
     product = factors[0]
     for factor in factors[1:]:
         product = _mulmod(product, factor, ring)
-    return _poly_gcd(_pack(mod, width), product, p, width) < x  # the gcd is a constant
+    product = _unpack(product, d, width)
+    while product and not product[-1]:
+        product.pop()
+    return len(_poly_gcd(mod, product, p)) == 1  # the gcd is a constant
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -340,29 +352,17 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     this yields the polynomial x.
 
     The scan goes block by block: the p candidates of a block share the
-    coefficients c_1 .. c_(k-1) and differ in c_0.  With
-    h(x) = c_1 + c_2*x + ... + x^(k-1), a candidate is c_0 + x*h(x), so for
-    p <= ``_ROOT_SCAN_MAX_P`` one Horner pass of h per point r of GF(p)
-    crosses off the one c_0 = -r*h(r) with a root at r, and c_0 = 0, the
-    root 0.  Only the rest reach Ben-Or's test, as known to be root-free.
-    For a larger p nothing is crossed off but c_0 = 0, and Ben-Or's test
-    finds the roots itself.
+    coefficients c_1 .. c_(k-1) and differ in c_0, so one call of
+    ``_rooted_constants`` crosses off the block's candidates with a root it
+    finds.  Only the rest reach Ben-Or's test.
     """
     if k == 1:
         return (0, 1)
-    sieve = p <= _ROOT_SCAN_MAX_P
     for block in range(p ** (k - 1)):
         high = [block // p**i % p for i in range(k - 1)] + [1]  # c_1 .. c_(k-1), 1
-        rooted = {0}
-        if sieve:
-            top_down = high[::-1]
-            for r in range(1, p):
-                acc = 0
-                for c in top_down:
-                    acc = acc * r + c
-                rooted.add(-acc * r % p)
+        rooted = _rooted_constants(high, p)
         for c0 in range(1, p):
-            if c0 not in rooted and _ben_or([c0] + high, p, sieve):
+            if c0 not in rooted and _ben_or([c0] + high, p):
                 return (c0, *high)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
 
@@ -424,10 +424,7 @@ class GfElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """The coefficient vector, constant term first, of length k."""
-        ring = self.field._quotient
-        kw, width = ring[3], ring[-1]
-        mask = (1 << width) - 1
-        return tuple([self.packed >> s & mask for s in range(0, kw, width)])
+        return tuple(_unpack(self.packed, self.field.k, self.field._quotient[-1]))
 
     def _check(self, other: "GfElement") -> None:
         if self.field is not other.field and self.field != other.field:

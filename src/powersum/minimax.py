@@ -41,7 +41,8 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .gf import DomainError
 from .pds import verify
-from .sums import RecoveryResult, UnimodularTuple, _lattice_rounding, recover_structure
+from .sums import (RecoveryResult, UnimodularTuple, _geometric_rows, _lattice_rounding,
+                   recover_structure)
 
 LOWER_BOUND_GUARD = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -61,21 +62,10 @@ def objective(t: UnimodularTuple) -> float:
     return _objective_raw((np.asarray(t.thetas) + t.alpha_turns) % 1.0, t.n)
 
 
-def _running_powers(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:
-    """Matrix P[nu-1, k] = z_k^nu built by iterated multiplication.
-
-    Cumulative products avoid evaluating trig at large arguments: each row is
-    the previous one times z, exactly the running-powers recurrence.  The
-    rows start as copies of z, which at n <= 8 costs less than the Python
-    wrapper of ``np.broadcast_to`` and gives the same bits.
-    """
-    z = np.exp((2j * np.pi) * effective_thetas)
-    return z[None, :].repeat(nu_max, axis=0).cumprod(axis=0)
-
-
 def _abs_squared_and_powers(thetas: np.ndarray, nu_max: int):
     """u[nu-1] = |S(nu)|^2, S[nu-1], and the power matrix z_k^nu."""
-    powers = _running_powers(thetas, nu_max)
+    z = np.exp((2j * np.pi) * thetas)
+    powers = _geometric_rows(z, z, nu_max)
     s = powers.sum(axis=1)
     u = (s.real * s.real + s.imag * s.imag)
     return u, s, powers

@@ -181,9 +181,11 @@ def prime_power(n: int) -> Optional[tuple[int, int]]:
 
     A prime factor p <= 37 is found by division, and then n must be its
     power.  Otherwise every prime factor exceeds 37, so n = r^e needs
-    37^e < n, and n is a prime power iff one of those e has an exact
-    integer root r that ``gf.is_prime`` accepts.  That is deterministic
-    Miller-Rabin below about 3 * 10^23, so no order below it is factored.
+    37^e < n.  Those e are tried from the largest down, and the first with
+    an exact integer root r decides: r is then no perfect power itself, so
+    n is a prime power iff ``gf.is_prime`` accepts r.  That is deterministic
+    Miller-Rabin below about 3 * 10^23, so no order below it is factored,
+    and a prime's square is decided at e = 2 whatever its size.
     """
     if n < 2:
         return None
@@ -195,13 +197,14 @@ def prime_power(n: int) -> Optional[tuple[int, int]]:
                 e += 1
                 n //= p
             return (p, e) if n == 1 else None
-    e = 1
-    while _SMALL_PRIMES[-1] ** e < n:
+    top = 1
+    while _SMALL_PRIMES[-1] ** (top + 1) < n:
+        top += 1
+    for e in range(top, 0, -1):
         r = _integer_root(n, e)
-        if r ** e == n and gf.is_prime(r):
-            return r, e
-        e += 1
-    return None
+        if r ** e == n:  # always so at e = 1
+            break
+    return (r, e) if gf.is_prime(r) else None
 
 
 def is_prime_power(n: int) -> bool:
@@ -447,9 +450,8 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
 # ---------------------------------------------------------------------------
 
 
-# Trial division for ``is_sum_of_two_squares`` stops at this bound: at most
-# about 0.1 s of divisions.
-TWO_SQUARES_TRIAL_BOUND = 10**6
+# Trial division for ``is_sum_of_two_squares`` stops at this bound.
+TWO_SQUARES_TRIAL_BOUND = gf.TRIAL_DIVISION_BOUND
 
 
 def is_sum_of_two_squares(n: int) -> bool:
@@ -460,9 +462,10 @@ def is_sum_of_two_squares(n: int) -> bool:
     primes up to ``TWO_SQUARES_TRIAL_BOUND`` are divided out, and one of them
     = 3 (mod 4) to an odd power settles False.  The cofactor c left then has
     no prime factor below the bound.  It is settled False when c = 3 (mod 4),
-    and True when it is 1, a prime or a prime's square.  Any other cofactor
-    would need factoring: that is a ``DomainError`` naming the bound, never
-    a guess and never a long loop.
+    and True when it is 1, a square (each prime of which divides it to an
+    even power) or a prime.  Any other cofactor would need factoring: that
+    is a ``DomainError`` naming the bound, from here or from ``gf.is_prime``
+    past its exact range, never a guess and never a long loop.
     """
     if n < 1:
         return n == 0
@@ -480,10 +483,7 @@ def is_sum_of_two_squares(n: int) -> bool:
     # an odd n = 3 (mod 4) has a prime = 3 (mod 4) to an odd power.
     if n % 4 == 3:
         return False
-    if n < f * f or gf.is_prime(n):
-        return True
-    r = isqrt(n)
-    if r * r == n and gf.is_prime(r):
+    if n < f * f or isqrt(n) ** 2 == n or gf.is_prime(n):
         return True
     raise DomainError(f"cannot tell whether {whole} is a sum of two squares: its cofactor {n} "
                       f"has no prime factor up to the trial-division bound "
@@ -552,8 +552,8 @@ def feasibility(order: int,
     ``multiplier-search``).
     Excluded is never claimed unless at least one test actually fired.  A
     negative ``search_budget`` is a DomainError, whatever the order, and so
-    is an order whose Bruck-Ryser test needs factoring past
-    ``TWO_SQUARES_TRIAL_BOUND`` (``is_sum_of_two_squares``).
+    is an order that needs factoring past the trial-division bound, in
+    ``gf.is_prime`` or in the Bruck-Ryser test (``is_sum_of_two_squares``).
     """
     if order < 1:
         raise DomainError("order must be >= 1")

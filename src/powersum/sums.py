@@ -122,10 +122,9 @@ def _geometric_rows(first, ratio: np.ndarray, rows: int) -> np.ndarray:
     """Rows first * ratio^j for j = 0 .. rows-1, one cumulative product:
     each row is the previous one times ratio, so no trig is evaluated at a
     large argument."""
-    out = np.empty((rows, ratio.size), dtype=complex)
+    out = ratio[None, :].repeat(rows, axis=0)
     out[0] = first
-    out[1:] = ratio
-    return out.cumprod(axis=0, out=out)
+    return out.cumprod(axis=0)
 
 
 def _power_sums(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:

@@ -64,6 +64,25 @@ def test_feasibility_past_the_two_squares_bound_exits_2(capsys):
     assert f"trial-division bound {pds_module.TWO_SQUARES_TRIAL_BOUND}" in err
 
 
+def test_feasibility_of_a_huge_prime_square_exists_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "feasibility", "--order", str((10**12 + 39) ** 2))
+    assert time.perf_counter() - start < 2.0
+    record = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert record["verdict"] == "Exists"
+    assert (record["reasons"], record["witness"]) == (["prime-power"], None)
+
+
+@pytest.mark.parametrize("order", ((10**12 + 39) * (10**12 + 61), 10**30 + 57))
+def test_feasibility_past_the_exact_primality_range_exits_2(capsys, order):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "feasibility", "--order", str(order))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert f"trial-division bound {pds_module.TWO_SQUARES_TRIAL_BOUND}" in err
+
+
 def test_feasibility_output_is_byte_identical_across_runs(capsys):
     first = run(capsys, "feasibility", "--order", "10")
     second = run(capsys, "feasibility", "--order", "10")

@@ -27,6 +27,8 @@ _INVOCATIONS = {
     "feasibility_10": ("feasibility", "--order", "10"),
     "feasibility_16": ("feasibility", "--order", "16"),
     "feasibility_4006": ("feasibility", "--order", "4006", "--budget", "1000"),
+    "feasibility_1000000000078000000001521": ("feasibility", "--order",
+                                              "1000000000078000000001521"),
     "recover_json": ("recover", "--tuple-file", JSON_TUPLE),
     "recover_csv": ("recover", "--tuple-file", CSV_TUPLE),
     "optimize_n4_restarts3_seed1": ("optimize", "--n", "4", "--restarts", "3", "--seed", "1"),

@@ -598,9 +598,31 @@ def test_is_prime_miller_rabin_bound_is_the_least_strong_pseudoprime(monkeypatch
     assert is_prime(bound)
 
 
-def test_is_prime_at_or_above_the_bound_uses_factorize():
+def test_is_prime_at_or_above_the_bound_divides_up_to_the_trial_division_bound():
     assert not is_prime(41**15)  # past the bound, and no base divides it
     assert 41**15 >= gf_module._MILLER_RABIN_EXACT_BELOW
+    assert gf_module.TRIAL_DIVISION_BOUND == 10**6
+    assert not is_prime(999983 * (10**18 + 9))  # 999983 is the largest prime below 10^6
+    with pytest.raises(DomainError):
+        is_prime(1000003 * (10**18 + 9))  # 1000003 is the least prime above it
+
+
+@pytest.mark.parametrize("n", ((10**12 + 39) ** 2, (10**12 + 39) * (10**12 + 61), 10**30 + 57))
+def test_is_prime_past_the_bound_with_no_small_factor_is_a_domain_error(n):
+    # No factor up to the bound: settling these would take trial division
+    # up to sqrt(n) >= 10^12, or a factoring method past it.
+    assert n >= gf_module._MILLER_RABIN_EXACT_BELOW
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"trial-division bound {gf_module.TRIAL_DIVISION_BOUND}"):
+        is_prime(n)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_make_field_of_a_huge_characteristic_is_a_domain_error_at_once():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="trial-division bound"):
+        make_field(10**30 + 57)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_factorize():

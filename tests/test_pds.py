@@ -368,10 +368,11 @@ def test_singer_field_work_stays_within_its_multiplication_count(monkeypatch):
     # measure of the field work: 1217 calls, against 1494 when the Singer
     # set-up took g^m and the minimal polynomial as GfElement arithmetic, and
     # 4124 when the modulus search took a gcd per Frobenius step and the
-    # primitive element a power per prime of p^k - 1.  The Euclid steps of
-    # the modulus search reduce by gf._poly_rem instead, 90 times (they were
-    # _mulmod calls too, 1584 in all).  The ceilings are about 10 % above.
-    calls = {"_mulmod": 0, "_poly_rem": 0}
+    # primitive element a power per prime of p^k - 1.  The modulus search
+    # makes 31 Euclid runs (gf._poly_gcd, on coefficient lists) and builds
+    # 49 Barrett rings (gf._ring), one per Ben-Or test and one per field.
+    # The ceilings are about 10 % above.
+    calls = {"_mulmod": 0, "_poly_gcd": 0, "_ring": 0}
 
     def counting(name, inner):
         def counted(*args):
@@ -384,7 +385,8 @@ def test_singer_field_work_stays_within_its_multiplication_count(monkeypatch):
     for q in SINGER_ORDERS:
         singer_construct(q)
     assert 0 < calls["_mulmod"] <= 1340, calls
-    assert 0 < calls["_poly_rem"] <= 100, calls
+    assert 0 < calls["_poly_gcd"] <= 34, calls
+    assert 0 < calls["_ring"] <= 54, calls
 
 
 def _singer_field(q):
@@ -772,6 +774,7 @@ def test_prime_power_needs_no_factoring(monkeypatch):
     assert prime_power(3**37) == (3, 37)
     assert prime_power(41**6) == (41, 6)  # every prime factor past the divisions
     assert prime_power(41**3 * 43**3) is None  # a cube, but not of a prime
+    assert prime_power((10**12 + 39) ** 2) == (10**12 + 39, 2)  # past the exact primality range
     assert [prime_power(n) for n in range(10**5)] == expected
 
 
@@ -822,6 +825,7 @@ BIG_PRIME_1, BIG_PRIME_3 = 1000033, 1000003  # = 1 and = 3 (mod 4), above the bo
     (2 * 5 * BIG_PRIME_1, True),
     (5 * BIG_PRIME_3, False),  # the cofactor is a prime = 3 (mod 4)
     (2 * BIG_PRIME_3**2, True),  # the cofactor is a prime's square
+    ((10**12 + 39) ** 2, True),  # a square past the exact primality range
     (3 * (10**9 + 9) * (10**9 + 21), False),  # an odd power of 3 settles it
     (2 * (10**9 + 7) * (10**9 + 9), False),  # the cofactor is = 3 (mod 4)
 ))
@@ -839,6 +843,21 @@ def test_sum_of_two_squares_past_the_bound_is_a_domain_error_not_a_guess():
         is_sum_of_two_squares(n)
     with pytest.raises(DomainError, match=f"trial-division bound {BIG}"):
         feasibility(n)
+
+
+def test_feasibility_of_a_huge_prime_square_is_a_prime_power():
+    start = time.perf_counter()
+    rep = feasibility((10**12 + 39) ** 2)
+    assert time.perf_counter() - start < 2.0
+    assert (rep.verdict, rep.reasons, rep.witness) == ("Exists", ("prime-power",), None)
+
+
+@pytest.mark.parametrize("order", ((10**12 + 39) * (10**12 + 61), 10**30 + 57))
+def test_feasibility_past_the_exact_primality_range_is_a_domain_error(order):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"trial-division bound {BIG}"):
+        feasibility(order)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_feasibility_of_a_huge_order_1_or_2_mod_4_answers_at_once():
