@@ -6,8 +6,7 @@ n-tuples: minimizers are exactly the lattice tuples built on perfect
 difference sets of order n-1, and exist iff such a set does.
 """
 
-from .gf import (DomainError, GfElement, GfField, element_order, is_irreducible, make_field,
-                 primitive_element)
+from .gf import DomainError, GfField, is_irreducible, make_field, primitive_element
 from .minimax import OptimizerConfig, OptimizerReport, minimize, objective
 from .pds import (
     CanonicalForm,
@@ -24,18 +23,13 @@ from .pds import (
     wilbrink_excludes,
 )
 from .sums import (
-    DifferenceSpectrum,
     PowerSumProfile,
     RecoveryResult,
     RecoveryStatus,
     UnimodularTuple,
-    difference_spectrum,
     exact_abs_squared,
     fabrykowski_tuple,
     fejer_certificate,
-    fejer_kernel,
-    is_regular_ngon,
-    newton_girard_coeffs,
     power_sums,
     recover_structure,
 )
@@ -44,14 +38,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "GfField", "GfElement", "make_field", "primitive_element", "element_order",
-    "is_irreducible",
+    "GfField", "make_field", "primitive_element", "is_irreducible",
     "PerfectDifferenceSet", "CanonicalForm", "FeasibilityReport", "SearchResult",
     "verify", "singer_construct", "canonical_form", "exhaustive_search",
     "enumerate_all", "feasibility", "bruck_ryser_excludes", "wilbrink_excludes",
-    "UnimodularTuple", "PowerSumProfile", "DifferenceSpectrum", "RecoveryResult",
-    "RecoveryStatus", "power_sums", "fejer_kernel", "fejer_certificate",
-    "newton_girard_coeffs", "is_regular_ngon", "fabrykowski_tuple",
-    "exact_abs_squared", "difference_spectrum", "recover_structure",
+    "UnimodularTuple", "PowerSumProfile", "RecoveryResult", "RecoveryStatus",
+    "power_sums", "fejer_certificate", "fabrykowski_tuple", "exact_abs_squared",
+    "recover_structure",
     "OptimizerConfig", "OptimizerReport", "objective", "minimize",
 ]

@@ -29,7 +29,7 @@ W = B + S, so no slot spills into the next.
 
 B is the bit length of V = max((k-1)*k*(p-1)^3, (3k-1)*(p-1)^2), the
 largest slot value the kernel reduces, for every operand shape the package
-passes: reduced a and b; b a sum of two reduced elements; b = p - 1; or
+passes: reduced a and b; b a sum of two reduced elements; or
 b = 1 and a a sum of two reduced elements, or of three when k >= 2
 (``_mulmod(a, 1, ring)`` reduces a alone).  With b a sum of two, a slot of
 c is at most 2k(p-1)^2, a slot of c's top k - 1 slots times mu at most
@@ -37,20 +37,19 @@ c is at most 2k(p-1)^2, a slot of c's top k - 1 slots times mu at most
 reduced operands reach half the second bound and (2k-1)*(p-1)^2.  ``_ring``
 precomputes mu, g, M and P once per modulus.
 
-One multiply-mod (``_mulmod``) and one power (``_powmod``) serve both the
-field elements and the field set-up, which works on packed ints and makes a
-``GfElement`` only for what it returns; ``_mulmod`` is the one kernel that
-reduces packed polynomials.  Euclid's algorithm divides by a new polynomial
-at each step, which a precomputed ring does not serve, so ``_poly_gcd``
-works on coefficient lists.  Set-up is most of the cost of a Singer
-difference set, so it is kept to few multiply-mods: ``is_irreducible``
-finds linear factors by evaluation at the points of a small GF(p) and the
-others with one gcd, and ``primitive_element`` settles the primes of p - 1
-through a candidate's norm to GF(p).  The modulus search takes its
-candidates in blocks of p that differ only in the constant term; one
-evaluation per point of a small GF(p) crosses off the candidate of the block
-with a root there (``_rooted_constants``, which ``is_irreducible`` calls
-too), so only root-free candidates reach Ben-Or's test.
+The field set-up and the Singer construction work on packed ints, and one
+multiply-mod (``_mulmod``) and one power (``_powmod``) serve them all:
+``_mulmod`` is the one kernel that reduces packed polynomials.  Euclid's
+algorithm divides by a new polynomial at each step, which a precomputed ring
+does not serve, so ``_poly_gcd`` works on coefficient lists.  Set-up is most
+of the cost of a Singer difference set, so it is kept to few multiply-mods:
+``is_irreducible`` finds linear factors by evaluation at the points of a
+small GF(p) and the others with one gcd, and ``primitive_element`` settles
+the primes of p - 1 through a candidate's norm to GF(p).  The modulus search
+takes its candidates in blocks of p that differ only in the constant term;
+one evaluation per point of a small GF(p) crosses off the candidate of the
+block with a root there (``_rooted_constants``, which ``is_irreducible``
+calls too), so only root-free candidates reach Ben-Or's test.
 
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
@@ -61,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 
 class DomainError(ValueError):
@@ -368,7 +366,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Field and element types
+# The field
 # ---------------------------------------------------------------------------
 
 
@@ -385,84 +383,8 @@ class GfField:
     def _quotient(self) -> tuple:
         return _ring(self.modulus_poly, self.p)
 
-    def element(self, coeffs) -> "GfElement":
-        """Build an element from any iterable of integers (reduced mod p)."""
-        vec = [c % self.p for c in coeffs]
-        if len(vec) > self.k:
-            raise DomainError(f"coefficient vector longer than degree {self.k}")
-        return GfElement(self, _pack(vec, self._quotient[-1]))
-
-    def from_int(self, value: int) -> "GfElement":
-        """Element whose coefficient vector is `value` written in base p."""
-        if not 0 <= value < self.order:
-            raise DomainError(f"value {value} outside [0, {self.order})")
-        return GfElement(self, _pack_digits(value, self.p, self._quotient[-1]))
-
-    @property
-    def zero(self) -> "GfElement":
-        return GfElement(self, 0)
-
-    @property
-    def one(self) -> "GfElement":
-        return GfElement(self, 1)
-
-    def elements(self) -> Iterator["GfElement"]:
-        for v in range(self.order):
-            yield self.from_int(v)
-
     def __repr__(self) -> str:
         return f"GfField(GF({self.order}) = GF({self.p}^{self.k}))"
-
-
-@dataclass(frozen=True)
-class GfElement:
-    """An element of a GfField, as its packed polynomial (see the module)."""
-
-    field: GfField
-    packed: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """The coefficient vector, constant term first, of length k."""
-        return tuple(_unpack(self.packed, self.field.k, self.field._quotient[-1]))
-
-    def _check(self, other: "GfElement") -> None:
-        if self.field is not other.field and self.field != other.field:
-            raise DomainError(f"elements of different fields: {self.field} vs {other.field}")
-
-    def __add__(self, other: "GfElement") -> "GfElement":
-        self._check(other)
-        # A slot of the sum is at most 2(p - 1), which _mulmod reduces alone.
-        return GfElement(self.field, _mulmod(self.packed + other.packed, 1, self.field._quotient))
-
-    def __sub__(self, other: "GfElement") -> "GfElement":
-        return self + -other
-
-    def __neg__(self) -> "GfElement":
-        return GfElement(self.field, _mulmod(self.packed, self.field.p - 1, self.field._quotient))
-
-    def __mul__(self, other: "GfElement") -> "GfElement":
-        self._check(other)
-        return GfElement(self.field, _mulmod(self.packed, other.packed, self.field._quotient))
-
-    def __pow__(self, exponent: int) -> "GfElement":
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        return GfElement(self.field, _powmod(self.packed, exponent, self.field._quotient))
-
-    def inv(self) -> "GfElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        return self ** (self.field.order - 2)
-
-    def is_zero(self) -> bool:
-        return self.packed == 0
-
-    def to_int(self) -> int:
-        return sum(c * self.field.p**i for i, c in enumerate(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"GfElement({self.to_int()} in GF({self.field.order}))"
 
 
 def make_field(p: int, k: int = 1) -> GfField:
@@ -481,19 +403,9 @@ def make_field(p: int, k: int = 1) -> GfField:
     return GfField(p=p, k=k, modulus_poly=_smallest_irreducible(p, k), order=order)
 
 
-def element_order(a: GfElement) -> int:
-    """Multiplicative order: the least t >= 1 with a^t = 1.  Divides order-1."""
-    if a.is_zero():
-        raise ZeroDivisionError("the zero element has no multiplicative order")
-    t = n = a.field.order - 1
-    for r in factorize(n):
-        while t % r == 0 and _powmod(a.packed, t // r, a.field._quotient) == 1:
-            t //= r
-    return t
-
-
-def primitive_element(field: GfField) -> GfElement:
-    """The least generator of the multiplicative group.
+def primitive_element(field: GfField) -> int:
+    """The least generator of the multiplicative group, as its integer
+    encoding v = sum(c_i * p^i), constant term c_0 least significant.
 
     Elements are scanned in increasing integer encoding; the first with full
     order is returned, so the result is deterministic for a given field.  For
@@ -506,8 +418,7 @@ def primitive_element(field: GfField) -> GfElement:
     all.  The norm is the product of a's conjugates, a(y) over the roots y
     of the modulus f; for a = c1*x + c0 = c1*(x - t) that is (-c1)^k * f(t),
     with no arithmetic in the field, and any other candidate takes one power.
-    Each candidate is tested as its packed polynomial, and only the winner
-    is made a ``GfElement``.
+    Each candidate is tested as its packed polynomial.
     """
     p, n = field.p, field.order - 1
     ring = field._quotient
@@ -527,5 +438,5 @@ def primitive_element(field: GfField) -> GfElement:
             if any(pow(norm, e, p) == 1 for e in norm_tests):
                 continue
         if all(_powmod(a, e, ring) != 1 for e in field_tests):
-            return GfElement(field, a)
+            return v
     raise RuntimeError("no primitive element found (impossible for a field)")

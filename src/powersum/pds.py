@@ -283,7 +283,7 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     i mod q^2+q+1 with s_i = 0 form the difference set.  The tables are
     built on h = e3 = g^(1+q+q^2) = g^m: GF(q)* is the unique cyclic
     subgroup of index m of GF(q^3)*, so g^m generates it.  The field work
-    runs on packed ints (``gf._mulmod``), with no ``GfElement`` past g.
+    runs on packed ints (``gf._mulmod``).
     """
     if q > MAX_SINGER_ORDER:  # first: the cap answers a huge order at once
         raise DomainError(f"order {q} exceeds the cap {MAX_SINGER_ORDER}")
@@ -293,7 +293,7 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     p, e = decomposition
     field = make_field(p, 3 * e)
     ring = field._quotient
-    g = primitive_element(field).packed
+    g = gf._pack_digits(primitive_element(field), p, ring[-1])
     m = modulus_for_order(q)
 
     e1, e2, e3 = _minimal_polynomial(g, q, ring)
@@ -464,8 +464,9 @@ def is_sum_of_two_squares(n: int) -> bool:
     no prime factor below the bound.  It is settled False when c = 3 (mod 4),
     and True when it is 1, a square (each prime of which divides it to an
     even power) or a prime.  Any other cofactor would need factoring: that
-    is a ``DomainError`` naming the bound, from here or from ``gf.is_prime``
-    past its exact range, never a guess and never a long loop.
+    is a ``DomainError`` naming n and the bound, never a guess and never a
+    long loop.  ``gf.is_prime`` is asked only inside its exact Miller-Rabin
+    range: past it, it would repeat the trial division done here and raise.
     """
     if n < 1:
         return n == 0
@@ -483,7 +484,8 @@ def is_sum_of_two_squares(n: int) -> bool:
     # an odd n = 3 (mod 4) has a prime = 3 (mod 4) to an odd power.
     if n % 4 == 3:
         return False
-    if n < f * f or isqrt(n) ** 2 == n or gf.is_prime(n):
+    if (n < f * f or isqrt(n) ** 2 == n
+            or n < gf._MILLER_RABIN_EXACT_BELOW and gf.is_prime(n)):
         return True
     raise DomainError(f"cannot tell whether {whole} is a sum of two squares: its cofactor {n} "
                       f"has no prime factor up to the trial-division bound "

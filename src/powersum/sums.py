@@ -2,12 +2,11 @@
 
 For n points z_k = e(theta_k + alpha) on the unit circle (angles in turns,
 e(x) = exp(2*pi*i*x)), the profile collects |S(nu)| = |sum_k z_k^nu| for
-nu = 1 .. n^2-n.  Three exact facts drive everything here:
+nu = 1 .. n^2-n.  Two exact facts drive everything here:
 
 * the Fejer-kernel certificate: the weighted sum of the excesses
   eps_nu = |S(nu)|^2 - (n-1) with weights 1 - nu/(n^2-n+1) is nonnegative
   for every tuple, which forces max |S(nu)| >= sqrt(n-1);
-* a tuple with S(1) = ... = S(n-1) = 0 is a regular n-gon (Newton-Girard);
 * the profile is flat at sqrt(n-1) exactly when the angles sit on the
   rational lattice j/(n^2-n+1) at positions forming a perfect difference
   set; ``fabrykowski_tuple`` builds such tuples and ``recover_structure``
@@ -25,8 +24,8 @@ against nu for the running product z^nu = z^(nu-1) * z.
 A tuple's profile up to its horizon n^2-n is computed once, on first use,
 and kept on the tuple as read-only arrays: ``power_sums``,
 ``fejer_certificate`` and ``recover_structure`` on one tuple share it.  Any
-other ``nu_max`` (``is_regular_ngon`` asks for n-1) is computed afresh,
-since the blocks, and so the roundings, depend on it.
+other ``nu_max`` is computed afresh, since the blocks, and so the
+roundings, depend on it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -170,21 +169,6 @@ def power_sums(t: UnimodularTuple, nu_max: Optional[int] = None) -> PowerSumProf
                            max_abs=float(abs_values.max()))
 
 
-def fejer_kernel(m: int, t: float) -> float:
-    """The m-th Fejer kernel (1/m) * (sin(pi*m*x) / sin(pi*x))^2, in turns.
-
-    At integer t the removable singularity takes the limit value m.  The
-    kernel is nonnegative everywhere.
-    """
-    if m < 1:
-        raise DomainError("kernel order must be >= 1")
-    x = t % 1.0
-    if x == 0.0:
-        return float(m)
-    ratio = math.sin(math.pi * m * x) / math.sin(math.pi * x)
-    return ratio * ratio / m
-
-
 @dataclass(frozen=True)
 class FejerCertificate:
     """The nonnegative weighted excess sum behind the sqrt(n-1) lower bound.
@@ -219,29 +203,6 @@ def fejer_certificate(t: UnimodularTuple) -> FejerCertificate:
     return FejerCertificate(n=n, m=m, weighted_sum=weighted,
                             max_epsilon=float(eps.max()),
                             argmax_nu=argmax, tolerance=tol)
-
-
-def newton_girard_coeffs(power_sum_values: Sequence[complex]) -> tuple[complex, ...]:
-    """Coefficients a_1 .. a_n of prod (x - z_k) from S(1) .. S(n).
-
-    Solves the triangular recurrence
-    S(nu) + a_1 S(nu-1) + ... + a_(nu-1) S(1) + nu a_nu = 0.
-    """
-    s = [complex(v) for v in power_sum_values]
-    coeffs: list[complex] = []
-    for nu in range(1, len(s) + 1):
-        acc = s[nu - 1]
-        for i in range(1, nu):
-            acc += coeffs[i - 1] * s[nu - 1 - i]
-        coeffs.append(-acc / nu)
-    return tuple(coeffs)
-
-
-def is_regular_ngon(t: UnimodularTuple, tol: float = 1e-9) -> bool:
-    """True iff S(1) = ... = S(n-1) = 0 within tol; equivalent (as tol -> 0)
-    to the points forming a regular n-gon, rotations included."""
-    profile = power_sums(t, nu_max=t.n - 1)
-    return profile.max_abs <= tol
 
 
 def fabrykowski_tuple(pds: PerfectDifferenceSet,
@@ -281,29 +242,6 @@ def exact_abs_squared(pds: PerfectDifferenceSet, nu: int) -> int:
             raise ArithmeticError(f"difference multiset lost its structure at {r}")
     n = pds.q + 1
     return n - 1
-
-
-@dataclass(frozen=True)
-class DifferenceSpectrum:
-    """Sorted angle differences theta_k - theta_l (k != l) mod 1, plus 0."""
-
-    lambdas: tuple[float, ...]
-
-
-def difference_spectrum(t: UnimodularTuple) -> DifferenceSpectrum:
-    """All n^2-n pairwise differences with a leading 0, sorted ascending.
-
-    For a lattice tuple on a perfect difference set this is exactly the grid
-    {j/m : j = 0 .. m-1}: the vertices of a regular m-gon of angles.
-    """
-    thetas = t.thetas
-    values = [0.0]
-    for i, a in enumerate(thetas):
-        for j, b in enumerate(thetas):
-            if i != j:
-                values.append((a - b) % 1.0)
-    values.sort()
-    return DifferenceSpectrum(lambdas=tuple(values))
 
 
 class RecoveryStatus(Enum):

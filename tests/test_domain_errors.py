@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import powersum
-from powersum import cli
+from powersum import cli, gf, sums
 from powersum.gf import DomainError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "powersum"
@@ -81,3 +81,21 @@ def test_the_scan_sees_a_subclass_and_a_bare_raise():
 def test_the_cli_reports_domain_errors_and_os_errors_as_bad_input():
     assert cli._DOMAIN_ERRORS == (DomainError, OSError)
     assert powersum.DomainError is DomainError and "DomainError" in powersum.__all__
+
+
+# Public names removed with code that no command or library function used.
+_REMOVED_FROM_GF = ("GfElement", "element_order")
+_REMOVED_FROM_SUMS = ("fejer_kernel", "newton_girard_coeffs", "is_regular_ngon",
+                      "DifferenceSpectrum", "difference_spectrum")
+
+
+def test_the_public_surface_resolves_and_the_removed_names_stay_gone():
+    assert len(powersum.__all__) == len(set(powersum.__all__))
+    assert [name for name in powersum.__all__ if not hasattr(powersum, name)] == []
+    removed = _REMOVED_FROM_GF + _REMOVED_FROM_SUMS
+    assert set(removed).isdisjoint(powersum.__all__)
+    assert [name for name in removed if hasattr(powersum, name)] == []
+    assert [name for name in _REMOVED_FROM_GF if hasattr(gf, name)] == []
+    assert [name for name in _REMOVED_FROM_SUMS if hasattr(sums, name)] == []
+    assert [name for name in ("element", "from_int", "zero", "one", "elements")
+            if hasattr(gf.GfField, name)] == []

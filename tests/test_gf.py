@@ -14,10 +14,10 @@ import mulmod_oracle
 from powersum import gf as gf_module
 from powersum.gf import (
     DomainError,
-    GfElement,
     _mulmod,
+    _pack,
     _powmod,
-    element_order,
+    _unpack,
     factorize,
     is_irreducible,
     is_prime,
@@ -43,10 +43,16 @@ def cubic_is_irreducible_by_roots(poly, p):
     return True
 
 
+def digits(v, p, k):
+    """The k base-p digits of v, least significant first: the coefficient
+    list, constant term first, of the element with integer encoding v."""
+    return [v // p**i % p for i in range(k)]
+
+
 def monic_polys(p, d):
     """Every monic polynomial of degree d over GF(p), constant term first."""
     for code in range(p**d):
-        yield [code // p**i % p for i in range(d)] + [1]
+        yield digits(code, p, d) + [1]
 
 
 def remainder_by_monic(a, b, p):
@@ -77,13 +83,15 @@ def mulmod_by_schoolbook(a, b, mod, p):
     return [c % p for c in remainder_by_monic(prod, mod, p)]
 
 
-def multiplicative_order_by_enumeration(a):
-    one = a.field.one
-    acc = a
-    for t in range(1, a.field.order):
+def multiplicative_order_by_enumeration(a, f):
+    """The least t >= 1 with a^t = 1 in the field f, for a nonzero coefficient
+    list a, by repeated schoolbook products."""
+    one = [1] + [0] * (f.k - 1)
+    acc = list(a)
+    for t in range(1, f.order):
         if acc == one:
             return t
-        acc = acc * a
+        acc = mulmod_by_schoolbook(acc, a, f.modulus_poly, f.p)
     raise AssertionError("element of a field must have finite order")
 
 
@@ -140,8 +148,8 @@ def test_make_field_rejects_a_non_int_degree_with_a_cold_or_warm_cache(k):
 # Recorded with schoolbook tuple arithmetic and Rabin's test, so that the packed
 # arithmetic is checked against an independent implementation: for every prime
 # p <= 31, the k-th entry is GF(p^k)'s modulus as its integer encoding
-# sum(c_i * p^i), leading term included, and its primitive element's to_int(),
-# for each k with p^k <= 40000.
+# sum(c_i * p^i), leading term included, and its primitive element's integer
+# encoding, for each k with p^k <= 40000.
 FIELD_PINS = {
     2: ((2, 1), (7, 2), (11, 2), (19, 2), (37, 2), (67, 2), (131, 2), (283, 3),
         (515, 7), (1033, 2), (2053, 2), (4105, 3), (8219, 2), (16417, 7), (32771, 2)),
@@ -166,7 +174,7 @@ def test_moduli_and_primitive_elements_are_pinned():
         for k, (encoding, g) in enumerate(pins, start=1):
             f = make_field(p, k)
             assert sum(c * p**i for i, c in enumerate(f.modulus_poly)) == encoding, (p, k)
-            assert primitive_element(f).to_int() == g, (p, k)
+            assert primitive_element(f) == g, (p, k)
 
 
 def first_irreducible_by_scan(p, k):
@@ -194,87 +202,6 @@ def test_make_field_deterministic():
     b = make_field(3, 4)
     assert a == b
     assert a.modulus_poly == b.modulus_poly
-
-
-# ---------------------------------------------------------------------------
-# element arithmetic
-# ---------------------------------------------------------------------------
-
-
-def test_prime_field_addition():
-    f = make_field(7)
-    assert (f.from_int(3) + f.from_int(5)) == f.from_int(1)
-
-
-def test_gf8_multiplication_reduces():
-    # Oracle: x * x^2 = x^3 = x + 1 (mod x^3 + x + 1), reduced by hand.
-    f = make_field(2, 3)
-    x = f.element([0, 1])
-    x2 = f.element([0, 0, 1])
-    assert (x * x2).coeffs == (1, 1, 0)
-
-
-def test_inverse_round_trip():
-    rng = random.Random(7)
-    for p, k in [(2, 1), (7, 1), (2, 3), (3, 2), (5, 3), (13, 1)]:
-        f = make_field(p, k)
-        for _ in range(20):
-            a = f.from_int(rng.randrange(1, f.order))
-            assert a * a.inv() == f.one
-
-
-def test_field_mismatch_rejected():
-    a = make_field(3).from_int(1)
-    b = make_field(5).from_int(1)
-    with pytest.raises(DomainError, match="^elements of different fields: "):
-        _ = a + b
-    with pytest.raises(DomainError, match="^elements of different fields: "):
-        _ = a * b
-
-
-def test_inverse_of_zero_rejected():
-    f = make_field(5)
-    with pytest.raises(ZeroDivisionError):
-        f.zero.inv()
-
-
-def test_field_axioms_on_samples():
-    rng = random.Random(20240915)
-    for p, k in [(2, 3), (3, 2), (5, 2), (7, 1), (2, 5), (2, 1)]:
-        f = make_field(p, k)
-        for _ in range(25):
-            a = f.from_int(rng.randrange(f.order))
-            b = f.from_int(rng.randrange(f.order))
-            c = f.from_int(rng.randrange(f.order))
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
-            assert a - b == a + (-b)
-
-
-def test_frobenius_fixes_every_element():
-    for p, k in [(2, 3), (3, 2), (5, 2)]:
-        f = make_field(p, k)
-        for a in f.elements():
-            assert a ** f.order == a
-
-
-@pytest.mark.parametrize("p, k", ((7, 1), (2, 3), (3, 2)))
-def test_powers_match_repeated_products(p, k):
-    f = make_field(p, k)
-    for a in f.elements():
-        product = f.one
-        for e in range(f.order + 1):
-            assert a**e == product
-            product = product * a
-        if not a.is_zero():
-            assert a**-3 == a.inv() ** 3
-            assert a**-1 * a == f.one
-    assert f.zero**0 == f.one
-    with pytest.raises(ZeroDivisionError):
-        _ = f.zero**-1
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +318,14 @@ SINGER_PK = [(2, 3), (3, 3), (2, 6), (5, 3), (7, 3), (2, 9), (3, 6), (11, 3), (1
 
 def check_against_schoolbook(f, a, b):
     ring = f._quotient
-    x, y = f.element(a), f.element(b)
-    assert (x.coeffs, y.coeffs) == (tuple(a), tuple(b))
+    width = ring[-1]
+    x, y = _pack(a, width), _pack(b, width)
+    assert (_unpack(x, f.k, width), _unpack(y, f.k, width)) == (list(a), list(b))
     expected = mulmod_by_schoolbook(a, b, f.modulus_poly, f.p)
-    assert list(GfElement(f, _mulmod(x.packed, y.packed, ring)).coeffs) == expected
+    assert _unpack(_mulmod(x, y, ring), f.k, width) == expected
     power = [1] + [0] * (f.k - 1)
     for e in range(6):
-        assert list(GfElement(f, _powmod(x.packed, e, ring)).coeffs) == power
+        assert _unpack(_powmod(x, e, ring), f.k, width) == power
         power = mulmod_by_schoolbook(power, a, f.modulus_poly, f.p)
 
 
@@ -412,9 +340,75 @@ def test_packed_arithmetic_matches_schoolbook(p, k):
         b = [rng.randrange(p) for _ in range(k)]
         check_against_schoolbook(f, a, b)
         check_against_schoolbook(f, full, a)
-    x = f.element(full).packed
+    x = _pack(full, f._quotient[-1])
     assert _powmod(x, f.order - 1, f._quotient) == 1  # Fermat
     assert _powmod(x, f.order, f._quotient) == x
+
+
+def test_gf8_multiplication_reduces():
+    # Oracle: x * x^2 = x^3 = x + 1 (mod x^3 + x + 1), reduced by hand.
+    f = make_field(2, 3)
+    width = f._quotient[-1]
+    x, x2 = _pack([0, 1], width), _pack([0, 0, 1], width)
+    assert _unpack(_mulmod(x, x2, f._quotient), 3, width) == [1, 1, 0]
+
+
+def test_prime_field_addition():
+    # A sum of two reduced elements is reduced alone: 3 + 5 = 1 in GF(7).
+    assert _mulmod(3 + 5, 1, make_field(7)._quotient) == 1
+
+
+def packed(v, f):
+    """The element of f with integer encoding v, packed."""
+    return _pack(digits(v, f.p, f.k), f._quotient[-1])
+
+
+def test_inverse_round_trip():
+    rng = random.Random(7)
+    for p, k in [(2, 1), (7, 1), (2, 3), (3, 2), (5, 3), (13, 1)]:
+        f = make_field(p, k)
+        ring = f._quotient
+        for _ in range(20):
+            a = packed(rng.randrange(1, f.order), f)
+            assert _mulmod(a, _powmod(a, f.order - 2, ring), ring) == 1
+
+
+def test_field_axioms_on_samples():
+    rng = random.Random(20240915)
+    for p, k in [(2, 3), (3, 2), (5, 2), (7, 1), (2, 5), (2, 1)]:
+        f = make_field(p, k)
+        ring = f._quotient
+
+        def add(x, y):
+            return _mulmod(x + y, 1, ring)
+
+        def mul(x, y):
+            return _mulmod(x, y, ring)
+        for _ in range(25):
+            a, b, c = (packed(rng.randrange(f.order), f) for _ in range(3))
+            assert add(add(a, b), c) == add(a, add(b, c)) == _mulmod(a + b + c, 1, ring)
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c)) == _mulmod(a, b + c, ring)
+            assert add(a, mul(a, p - 1)) == 0  # a + (-a), with -a = (p - 1) * a
+
+
+@pytest.mark.parametrize("p, k", ((7, 1), (2, 3), (3, 2), (5, 2)))
+def test_powers_match_repeated_products(p, k):
+    # a^e for every element a and e = 0 .. order, against repeated schoolbook
+    # products; a^order = a, since the Frobenius map x -> x^p, taken k times,
+    # fixes every element.
+    f = make_field(p, k)
+    ring, width = f._quotient, f._quotient[-1]
+    for v in range(f.order):
+        a = digits(v, p, k)
+        x = _pack(a, width)
+        product = [1] + [0] * (k - 1)
+        for e in range(f.order + 1):
+            assert _unpack(_powmod(x, e, ring), k, width) == product, (v, e)
+            product = mulmod_by_schoolbook(product, a, f.modulus_poly, p)
+        assert _powmod(x, f.order, ring) == x
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +420,7 @@ def check_against_slot_loop(mod, p, triples):
     """For each (a, b, c) of reduced coefficient vectors, ``_mulmod`` gives,
     bit for bit, the slot loop's coefficients repacked at its own width, on
     every operand shape the package passes: a * b, the sums a + b and
-    a + b + c alone, a * (p - 1) and a * (b + c)."""
+    a + b + c alone, and a * (b + c); and on a * (p - 1), the negation."""
     k = len(mod) - 1
     ring = gf_module._ring(mod, p)
     width = ring[-1]
@@ -448,7 +442,7 @@ def check_against_slot_loop(mod, p, triples):
 @pytest.mark.parametrize("p, k", ((2, 3), (2, 4), (3, 2), (5, 2)))
 def test_mulmod_matches_the_slot_loop_on_every_pair(p, k):
     f = make_field(p, k)
-    elements = [f.from_int(v).coeffs for v in range(f.order)]
+    elements = [digits(v, p, k) for v in range(f.order)]
     check_against_slot_loop(f.modulus_poly, p, ((a, b, elements[-1 - i])
                                                 for i, a in enumerate(elements)
                                                 for b in elements))
@@ -502,72 +496,41 @@ def test_mulmod_matches_the_slot_loop_at_its_bound(p, k):
 
 
 # ---------------------------------------------------------------------------
-# primitive_element / element_order
+# primitive_element
 # ---------------------------------------------------------------------------
 
 
 def test_primitive_element_gf7():
     f = make_field(7)
-    g = primitive_element(f)
-    assert g.to_int() == 3
+    assert primitive_element(f) == 3
     # oracle: 3 really generates all six nonzero residues, 2 does not
-    assert multiplicative_order_by_enumeration(f.from_int(3)) == 6
-    assert multiplicative_order_by_enumeration(f.from_int(2)) == 3
+    assert multiplicative_order_by_enumeration([3], f) == 6
+    assert multiplicative_order_by_enumeration([2], f) == 3
 
 
 def test_primitive_element_gf2():
-    f = make_field(2)
-    assert primitive_element(f) == f.one
+    assert primitive_element(make_field(2)) == 1
 
 
 def test_primitive_element_gf8_is_x():
     f = make_field(2, 3)
     g = primitive_element(f)
-    assert g.coeffs == (0, 1, 0)
-    assert multiplicative_order_by_enumeration(g) == 7
+    assert g == 2 and digits(g, 2, 3) == [0, 1, 0]
+    assert multiplicative_order_by_enumeration([0, 1, 0], f) == 7
 
 
-def test_primitive_element_has_full_order():
-    for p, k in [(2, 3), (3, 2), (5, 2), (13, 1), (2, 6)]:
-        f = make_field(p, k)
-        g = primitive_element(f)
-        assert element_order(g) == f.order - 1
-
-
-@pytest.mark.parametrize("p, k", ((2, 8), (3, 4), (3, 5), (3, 8), (5, 1), (5, 3), (7, 3),
-                                  (11, 2), (13, 2), (19, 2)))
+@pytest.mark.parametrize("p, k", ((2, 3), (2, 6), (2, 8), (3, 2), (3, 4), (3, 5), (3, 8), (5, 1),
+                                  (5, 2), (5, 3), (7, 3), (11, 2), (13, 1), (13, 2), (19, 2)))
 def test_primitive_element_is_the_least_generator_by_enumeration(p, k):
     # Candidates below p^2 are c1*x + c0, whose norm comes from the modulus;
     # the others (in GF(5) and past 9 in GF(3^8)) take a power: both must
     # agree with counting the order.
     f = make_field(p, k)
-    g = primitive_element(f).to_int()
-    assert multiplicative_order_by_enumeration(f.from_int(g)) == f.order - 1
-    assert all(multiplicative_order_by_enumeration(f.from_int(v)) < f.order - 1
+    g = primitive_element(f)
+    assert type(g) is int
+    assert multiplicative_order_by_enumeration(digits(g, p, k), f) == f.order - 1
+    assert all(multiplicative_order_by_enumeration(digits(v, p, k), f) < f.order - 1
                for v in range(1, g))
-
-
-def test_element_order_examples():
-    f7 = make_field(7)
-    assert element_order(f7.one) == 1
-    assert element_order(f7.from_int(6)) == 2  # (-1)^2 = 1
-    f13 = make_field(13)
-    assert element_order(f13.from_int(2)) == 12
-    assert multiplicative_order_by_enumeration(f13.from_int(2)) == 12
-
-
-def test_element_order_matches_enumeration():
-    rng = random.Random(99)
-    for p, k in [(2, 4), (3, 3), (7, 2)]:
-        f = make_field(p, k)
-        for _ in range(15):
-            a = f.from_int(rng.randrange(1, f.order))
-            assert element_order(a) == multiplicative_order_by_enumeration(a)
-
-
-def test_element_order_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        element_order(make_field(5).zero)
 
 
 # ---------------------------------------------------------------------------

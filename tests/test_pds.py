@@ -24,7 +24,7 @@ import verify_oracle
 from powersum import _orbits
 from powersum import gf as gf_module
 from powersum import pds as pds_module
-from powersum.gf import DomainError, GfElement, factorize, make_field, primitive_element
+from powersum.gf import DomainError, factorize, make_field, primitive_element
 from powersum.pds import (
     DEFAULT_SEARCH_BUDGET,
     CanonicalForm,
@@ -308,8 +308,8 @@ def test_singer_matches_the_span_oracle(q):
 
 # q -> (modulus of GF(q^3), its primitive element as an integer, sum of the
 # Singer residues, sum of their squares).  Recorded once and compared as
-# plain numbers, so a fault in the field arithmetic cannot pass on both sides
-# as it can against ``singer_oracle``, which uses that same arithmetic.
+# plain numbers, so a fault in the field set-up cannot pass on both sides
+# as it can against ``singer_oracle``, which takes the modulus and g from it.
 SINGER_FIELDS = {
     2: ((1, 1, 0, 1), 2, 4, 10),
     3: ((1, 2, 0, 1), 3, 13, 91),
@@ -342,7 +342,7 @@ def test_singer_residues_are_pinned():
         p, e = prime_power(q)
         field = make_field(p, 3 * e)
         assert field.modulus_poly == modulus
-        assert primitive_element(field).to_int() == g
+        assert primitive_element(field) == g
         residues = singer_construct(q).residues
         assert len(residues) == q + 1
         assert (sum(residues), sum(r * r for r in residues)) == (total, squares)
@@ -389,32 +389,46 @@ def test_singer_field_work_stays_within_its_multiplication_count(monkeypatch):
     assert 0 < calls["_ring"] <= 54, calls
 
 
-def _singer_field(q):
-    p, e = prime_power(q)
-    field = make_field(p, 3 * e)
-    return field, primitive_element(field)
+# The two tests below check the library's packed field work against the
+# slot loop of ``singer_oracle``: a library packed int crosses over through
+# its coefficients, since the two pack at different widths.
+
+
+def _to_library(f, a):
+    """The oracle element a as a packed int of the library's ring."""
+    return gf_module._pack(f.coefficients(a), f.field._quotient[-1])
+
+
+def _from_library(f, packed):
+    """The library's packed int as an element of the oracle."""
+    return f.pack(gf_module._unpack(packed, f.k, f.field._quotient[-1]))
 
 
 @pytest.mark.parametrize("q", SINGER_ORDERS)
 def test_minimal_polynomial_is_over_the_subfield_and_annihilates_g(q):
-    field, g = _singer_field(q)
-    e1, e2, e3 = (GfElement(field, x) for x in _minimal_polynomial(g.packed, q, field._quotient))
+    f = singer_oracle.SingerField(q)
+    g = f.g
+    e1, e2, e3 = (_from_library(f, x)
+                  for x in _minimal_polynomial(_to_library(f, g), q, f.field._quotient))
     for x in (e1, e2, e3):
-        assert x**q == x
-    assert g**3 == e1 * g**2 - e2 * g + e3
+        assert f.power(x, q) == x
+    # g^3 = e1*g^2 - e2*g + e3, with e2*g moved to the left
+    g2 = f.mul(g, g)
+    assert f.add(f.mul(g2, g), f.mul(e2, g)) == f.add(f.mul(e1, g2), e3)
 
 
 @pytest.mark.parametrize("q", (4, 8, 9, 16))
 def test_subfield_tables_match_field_arithmetic(q):
-    field, g = _singer_field(q)
-    codes, add, mul = _subfield_tables((g ** modulus_for_order(q)).packed, q, field._quotient)
-    element = {code: GfElement(field, packed) for packed, code in codes.items()}
+    f = singer_oracle.SingerField(q)
+    h = _to_library(f, f.power(f.g, modulus_for_order(q)))
+    codes, add, mul = _subfield_tables(h, q, f.field._quotient)
+    element = {code: _from_library(f, packed) for packed, code in codes.items()}
     assert sorted(element) == list(range(q))
-    assert element[0] == field.zero and element[1] == field.one
+    assert element[0] == 0 and element[1] == 1
     for a in range(q):
         for b in range(q):
-            assert element[add[a][b]] == element[a] + element[b]
-            assert element[mul[a][b]] == element[a] * element[b]
+            assert element[add[a][b]] == f.add(element[a], element[b])
+            assert element[mul[a][b]] == f.mul(element[a], element[b])
 
 
 # ---------------------------------------------------------------------------
@@ -843,6 +857,25 @@ def test_sum_of_two_squares_past_the_bound_is_a_domain_error_not_a_guess():
         is_sum_of_two_squares(n)
     with pytest.raises(DomainError, match=f"trial-division bound {BIG}"):
         feasibility(n)
+
+
+def test_a_cofactor_past_the_exact_primality_range_names_the_order(monkeypatch):
+    # 10^30 + 57 has no factor up to the bound and is past the exact
+    # Miller-Rabin range, where gf.is_prime could only repeat the division
+    # and raise about the cofactor instead of the order.
+    cofactor = 10**30 + 57
+    assert cofactor >= gf_module._MILLER_RABIN_EXACT_BELOW
+    asked = []
+
+    def recorded(n, _inner=gf_module.is_prime):
+        asked.append(n)
+        return _inner(n)
+
+    monkeypatch.setattr(gf_module, "is_prime", recorded)
+    with pytest.raises(DomainError, match="^cannot tell whether 2000000000000000000000000000114 is "
+                                          f"a sum of two squares: .* trial-division bound {BIG}"):
+        feasibility(2 * cofactor)
+    assert cofactor not in asked
 
 
 def test_feasibility_of_a_huge_prime_square_is_a_prime_power():

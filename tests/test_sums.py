@@ -1,15 +1,14 @@
 """Power-sum profile tests.
 
-Each derived expectation is recomputed by an independent route: polynomial
-expansion for Newton-Girard, the defining trigonometric sum for the Fejer
-kernel, sorted-gap geometry for n-gon detection, and float profiles against
-the exact integer values.
+Each derived expectation is recomputed by an independent route: direct
+sums of powers, closed forms for regular n-gons, the Fejer certificate's
+weighted sum term by term, and float profiles against the exact integer
+values.
 """
 
 import cmath
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,16 +17,11 @@ from powersum import pds as pds_module
 from powersum import sums as sums_module
 from powersum.pds import PerfectDifferenceSet, singer_construct, canonical_form, prime_power
 from powersum.sums import (
-    DifferenceSpectrum,
     RecoveryStatus,
     UnimodularTuple,
-    difference_spectrum,
     exact_abs_squared,
     fabrykowski_tuple,
     fejer_certificate,
-    fejer_kernel,
-    is_regular_ngon,
-    newton_girard_coeffs,
     power_sums,
     recover_structure,
 )
@@ -130,7 +124,7 @@ def test_one_tuple_makes_one_profile_for_the_three_sums(monkeypatch):
     recover_structure(t)
     power_sums(t, nu_max=t.horizon)
     assert calls == [t.horizon]
-    is_regular_ngon(t)  # a shorter profile is computed afresh
+    power_sums(t, nu_max=t.n - 1)  # a shorter profile is computed afresh
     assert calls == [t.horizon, t.n - 1]
 
 
@@ -191,39 +185,8 @@ def test_profile_fields_consistent():
 
 
 # ---------------------------------------------------------------------------
-# fejer_kernel / fejer_certificate
+# fejer_certificate
 # ---------------------------------------------------------------------------
-
-
-def fejer_by_definition(m, t):
-    # oracle: the defining sum over nu = 1-m .. m-1 of (1-|nu|/m) e(nu t)
-    total = sum((1 - abs(nu) / m) * cmath.exp(2j * cmath.pi * nu * t)
-                for nu in range(1 - m, m))
-    assert abs(total.imag) < 1e-9
-    return total.real
-
-
-def test_fejer_kernel_examples():
-    for m in (1, 2, 5, 43):
-        assert fejer_kernel(m, 0.0) == float(m)
-        assert fejer_kernel(m, 3.0) == float(m)  # periodic, integer t
-    assert fejer_kernel(2, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fejer_kernel_matches_defining_sum():
-    rng = np.random.default_rng(23)
-    for m in (2, 3, 7, 12):
-        for _ in range(20):
-            x = float(rng.uniform(0, 1))
-            assert fejer_kernel(m, x) == pytest.approx(fejer_by_definition(m, x),
-                                                       abs=1e-9)
-
-
-def test_fejer_kernel_nonnegative():
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        m = int(rng.integers(1, 20))
-        assert fejer_kernel(m, float(rng.uniform(-2, 2))) >= 0.0
 
 
 def test_certificate_nonnegative_on_random_tuples():
@@ -258,63 +221,6 @@ def test_certificate_on_regular_ngon_matches_closed_form():
         cert = fejer_certificate(t)
         assert cert.weighted_sum == pytest.approx(expected, abs=1e-8)
         assert cert.weighted_sum >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# newton_girard_coeffs / is_regular_ngon
-# ---------------------------------------------------------------------------
-
-
-def test_newton_girard_examples():
-    assert newton_girard_coeffs([0, 0, 3]) == pytest.approx((0, 0, -1))
-    assert newton_girard_coeffs([2]) == pytest.approx((-2,))
-
-
-def test_newton_girard_zero_prefix_forces_zero_coeffs():
-    # S(1..n-1) = 0 gives a_1 .. a_(n-1) = 0 regardless of S(n)
-    coeffs = newton_girard_coeffs([0, 0, 0, 0, 5 * cmath.exp(1j)])
-    for c in coeffs[:-1]:
-        assert abs(c) < 1e-12
-    assert abs(coeffs[-1] - (-cmath.exp(1j))) < 1e-12
-
-
-def test_newton_girard_matches_polynomial_expansion():
-    # oracle: numpy's poly expands prod (x - z_k) directly
-    rng = np.random.default_rng(37)
-    for _ in range(25):
-        n = int(rng.integers(1, 8))
-        z = np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        s = [complex((z**nu).sum()) for nu in range(1, n + 1)]
-        got = np.array(newton_girard_coeffs(s))
-        expected = np.poly(z)[1:]  # drop the leading 1
-        assert np.allclose(got, expected, atol=1e-9, rtol=1e-9)
-
-
-def gaps_are_regular(t, tol):
-    # oracle: sorted angles must be equally spaced by 1/n (mod 1)
-    angles = sorted(th % 1.0 for th in t.thetas)
-    n = len(angles)
-    gaps = [(angles[(i + 1) % n] - angles[i]) % 1.0 for i in range(n)]
-    return all(abs(g - 1.0 / n) <= tol for g in gaps)
-
-
-def test_is_regular_ngon_examples():
-    assert is_regular_ngon(UnimodularTuple((0.0, 1 / 3, 2 / 3)))
-    rotated = UnimodularTuple(tuple((k / 4 + 0.137) % 1 for k in range(4)))
-    assert is_regular_ngon(rotated)
-    assert not is_regular_ngon(UnimodularTuple((0.0, 1 / 3, 1 / 2)))
-
-
-def test_is_regular_ngon_agrees_with_geometry():
-    rng = np.random.default_rng(41)
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        if rng.uniform() < 0.5:
-            shift = rng.uniform()
-            t = UnimodularTuple(tuple((k / n + shift) % 1 for k in range(n)))
-        else:
-            t = random_tuple(rng, n, alpha=0.0)
-        assert is_regular_ngon(t, tol=1e-7) == gaps_are_regular(t, tol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -381,40 +287,6 @@ def test_exact_abs_squared_matches_float_profile():
             assert exact == q
             float_sq = profile.abs_values[nu - 1] ** 2
             assert float_sq == pytest.approx(exact, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# difference_spectrum
-# ---------------------------------------------------------------------------
-
-
-def test_spectrum_of_fabrykowski_is_regular_grid():
-    t = fabrykowski_tuple(singer_construct(2))
-    spec = difference_spectrum(t)
-    assert len(spec.lambdas) == 7
-    for j, lam in enumerate(spec.lambdas):
-        assert lam == pytest.approx(j / 7, abs=1e-12)
-
-
-def test_spectrum_degenerate_tuple():
-    spec = difference_spectrum(UnimodularTuple((0.0, 0.0)))
-    assert spec.lambdas == (0.0, 0.0, 0.0)
-
-
-def test_spectrum_shape_and_symmetry():
-    rng = np.random.default_rng(47)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        t = random_tuple(rng, n)
-        spec = difference_spectrum(t)
-        assert len(spec.lambdas) == n * n - n + 1
-        assert list(spec.lambdas) == sorted(spec.lambdas)
-        assert all(0.0 <= lam < 1.0 for lam in spec.lambdas)
-        # pairwise differences come in (lam, 1-lam) pairs apart from zeros
-        nonzero = [round(lam, 9) for lam in spec.lambdas if lam > 1e-12]
-        counts = Counter(nonzero)
-        mirrored = Counter(round(1.0 - lam, 9) for lam in nonzero)
-        assert counts == mirrored
 
 
 # ---------------------------------------------------------------------------
