@@ -15,13 +15,17 @@ draws a uniform random start and runs two deterministic stages:
    true objective.  When no difference set of order n-1 exists the snap
    can never verify and the stage is a no-op.
 
-Restarts run one after another, each on its own RNG stream derived from
-(seed, restart index), so a fixed config always produces the same report.
-The streams are numpy's: ``default_rng([seed, index]).uniform``, that is a
-SeedSequence seeding PCG64, reproduced in pure Python by ``_uniform_angles``.
-Importing ``numpy.random`` for them would cost more than a restart, and a
-numpy release that changed ``Generator.uniform`` can no longer move the
-starts.
+The restarts are polished in lockstep, one step of every unfinished restart
+per round, in blocks of consecutive indices sized by a byte budget on their
+Gram and KKT matrices; each restart's KKT matrix is built once per accepted
+point.  Every arithmetic operation of a restart is the one it would get
+alone, and each restart has its own RNG stream derived from (seed, restart
+index), so a fixed config always produces the same report, bit for bit,
+whatever the block size.  The streams are numpy's:
+``default_rng([seed, index]).uniform``, that is a SeedSequence seeding
+PCG64, reproduced in pure Python by ``_uniform_angles``.  Importing
+``numpy.random`` for them would cost more than a restart, and a numpy
+release that changed ``Generator.uniform`` can no longer move the starts.
 
 The optimizer gathers evidence only.  At default settings (50 restarts) it
 reaches sqrt(n-1), with the difference set recovered, at n <= 4 and, on some
@@ -33,6 +37,7 @@ NotMinimizer and the best value stays strictly above the bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,8 +46,7 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .gf import DomainError
 from .pds import verify
-from .sums import (RecoveryResult, UnimodularTuple, _geometric_rows, _lattice_rounding,
-                   recover_structure)
+from .sums import RecoveryResult, UnimodularTuple, _lattice_rounding, recover_structure
 
 LOWER_BOUND_GUARD = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -63,10 +67,13 @@ def objective(t: UnimodularTuple) -> float:
 
 
 def _abs_squared_and_powers(thetas: np.ndarray, nu_max: int):
-    """u[nu-1] = |S(nu)|^2, S[nu-1], and the power matrix z_k^nu."""
+    """u[..., nu-1] = |S(nu)|^2, S and the power matrices z_k^nu of a tuple's
+    angles, or of each row of a stack of them.  Each power row is the one
+    before times z, a cumulative product, so no trig is evaluated at a large
+    argument."""
     z = np.exp((2j * np.pi) * thetas)
-    powers = _geometric_rows(z, z, nu_max)
-    s = powers.sum(axis=1)
+    powers = z[..., None, :].repeat(nu_max, axis=-2).cumprod(axis=-2)
+    s = powers.sum(axis=-1)
     u = (s.real * s.real + s.imag * s.imag)
     return u, s, powers
 
@@ -91,6 +98,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the polish sizes its stacks by these: a non-integer fails here, not deep inside
+        for name in ("n", "restarts", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, not {value!r}") from None
         if self.n < 2:
             raise DomainError("n must be >= 2")
         if self.restarts < 1:
@@ -129,8 +143,8 @@ def _abs_values_and_grads(u: np.ndarray, s: np.ndarray, powers: np.ndarray,
     ``_abs_squared_and_powers``, with ``scale`` the column -2 pi nu; the rows are
     fresh and C-contiguous, as a strided view moves ``grads @ grads.T`` by ulps."""
     r = np.sqrt(u)
-    grads = scale * (np.conj(s)[:, None] * powers).imag / np.maximum(r, 1e-300)[:, None]
-    grads[:, 0] = 0.0
+    grads = scale * (np.conj(s)[..., None] * powers).imag / np.maximum(r, 1e-300)[..., None]
+    grads[..., 0] = 0.0
     return r, grads
 
 
@@ -138,6 +152,10 @@ _QP_ITERS = 100
 _QP_TOL = 1e-12
 _QP_RIDGE = 1e-13
 _POLISH_STEPS = 200
+# Restarts are polished in blocks whose Gram and KKT matrices, 8 (nu^2 +
+# (nu+1)^2) bytes per restart, fit in this many bytes: about a core's L2
+# cache, as each round of the lockstep reads every one of them.
+_BLOCK_BYTES = 1 << 21
 
 
 def _singular(err: str, flag: int) -> None:
@@ -145,40 +163,52 @@ def _singular(err: str, flag: int) -> None:
     raise ArithmeticError("Singular matrix")
 
 
-def _min_norm_weights(gram: np.ndarray, linear: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
+def _set_grams(grams: list, bordered: np.ndarray, slots: np.ndarray, grads) -> None:
+    """For each slot and its gradient rows g in ``grads``, replace grams[slot]
+    by the Gram matrix g g' and set it, with a tiny ridge on its diagonal,
+    into the top-left block of bordered[slot], a KKT matrix [[*, 1], [1', 0]]
+    of the dual; the ridge keeps the KKT systems nonsingular when gradients
+    coincide.  Each Gram matrix is dropped before its successor is formed,
+    so the product lands in the memory just freed, still in cache, where
+    holding both would fault fresh memory in at every round."""
+    size = bordered.shape[-1] - 1
+    for slot, g in zip(slots.tolist(), grads):
+        grams[slot] = None
+        grams[slot] = g @ g.T
+        bordered[slot, :size, :size] = grams[slot]
+    diagonals = bordered.reshape(len(bordered), -1)[:, :size * (size + 2):size + 2]
+    entries = diagonals[slots]  # their sums are the traces, to the bit
+    diagonals[slots] = entries + _QP_RIDGE * np.fmax(1.0, entries.sum(axis=1))[:, None]
+
+
+def _min_norm_weights(gram: np.ndarray, bordered: np.ndarray, rhs: np.ndarray,
+                      tol: float, weights: np.ndarray) -> np.ndarray:
     """Active-set solver for min 1/2 w'(gram)w - linear'w over the simplex.
 
     With ``gram`` the Gram matrix of the gradients g_i and ``linear`` =
     mu * r this is the dual of the prox-linear step; with ``linear`` = 0 it
     is the min-norm point of the hull of the g_i (Wolfe 1976).  Starting from
     the support of ``weights``, each pass minimizes over the affine hull of
-    the support (a KKT solve; the tiny ridge keeps it nonsingular when
-    gradients coincide), moving only as far as the simplex allows and
+    the support (a KKT solve), moving only as far as the simplex allows and
     dropping the weight that reaches zero, then adds the index of least
-    gradient.  It stops when the Frank-Wolfe gap is below _QP_TOL relative
-    to the linear term, or when that index is already in the support, which
-    in exact arithmetic cannot happen and marks the rounding floor.
+    gradient.  It stops when the Frank-Wolfe gap is below ``tol`` (_QP_TOL
+    relative to the linear term), or when that index is already in the
+    support, which in exact arithmetic cannot happen and marks the rounding
+    floor.
 
-    The bordered matrix [[gram + ridge I, 1], [1', 0]] and the right-hand
-    side [linear, 1] are built once; each KKT system is one fancy index of
-    them by the support and the border index, solved by LAPACK's gesv
+    ``bordered`` is the KKT matrix of ``gram`` (``_set_grams``), built once
+    per point, and ``rhs`` is [linear, 1]; each KKT system is one fancy
+    index of them by the support and the border index, solved by LAPACK's gesv
     through ``solve1``, the gufunc behind ``np.linalg.solve``, with the same
     bits and without that wrapper's per-call cost.  A singular system raises
     ArithmeticError.
     """
-    size = linear.size
+    size = weights.size
     # a weight of 1 stands for the border, so filtering ``idx`` by weight
     # keeps the border index last
     extended = np.concatenate((weights, (1.0,)))
     weights = extended[:size]
-    ridge = _QP_RIDGE * max(1.0, float(gram.trace()))
-    tol = _QP_TOL * max(1.0, float(np.abs(linear).max()))
-    bordered = np.empty((size + 1, size + 1))
-    bordered[:size, :size] = gram
-    bordered.reshape(-1)[:size * (size + 2):size + 2] += ridge  # its diagonal
-    bordered[size], bordered[:size, size], bordered[size, size] = 1.0, 1.0, 0.0
-    rhs = np.concatenate((linear, (1.0,)))
+    linear = rhs[:size]
     idx = extended.nonzero()[0]
     with np.errstate(call=_singular, invalid="call"):
         for _ in range(_QP_ITERS):
@@ -204,45 +234,86 @@ def _min_norm_weights(gram: np.ndarray, linear: np.ndarray,
     return weights
 
 
-def _polish(thetas: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Prox-linear (SLP) minimax steps on the true objective (Madsen 1975).
+def _polish(starts: np.ndarray, n: int) -> tuple[np.ndarray, list[float]]:
+    """Prox-linear (SLP) minimax steps on the true objective (Madsen 1975)
+    from each row of ``starts``: the polished rows and their values.
 
     Each step minimizes max_nu (r_nu + g_nu . d) + (mu/2)|d|^2 through its
     dual over the simplex and takes d = -G'w/mu.  A step is accepted when the
     objective drops by at least a tenth of the decrease the linear model
     predicts, and mu then halves; a rejected step quadruples mu.  mu starts
-    at the largest |g_nu|^2 (1 when every gradient vanishes, so d = 0).  The
-    loop ends when the predicted decrease is down to rounding level.  A
-    candidate is judged on its value alone: gradient rows and their Gram
-    matrix are built only for the start and each accepted point, from the
-    S(nu) and powers at hand, and a rejected step reuses them.
+    at the largest |g_nu|^2 (1 when every gradient vanishes, so d = 0).  A
+    row's steps end when its predicted decrease is down to rounding level.
+
+    The rows move in lockstep, one step per round.  The evaluation, the
+    gradient rows, the right-hand sides mu*r, the tolerances, the step, the
+    predicted decrease and the accept test are each one numpy call on the
+    stacked rows still running, and a row leaves the stack when its
+    predicted decrease ends it.  Each row keeps its own Gram matrix (a
+    syrk product, whose bits a batched product would not keep) and KKT
+    matrix, and only the dual's active-set iterations run row by row.  A
+    candidate is judged on its value alone: gradient rows, the Gram matrix
+    and the KKT matrix are built only for the start and each accepted
+    point, and a rejected step reuses them.  Each row gets the bits it would
+    get alone.
     """
     nu_max = n * n - n
     scale = -TWO_PI * np.arange(1, nu_max + 1)[:, None]
+    thetas = starts.copy()
     r, grads = _abs_values_and_grads(*_abs_squared_and_powers(thetas, nu_max), scale)
-    value = float(r.max())
-    mu = float((grads * grads).sum(axis=1).max()) or 1.0
-    weights = np.zeros(nu_max)
-    weights[int(r.argmax())] = 1.0
-    gram = grads @ grads.T
+    values = r.max(axis=1)
+    mu = (grads * grads).sum(axis=2).max(axis=1)
+    mu[mu == 0.0] = 1.0
+    weights = np.zeros_like(r)
+    weights[np.arange(len(r)), r.argmax(axis=1)] = 1.0
+    # row i of starts has its Gram and KKT matrices in slot i, and live
+    # holds the slot of each row still running
+    live = np.arange(len(thetas))
+    grams = [None] * len(thetas)
+    kkts = np.ones((len(thetas), nu_max + 1, nu_max + 1))
+    kkts[:, nu_max, nu_max] = 0.0
+    _set_grams(grams, kkts, live, grads)
+    polished, final = thetas.copy(), values.copy()
     for _ in range(_POLISH_STEPS):
-        weights = _min_norm_weights(gram, mu * r, weights)
-        step = -(weights @ grads) / mu
-        predicted = value - float((r + grads @ step).max())
-        if predicted <= 1e-15 * value:
-            break
+        rhs = np.ones((len(live), nu_max + 1))
+        np.multiply(mu[:, None], r, out=rhs[:, :nu_max])
+        # max |mu r| is mu times the value exactly, as rounding is monotone
+        tols = (_QP_TOL * np.fmax(1.0, mu * values)).tolist()
+        weights = np.array([
+            _min_norm_weights(grams[slot], kkts[slot], b, tol, w)
+            for slot, b, tol, w in zip(live.tolist(), rhs, tols, weights)])
+        step = -np.matmul(weights[:, None], grads)[:, 0] / mu[:, None]
+        predicted = values - (r + np.matmul(grads, step[:, :, None])[..., 0]).max(axis=1)
+        ended = predicted <= 1e-15 * values
+        if ended.any():
+            polished[live[ended]], final[live[ended]] = thetas[ended], values[ended]
+            going = ~ended
+            if not going.any():
+                break
+            live, thetas, values, mu, r, grads, weights, step, predicted = (
+                a[going] for a in (live, thetas, values, mu, r, grads, weights, step,
+                                   predicted))
         candidate = (thetas + step) % 1.0
         u, s, powers = _abs_squared_and_powers(candidate, nu_max)
-        cand_value = math.sqrt(float(u.max()))
-        if value - cand_value >= 0.1 * predicted:
-            thetas, value = candidate, cand_value
+        cand_values = np.sqrt(u.max(axis=1))
+        accepted = values - cand_values >= 0.1 * predicted
+        mu *= np.where(accepted, 0.5, 4.0)
+        rows = accepted.nonzero()[0]
+        if not rows.size:
+            continue
+        if rows.size == accepted.size:  # every row moves: no gather, no scatter
+            thetas, values = candidate, cand_values
             r, grads = _abs_values_and_grads(u, s, powers, scale)
-            gram = grads @ grads.T
-            mu *= 0.5
+            fresh = grads
         else:
-            mu *= 4.0
-    # value is _objective_raw(thetas, n) to the bit: sqrt is monotone and exact-rounded
-    return thetas, _guarded(value, n)
+            thetas[rows], values[rows] = candidate[rows], cand_values[rows]
+            r[rows], fresh = _abs_values_and_grads(u[rows], s[rows], powers[rows], scale)
+            grads[rows] = fresh
+        _set_grams(grams, kkts, live[rows], fresh)
+    else:
+        polished[live], final[live] = thetas, values
+    # a value is _objective_raw of its row to the bit: sqrt is monotone and exact-rounded
+    return polished, [_guarded(value, n) for value in final.tolist()]
 
 
 def _snap(js: list[int], n: int) -> Optional[tuple[np.ndarray, float]]:
@@ -319,21 +390,26 @@ def _uniform_angles(entropy: list[int], n: int) -> list[float]:
     return draws
 
 
-def _run_restart(config: OptimizerConfig, index: int) -> tuple[np.ndarray, float]:
-    start = np.array(_uniform_angles([config.seed, index], config.n))
-    start[0] = 0.0
-    thetas, value = _polish(start, config.n)
-    # each point is rounded once; the polish leaves the first angle at 0, so
-    # a repeated rounding names the same lattice tuple and is verified once
-    roundings = [_lattice_rounding(start)[0]]
-    polished = _lattice_rounding(thetas)[0]
-    if polished != roundings[0]:
-        roundings.append(polished)
-    for js in roundings:
-        snapped = _snap(js, config.n)
-        if snapped is not None and snapped[1] < value:
-            thetas, value = snapped
-    return thetas, value
+def _restarts(config: OptimizerConfig, indices: range) -> list[tuple[np.ndarray, float]]:
+    """The restarts ``indices``, polished in lockstep and each then snapped."""
+    starts = np.array([_uniform_angles([config.seed, index], config.n)
+                       for index in indices])
+    starts[:, 0] = 0.0
+    polished, values = _polish(starts, config.n)
+    runs = []
+    for start, thetas, value in zip(starts, polished, values):
+        # each point is rounded once; the polish leaves the first angle at 0,
+        # so a repeated rounding names the same lattice tuple and is verified once
+        roundings = [_lattice_rounding(start)[0]]
+        rounded = _lattice_rounding(thetas)[0]
+        if rounded != roundings[0]:
+            roundings.append(rounded)
+        for js in roundings:
+            snapped = _snap(js, config.n)
+            if snapped is not None and snapped[1] < value:
+                thetas, value = snapped
+        runs.append((thetas, value))
+    return runs
 
 
 def minimize(config: OptimizerConfig) -> OptimizerReport:
@@ -342,10 +418,16 @@ def minimize(config: OptimizerConfig) -> OptimizerReport:
     Each restart polishes a random start with the prox-linear method on the
     true max, then adopts the verified lattice snap of the start or of the
     polished point when that is lower (see the module docstring).  The
-    restarts run in index order.
+    restarts are polished in lockstep, in blocks of consecutive indices
+    sized by ``_BLOCK_BYTES``, so memory stays bounded at any n and any
+    number of restarts; every restart gets the bits it would get alone.
     """
+    nu_max = config.n * config.n - config.n
+    size = max(1, _BLOCK_BYTES // (8 * (nu_max * nu_max + (nu_max + 1) ** 2)))
+    runs = []
+    for first in range(0, config.restarts, size):
+        runs += _restarts(config, range(first, min(first + size, config.restarts)))
     indices = range(config.restarts)
-    runs = [_run_restart(config, r) for r in indices]
 
     values = tuple(value for _, value in runs)
     best_index = min(indices, key=lambda r: (values[r], r))

@@ -282,7 +282,7 @@ def test_a_bare_value_error_is_an_internal_error(capsys, monkeypatch):
 
 def test_a_singular_kkt_system_is_an_internal_error(capsys, monkeypatch):
     # numpy's LinAlgError is a ValueError; it says nothing about the input
-    def singular(gram, linear, weights):
+    def singular(gram, bordered, rhs, tol, weights):
         raise np.linalg.LinAlgError("Singular matrix")
     monkeypatch.setattr(minimax, "_min_norm_weights", singular)
     code, out, err = run(capsys, "optimize", "--n", "3", "--restarts", "1")

@@ -119,15 +119,28 @@ def _qp_instances():
         weights[support] = rng.uniform(0.1, 1.0, support.size)
         weights /= weights.sum()
         mu = float((grads * grads).sum(axis=1).max()) * 2.0 ** int(rng.integers(-8, 9))
-        yield grads @ grads.T, mu * r if index % 2 else np.zeros(nu_max), weights
+        yield grads, mu * r if index % 2 else np.zeros(nu_max), weights
+
+
+def _dual(grads, linear, weights):
+    # the polish's dual solve: the Gram and KKT matrices of the gradient
+    # rows, [linear, 1] and the oracle's tolerance
+    bordered = np.ones((1, len(grads) + 1, len(grads) + 1))
+    bordered[0, -1, -1] = 0.0
+    grams = [None]
+    minimax._set_grams(grams, bordered, np.array([0]), grads[None])
+    tol = minimax._QP_TOL * max(1.0, float(np.abs(linear).max()))
+    return minimax._min_norm_weights(grams[0], bordered[0], np.append(linear, 1.0), tol,
+                                     weights)
 
 
 def test_min_norm_weights_match_the_oracle_to_the_bit():
     moved = 0
-    for gram, linear, weights in _qp_instances():
+    for grads, linear, weights in _qp_instances():
         start = weights.copy()
-        got = minimax._min_norm_weights(gram, linear, weights)
-        assert np.array_equal(got, polish_oracle._min_norm_weights(gram, linear, weights))
+        got = _dual(grads, linear, weights)
+        expected = polish_oracle._min_norm_weights(grads @ grads.T, linear, weights)
+        assert np.array_equal(got, expected)
         assert np.array_equal(weights, start)  # the warm start is not written to
         moved += not np.array_equal(got != 0, start != 0)
     assert moved >= 100  # most instances change the support, so drops and adds run
@@ -137,7 +150,7 @@ def test_a_singular_kkt_system_raises_instead_of_returning_nan(monkeypatch):
     # without the ridge, coinciding gradients make the bordered system singular
     monkeypatch.setattr(minimax, "_QP_RIDGE", 0.0)
     with pytest.raises(ArithmeticError, match="^Singular matrix$"):
-        minimax._min_norm_weights(np.zeros((2, 2)), np.zeros(2), np.array([0.5, 0.5]))
+        _dual(np.zeros((2, 3)), np.zeros(2), np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 9))
@@ -152,43 +165,129 @@ def test_uniform_angles_are_numpys_pcg64_stream_to_the_bit(n):
             np.random.default_rng(seed).uniform(0.0, 1.0, n).tolist()
 
 
+def _assert_rows_match_the_oracle(starts, n):
+    thetas, values = minimax._polish(starts, n)
+    assert len(thetas) == len(values) == len(starts)
+    for start, got_thetas, got_value in zip(starts, thetas, values):
+        expected_thetas, expected_value = polish_oracle._polish(start, n)
+        assert np.array_equal(got_thetas, expected_thetas)
+        assert got_value == expected_value
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
 def test_polish_matches_the_oracle_to_the_bit(n):
     rng = np.random.default_rng(n)
     for _ in range(4):
         start = rng.uniform(0, 1, n)
         start[0] = 0.0
-        thetas, value = minimax._polish(start, n)
-        expected_thetas, expected_value = polish_oracle._polish(start, n)
-        assert np.array_equal(thetas, expected_thetas)
-        assert value == expected_value
+        _assert_rows_match_the_oracle(start[None], n)
+
+
+def _slot(bordered):
+    """Where a restart's KKT matrix lives: the same for its whole polish."""
+    return bordered.__array_interface__["data"][0]
+
+
+def _lattice_start(q):
+    lattice = np.array(fabrykowski_tuple(singer_construct(q)).thetas)
+    return (lattice - lattice[0]) % 1.0
+
+
+def test_a_mixed_lockstep_batch_matches_the_oracle_row_by_row(monkeypatch):
+    # a lattice start ends at its first step, beside starts that run long and
+    # leave the stack one by one
+    calls = []
+    solve = minimax._min_norm_weights
+    monkeypatch.setattr(minimax, "_min_norm_weights",
+                        lambda gram, bordered, *args: calls.append(_slot(bordered))
+                        or solve(gram, bordered, *args))
+    rng = np.random.default_rng(17)
+    starts = rng.uniform(0, 1, (6, 5))
+    starts[:, 0] = 0.0
+    starts[2] = _lattice_start(4)
+    _assert_rows_match_the_oracle(starts, 5)
+    steps = sorted(calls.count(row) for row in set(calls))
+    assert len(steps) == 6 and steps[0] == 1 and steps[1] >= 10
+    assert len(set(steps[1:])) > 1  # the long runs end in different rounds
+    # n = 2, where a restart has two angles and two power sums
+    starts = rng.uniform(0, 1, (5, 2))
+    starts[:, 0] = 0.0
+    _assert_rows_match_the_oracle(starts, 2)
 
 
 def test_polish_builds_gradients_once_per_accepted_point(monkeypatch):
-    builds, grams, evaluations = [], [], []
-    build, solve, evaluate = (minimax._abs_values_and_grads, minimax._min_norm_weights,
-                              minimax._abs_squared_and_powers)
+    builds, duals, evaluations, kkts = [], [], [], []
+    build, solve, evaluate, set_grams = (
+        minimax._abs_values_and_grads, minimax._min_norm_weights,
+        minimax._abs_squared_and_powers, minimax._set_grams)
     monkeypatch.setattr(minimax, "_abs_values_and_grads",
-                        lambda *args: builds.append(1) or build(*args))
+                        lambda u, *args: builds.append(len(u)) or build(u, *args))
     monkeypatch.setattr(minimax, "_min_norm_weights",
-                        lambda gram, *args: grams.append(gram) or solve(gram, *args))
+                        lambda gram, bordered, *args: duals.append((_slot(bordered), gram))
+                        or solve(gram, bordered, *args))
     monkeypatch.setattr(minimax, "_abs_squared_and_powers",
-                        lambda *args: evaluations.append(1) or evaluate(*args))
+                        lambda thetas, *args: evaluations.append(len(thetas))
+                        or evaluate(thetas, *args))
+    monkeypatch.setattr(minimax, "_set_grams",
+                        lambda grams, bordered, slots, grads: kkts.append(len(grads))
+                        or set_grams(grams, bordered, slots, grads))
     rng = np.random.default_rng(3)
     rejected = 0
     for n in (3, 4, 5, 6):
-        for _ in range(3):
-            builds.clear(), grams.clear(), evaluations.clear()
-            start = rng.uniform(0, 1, n)
-            start[0] = 0.0
-            minimax._polish(start, n)
-            # the rows change exactly at an accepted step, and every step is
-            # followed by another dual solve until the predicted decrease ends it
-            accepted = sum(not np.array_equal(a, b) for a, b in zip(grams, grams[1:]))
-            assert len(builds) == 1 + accepted
-            assert len({id(gram) for gram in grams}) == 1 + accepted  # one Gram matrix each
-            rejected += len(evaluations) - len(builds)
+        builds.clear(), duals.clear(), evaluations.clear(), kkts.clear()
+        starts = rng.uniform(0, 1, (3, n))
+        starts[:, 0] = 0.0
+        minimax._polish(starts, n)
+        # a restart's KKT matrix is its own for the whole polish; its Gram
+        # matrix changes exactly at an accepted step, and every step is
+        # followed by another dual solve until the predicted decrease ends it
+        accepted, slots = 0, {slot for slot, _ in duals}
+        assert len(slots) == 3
+        for slot in slots:
+            grams = [gram for s, gram in duals if s == slot]
+            mine = sum(not np.array_equal(a, b) for a, b in zip(grams, grams[1:]))
+            assert len({id(gram) for gram in grams}) == 1 + mine  # one Gram matrix each
+            accepted += mine
+        assert sum(builds) == 3 + accepted
+        assert sum(kkts) == 3 + accepted  # one KKT matrix each
+        rejected += sum(evaluations) - sum(builds)
     assert rejected > 0  # rejected candidates were evaluated and got no rows
+
+
+@pytest.mark.parametrize("seed", (5, 29))
+def test_fewer_restarts_are_a_prefix_of_more(seed):
+    # lockstep with 3 restarts or with 8: each restart gets the same bits
+    for n in range(2, 8):
+        few = minimize(OptimizerConfig(n, restarts=3, seed=seed)).per_restart_values
+        many = minimize(OptimizerConfig(n, restarts=8, seed=seed)).per_restart_values
+        assert few == many[:3]
+
+
+def test_restarts_run_in_blocks_of_the_byte_budget(monkeypatch):
+    nu_max = 20  # n = 5
+    per_restart = 8 * (nu_max * nu_max + (nu_max + 1) ** 2)
+    blocks, rows = [], []
+    polish, evaluate, build = (minimax._polish, minimax._abs_squared_and_powers,
+                               minimax._abs_values_and_grads)
+    monkeypatch.setattr(minimax, "_polish",
+                        lambda starts, n: blocks.append(len(starts)) or polish(starts, n))
+    monkeypatch.setattr(minimax, "_abs_squared_and_powers",
+                        lambda thetas, *args: rows.append(thetas.shape[:-1])
+                        or evaluate(thetas, *args))
+    monkeypatch.setattr(minimax, "_abs_values_and_grads",
+                        lambda u, *args: rows.append(u.shape[:-1]) or build(u, *args))
+    for seed in (2, 3):
+        blocks.clear()
+        whole = minimize(OptimizerConfig(5, restarts=8, seed=seed)).to_record()
+        assert blocks == [8]  # by default one block holds all 8
+        with monkeypatch.context() as patch:
+            patch.setattr(minimax, "_BLOCK_BYTES", 4 * per_restart - 1)
+            blocks.clear(), rows.clear()
+            blocked = minimize(OptimizerConfig(5, restarts=8, seed=seed)).to_record()
+        assert blocks == [3, 3, 2]
+        # a 1-d array is one tuple (the snap's objective)
+        assert max(shape[0] if shape else 1 for shape in rows) == 3
+        assert blocked == whole
 
 
 def test_config_validation():
@@ -200,13 +299,29 @@ def test_config_validation():
         OptimizerConfig(n=3, seed=-1)
 
 
+@pytest.mark.parametrize("field, value", (("n", 3.5), ("restarts", 2.5), ("seed", 1.5),
+                                          ("n", "3"), ("restarts", None),
+                                          ("seed", np.float64(2.0))))
+def test_config_rejects_a_non_integer(field, value):
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, not "):
+        OptimizerConfig(**{"n": 3, field: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    config = OptimizerConfig(np.int64(4), restarts=np.int32(2), seed=np.uint8(7))
+    assert config == OptimizerConfig(4, restarts=2, seed=7)
+    assert all(type(v) is int for v in (config.n, config.restarts, config.seed))
+    assert minimize(config).per_restart_values == \
+        minimize(OptimizerConfig(4, restarts=2, seed=7)).per_restart_values
+
+
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8))
 def test_polish_converges_to_the_bound_near_a_minimizer(q):
     lattice = np.array(fabrykowski_tuple(singer_construct(q)).thetas)
     noise = np.random.default_rng(q).normal(0.0, 1e-4, lattice.size)
     start = (lattice + noise) % 1.0
     start = (start - start[0]) % 1.0
-    thetas, value = minimax._polish(start, q + 1)
+    (thetas,), (value,) = minimax._polish(start[None], q + 1)
     assert value - math.sqrt(q) <= 1e-9
     assert value == minimax._objective_raw(thetas, q + 1)  # to the bit
     assert thetas[0] == start[0] == 0.0
@@ -215,7 +330,7 @@ def test_polish_converges_to_the_bound_near_a_minimizer(q):
 
 
 def _snap_at_n3(thetas):
-    # _snap takes the point's rounding, as _run_restart passes it
+    # _snap takes the point's rounding, as _restarts passes it
     return minimax._snap(_lattice_rounding(np.array(thetas))[0], 3)
 
 
@@ -233,11 +348,12 @@ def test_snap_without_a_difference_set_gives_no_candidate(thetas):
 
 @pytest.mark.parametrize("polished_value, adopted", ((1.0, 0), (5.0, 4)))
 def test_snap_is_kept_only_when_lower(monkeypatch, polished_value, adopted):
-    # a stand-in polish that leaves the start where it is and reports a fixed
-    # value: the snap (value sqrt 2) must win exactly when it is lower
-    monkeypatch.setattr(minimax, "_polish", lambda thetas, n: (thetas, polished_value))
+    # a stand-in polish that leaves the starts where they are and reports a
+    # fixed value: the snap (value sqrt 2) must win exactly when it is lower
+    monkeypatch.setattr(minimax, "_polish",
+                        lambda starts, n: (starts, [polished_value] * len(starts)))
     config = OptimizerConfig(3, seed=0)
-    values = [minimax._run_restart(config, r)[1] for r in range(8)]
+    values = [value for _, value in minimax._restarts(config, range(8))]
     assert sum(v == pytest.approx(math.sqrt(2), abs=1e-12) for v in values) == adopted
     assert values.count(polished_value) == 8 - adopted
 
@@ -254,17 +370,17 @@ def test_snap_verifies_a_repeated_rounding_once(monkeypatch):
     # a stand-in polish that moves every angle onto the grid point it rounds
     # to: other angles, the same rounding, so one verify per restart
     monkeypatch.setattr(minimax, "_polish",
-                        lambda thetas, n: (np.rint(thetas * 7) % 7 / 7, 5.0))
-    for r in range(8):
-        minimax._run_restart(config, r)
+                        lambda starts, n: (np.rint(starts * 7) % 7 / 7, [5.0] * len(starts)))
+    minimax._restarts(config, range(8))
     assert len(calls) == 8
     # a stand-in polish that lands on the rounding (0, 1, 3): a new rounding
     # is verified as well, a repeated one is not
     lattice = np.array([0.0, 1.01 / 7, 2.98 / 7])
-    monkeypatch.setattr(minimax, "_polish", lambda thetas, n: (lattice, 5.0))
+    monkeypatch.setattr(minimax, "_polish",
+                        lambda starts, n: ([lattice] * len(starts), [5.0] * len(starts)))
     for r in range(8):
         calls.clear()
-        _, value = minimax._run_restart(config, r)
+        [(_, value)] = minimax._restarts(config, range(r, r + 1))
         assert calls[-1] == (0, 1, 3)
         assert len(calls) == (1 if calls[0] == (0, 1, 3) else 2)
         assert value == pytest.approx(math.sqrt(2), abs=1e-12)
@@ -335,7 +451,7 @@ def test_polish_checks_its_value_against_the_bound(monkeypatch):
     monkeypatch.setattr(minimax, "lower_bound", lambda n: 10.0)
     monkeypatch.setattr(minimax, "_objective_raw", None)
     with pytest.raises(ArithmeticError, match="below the proven bound"):
-        minimax._polish(np.array([0.0, 0.3, 0.55]), 3)
+        minimax._polish(np.array([[0.0, 0.3, 0.55]]), 3)
 
 
 def test_report_record_shape():
