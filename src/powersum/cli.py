@@ -42,6 +42,7 @@ from .pds import (
 from .sums import (
     RecoveryStatus,
     UnimodularTuple,
+    _check_profile_size,
     fabrykowski_tuple,
     power_sums,
     recover_structure,
@@ -212,7 +213,9 @@ def _profile_source(args) -> UnimodularTuple:
     if args.from_pds is not None:
         return fabrykowski_tuple(singer_construct(args.from_pds), alpha_turns=alpha)
     # a negative N draws no angles, and the tuple rejects every N < 2
-    thetas = _uniform_angles([resolve_seed(args)], max(args.random, 0))
+    size = max(args.random, 0)
+    _check_profile_size(size, size * size - size if args.nu_max is None else args.nu_max)
+    thetas = _uniform_angles([resolve_seed(args)], size)
     return UnimodularTuple(tuple(thetas), alpha_turns=alpha)
 
 

@@ -18,10 +18,14 @@ draws a uniform random start and runs two deterministic stages:
 The restarts are polished in lockstep, one step of every unfinished restart
 per round, in blocks of consecutive indices sized by a byte budget on their
 Gram and KKT matrices; each restart's KKT matrix is built once per accepted
-point.  Every arithmetic operation of a restart is the one it would get
-alone, and each restart has its own RNG stream derived from (seed, restart
-index), so a fixed config always produces the same report, bit for bit,
-whatever the block size.  The streams are numpy's:
+point.  The dual weights of a block are one stack of rows [w, 1], each
+updated in place by its restart's active-set solve, and the polish enters
+the errstate under which a singular KKT system raises once for all its
+rounds, so a dual solve pays for little beyond its LAPACK call and the numpy
+calls its active set needs.  Every arithmetic operation of a restart is the
+one it would get alone, and each restart has its own RNG stream derived from
+(seed, restart index), so a fixed config always produces the same report,
+bit for bit, whatever the block size.  The streams are numpy's:
 ``default_rng([seed, index]).uniform``, that is a SeedSequence seeding
 PCG64, reproduced in pure Python by ``_uniform_angles``.  Importing
 ``numpy.random`` for them would cost more than a restart, and a numpy
@@ -50,6 +54,9 @@ from .sums import RecoveryResult, UnimodularTuple, _lattice_rounding, recover_st
 
 LOWER_BOUND_GUARD = 1e-9
 TWO_PI = 2.0 * math.pi
+# One restart's Gram and KKT matrices take 8 (nu^2 + (nu+1)^2) bytes, with
+# nu = n^2 - n: 39 MB at n = 40 and 43 MB at n = 41.
+MAX_OPTIMIZER_N = 40
 
 
 def lower_bound(n: int) -> float:
@@ -93,6 +100,9 @@ def _objective_raw(thetas: np.ndarray, n: int) -> float:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """A ``minimize`` call: n in 2 .. MAX_OPTIMIZER_N, restarts >= 1 and
+    seed >= 0, each an integer, else ``DomainError``."""
+
     n: int
     restarts: int = 50
     seed: int = 0
@@ -105,6 +115,8 @@ class OptimizerConfig:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise DomainError(f"{name} must be an integer, not {value!r}") from None
+        if self.n > MAX_OPTIMIZER_N:  # first: the cap answers a huge n at once
+            raise DomainError(f"n = {self.n} exceeds the cap {MAX_OPTIMIZER_N}")
         if self.n < 2:
             raise DomainError("n must be >= 2")
         if self.restarts < 1:
@@ -163,6 +175,13 @@ def _singular(err: str, flag: int) -> None:
     raise ArithmeticError("Singular matrix")
 
 
+def _singular_raises() -> np.errstate:
+    """The floating-point state the dual solves run under: a singular KKT
+    system, which LAPACK's solve flags as invalid, raises ArithmeticError
+    instead of returning NaN."""
+    return np.errstate(call=_singular, invalid="call")
+
+
 def _set_grams(grams: list, bordered: np.ndarray, slots: np.ndarray, grads) -> None:
     """For each slot and its gradient rows g in ``grads``, replace grams[slot]
     by the Gram matrix g g' and set it, with a tiny ridge on its diagonal,
@@ -177,61 +196,64 @@ def _set_grams(grams: list, bordered: np.ndarray, slots: np.ndarray, grads) -> N
         grams[slot] = g @ g.T
         bordered[slot, :size, :size] = grams[slot]
     diagonals = bordered.reshape(len(bordered), -1)[:, :size * (size + 2):size + 2]
-    entries = diagonals[slots]  # their sums are the traces, to the bit
+    entries = diagonals.take(slots, 0)  # their sums are the traces, to the bit
     diagonals[slots] = entries + _QP_RIDGE * np.fmax(1.0, entries.sum(axis=1))[:, None]
 
 
 def _min_norm_weights(gram: np.ndarray, bordered: np.ndarray, rhs: np.ndarray,
-                      tol: float, weights: np.ndarray) -> np.ndarray:
+                      tol: float, row: np.ndarray) -> None:
     """Active-set solver for min 1/2 w'(gram)w - linear'w over the simplex.
 
     With ``gram`` the Gram matrix of the gradients g_i and ``linear`` =
     mu * r this is the dual of the prox-linear step; with ``linear`` = 0 it
     is the min-norm point of the hull of the g_i (Wolfe 1976).  Starting from
-    the support of ``weights``, each pass minimizes over the affine hull of
-    the support (a KKT solve), moving only as far as the simplex allows and
-    dropping the weight that reaches zero, then adds the index of least
+    the support of the weights w, each pass minimizes over the affine hull
+    of the support (a KKT solve), moving only as far as the simplex allows
+    and dropping the weight that reaches zero, then adds the index of least
     gradient.  It stops when the Frank-Wolfe gap is below ``tol`` (_QP_TOL
     relative to the linear term), or when that index is already in the
     support, which in exact arithmetic cannot happen and marks the rounding
     floor.
 
-    ``bordered`` is the KKT matrix of ``gram`` (``_set_grams``), built once
-    per point, and ``rhs`` is [linear, 1]; each KKT system is one fancy
-    index of them by the support and the border index, solved by LAPACK's gesv
-    through ``solve1``, the gufunc behind ``np.linalg.solve``, with the same
-    bits and without that wrapper's per-call cost.  A singular system raises
-    ArithmeticError.
+    ``row`` is [w, 1], the warm start, and the solution is written into it
+    in place; its last entry, the border's 1, is never written, so the
+    indices of its nonzero entries are the support followed by the border
+    index.  ``bordered`` is the KKT matrix of ``gram`` (``_set_grams``),
+    built once per point, and ``rhs`` is [linear, 1]; each KKT system is
+    gathered from them by the support and the border index with ``take``,
+    which copies the same entries as a fancy index at less cost, and solved
+    by LAPACK's gesv through ``solve1``, the gufunc behind
+    ``np.linalg.solve`` (float64 operands select its double loop), with the
+    same bits and without that wrapper's per-call cost; ``ndarray.dot``
+    makes the same BLAS calls as ``@`` at about half the call cost.  The
+    caller holds the errstate of ``_singular_raises``, under which a
+    singular system raises ArithmeticError; without it the solve only warns
+    and returns NaN.
     """
-    size = weights.size
-    # a weight of 1 stands for the border, so filtering ``idx`` by weight
-    # keeps the border index last
-    extended = np.concatenate((weights, (1.0,)))
-    weights = extended[:size]
+    size = row.size - 1
+    weights = row[:size]
     linear = rhs[:size]
-    idx = extended.nonzero()[0]
-    with np.errstate(call=_singular, invalid="call"):
-        for _ in range(_QP_ITERS):
-            while True:
-                target = _solve1(bordered[idx[:, None], idx], rhs[idx],
-                                 signature="dd->d")[:-1]
-                support = idx[:-1]
-                if target.min() > 0:
-                    break
-                current = weights[support]
-                out = (target <= 0).nonzero()[0]
-                ratios = current[out] / (current[out] - target[out])
-                first = int(ratios.argmin())
-                weights[support] = current + ratios[first] * (target - current)
-                weights[support[out[first]]] = 0.0
-                idx = idx[extended[idx] > 0]
-            weights[support] = target
-            grad = gram @ weights - linear
-            toward = int(grad.argmin())
-            if float(weights @ grad) - grad[toward] <= tol or weights[toward] > 0:
+    idx = row.nonzero()[0]
+    for _ in range(_QP_ITERS):
+        while True:
+            target = _solve1(bordered.take(idx, 0).take(idx, 1), rhs.take(idx))[:-1]
+            support = idx[:-1]
+            if min(target.tolist()) > 0:
                 break
-            idx = np.concatenate((support, (toward, size)))
-    return weights
+            current = weights[support]
+            out = (target <= 0).nonzero()[0]
+            shrink = current[out]
+            ratios = shrink / (shrink - target[out])
+            first = int(ratios.argmin())
+            weights[support] = current + ratios[first] * (target - current)
+            weights[support[out[first]]] = 0.0
+            idx = idx[row[idx] > 0]
+        weights[support] = target
+        grad = gram.dot(weights) - linear
+        toward = int(grad.argmin())
+        if float(weights.dot(grad)) - grad[toward] <= tol or weights[toward] > 0:
+            break
+        idx = np.concatenate((support, (toward, size)))
 
 
 def _polish(starts: np.ndarray, n: int) -> tuple[np.ndarray, list[float]]:
@@ -249,13 +271,17 @@ def _polish(starts: np.ndarray, n: int) -> tuple[np.ndarray, list[float]]:
     gradient rows, the right-hand sides mu*r, the tolerances, the step, the
     predicted decrease and the accept test are each one numpy call on the
     stacked rows still running, and a row leaves the stack when its
-    predicted decrease ends it.  Each row keeps its own Gram matrix (a
-    syrk product, whose bits a batched product would not keep) and KKT
-    matrix, and only the dual's active-set iterations run row by row.  A
-    candidate is judged on its value alone: gradient rows, the Gram matrix
-    and the KKT matrix are built only for the start and each accepted
-    point, and a rejected step reuses them.  Each row gets the bits it would
-    get alone.
+    predicted decrease ends it.  Each row keeps its own Gram matrix (a syrk
+    product, whose bits a batched product would not keep) and KKT matrix,
+    and only the dual's active-set iterations run row by row: the dual
+    weights are one stack of rows [w, 1], each passed to
+    ``_min_norm_weights`` and updated there in place, and the step reads
+    their first nu columns.  The rounds run under ``_singular_raises()``,
+    entered once, so any invalid operation in them raises ArithmeticError;
+    from finite starts only a singular KKT system makes one.  A candidate is
+    judged on its value alone: gradient rows, the Gram matrix and the KKT
+    matrix are built only for the start and each accepted point, and a
+    rejected step reuses them.  Each row gets the bits it would get alone.
     """
     nu_max = n * n - n
     scale = -TWO_PI * np.arange(1, nu_max + 1)[:, None]
@@ -264,7 +290,9 @@ def _polish(starts: np.ndarray, n: int) -> tuple[np.ndarray, list[float]]:
     values = r.max(axis=1)
     mu = (grads * grads).sum(axis=2).max(axis=1)
     mu[mu == 0.0] = 1.0
-    weights = np.zeros_like(r)
+    # row i holds restart i's dual weights w and, last, the border's 1
+    weights = np.zeros((len(r), nu_max + 1))
+    weights[:, nu_max] = 1.0
     weights[np.arange(len(r)), r.argmax(axis=1)] = 1.0
     # row i of starts has its Gram and KKT matrices in slot i, and live
     # holds the slot of each row still running
@@ -274,44 +302,44 @@ def _polish(starts: np.ndarray, n: int) -> tuple[np.ndarray, list[float]]:
     kkts[:, nu_max, nu_max] = 0.0
     _set_grams(grams, kkts, live, grads)
     polished, final = thetas.copy(), values.copy()
-    for _ in range(_POLISH_STEPS):
-        rhs = np.ones((len(live), nu_max + 1))
-        np.multiply(mu[:, None], r, out=rhs[:, :nu_max])
-        # max |mu r| is mu times the value exactly, as rounding is monotone
-        tols = (_QP_TOL * np.fmax(1.0, mu * values)).tolist()
-        weights = np.array([
-            _min_norm_weights(grams[slot], kkts[slot], b, tol, w)
-            for slot, b, tol, w in zip(live.tolist(), rhs, tols, weights)])
-        step = -np.matmul(weights[:, None], grads)[:, 0] / mu[:, None]
-        predicted = values - (r + np.matmul(grads, step[:, :, None])[..., 0]).max(axis=1)
-        ended = predicted <= 1e-15 * values
-        if ended.any():
-            polished[live[ended]], final[live[ended]] = thetas[ended], values[ended]
-            going = ~ended
-            if not going.any():
-                break
-            live, thetas, values, mu, r, grads, weights, step, predicted = (
-                a[going] for a in (live, thetas, values, mu, r, grads, weights, step,
-                                   predicted))
-        candidate = (thetas + step) % 1.0
-        u, s, powers = _abs_squared_and_powers(candidate, nu_max)
-        cand_values = np.sqrt(u.max(axis=1))
-        accepted = values - cand_values >= 0.1 * predicted
-        mu *= np.where(accepted, 0.5, 4.0)
-        rows = accepted.nonzero()[0]
-        if not rows.size:
-            continue
-        if rows.size == accepted.size:  # every row moves: no gather, no scatter
-            thetas, values = candidate, cand_values
-            r, grads = _abs_values_and_grads(u, s, powers, scale)
-            fresh = grads
+    with _singular_raises():
+        for _ in range(_POLISH_STEPS):
+            rhs = np.ones((len(live), nu_max + 1))
+            np.multiply(mu[:, None], r, out=rhs[:, :nu_max])
+            # max |mu r| is mu times the value exactly, as rounding is monotone
+            tols = (_QP_TOL * np.fmax(1.0, mu * values)).tolist()
+            for slot, b, tol, row in zip(live.tolist(), rhs, tols, weights):
+                _min_norm_weights(grams[slot], kkts[slot], b, tol, row)
+            step = -np.matmul(weights[:, None, :nu_max], grads)[:, 0] / mu[:, None]
+            predicted = values - (r + np.matmul(grads, step[:, :, None])[..., 0]).max(axis=1)
+            ended = predicted <= 1e-15 * values
+            if ended.any():
+                polished[live[ended]], final[live[ended]] = thetas[ended], values[ended]
+                going = ~ended
+                if not going.any():
+                    break
+                live, thetas, values, mu, r, grads, weights, step, predicted = (
+                    a[going] for a in (live, thetas, values, mu, r, grads, weights, step,
+                                       predicted))
+            candidate = (thetas + step) % 1.0
+            u, s, powers = _abs_squared_and_powers(candidate, nu_max)
+            cand_values = np.sqrt(u.max(axis=1))
+            accepted = values - cand_values >= 0.1 * predicted
+            mu *= np.where(accepted, 0.5, 4.0)
+            rows = accepted.nonzero()[0]
+            if not rows.size:
+                continue
+            if rows.size == accepted.size:  # every row moves: no gather, no scatter
+                thetas, values = candidate, cand_values
+                r, grads = _abs_values_and_grads(u, s, powers, scale)
+                fresh = grads
+            else:
+                thetas[rows], values[rows] = candidate[rows], cand_values[rows]
+                r[rows], fresh = _abs_values_and_grads(u[rows], s[rows], powers[rows], scale)
+                grads[rows] = fresh
+            _set_grams(grams, kkts, live[rows], fresh)
         else:
-            thetas[rows], values[rows] = candidate[rows], cand_values[rows]
-            r[rows], fresh = _abs_values_and_grads(u[rows], s[rows], powers[rows], scale)
-            grads[rows] = fresh
-        _set_grams(grams, kkts, live[rows], fresh)
-    else:
-        polished[live], final[live] = thetas, values
+            polished[live], final[live] = thetas, values
     # a value is _objective_raw of its row to the bit: sqrt is monotone and exact-rounded
     return polished, [_guarded(value, n) for value in final.tolist()]
 

@@ -25,7 +25,8 @@ A tuple's profile up to its horizon n^2-n is computed once, on first use,
 and kept on the tuple as read-only arrays: ``power_sums``,
 ``fejer_certificate`` and ``recover_structure`` on one tuple share it.  Any
 other ``nu_max`` is computed afresh, since the blocks, and so the
-roundings, depend on it.
+roundings, depend on it.  Every profile is checked against
+``MAX_PROFILE_POINTS`` and ``MAX_PROFILE_LENGTH`` before an array is made.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ import numpy as np
 
 from .gf import DomainError
 from .pds import PerfectDifferenceSet
+
+# The blocks of a profile of n points up to nu_max take about
+# 32 n sqrt(nu_max) bytes and its rows about 100 bytes each: `powersum
+# profile` at both caps peaks near 175 MB in 0.7 s.  A profile up to the
+# horizon n^2 - n fits for n <= 316.
+MAX_PROFILE_POINTS = 10**4
+MAX_PROFILE_LENGTH = 10**5
 
 
 def _turns(x) -> float:
@@ -140,8 +148,18 @@ def _power_sums(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:
     return np.dot(high, low.T).ravel()[:nu_max]
 
 
+def _check_profile_size(n: int, nu_max: int) -> None:
+    """``DomainError`` unless a profile of n points up to nu_max stays within
+    MAX_PROFILE_POINTS and MAX_PROFILE_LENGTH; it allocates nothing."""
+    if n > MAX_PROFILE_POINTS:
+        raise DomainError(f"a profile of {n} points exceeds the cap {MAX_PROFILE_POINTS}")
+    if nu_max > MAX_PROFILE_LENGTH:
+        raise DomainError(f"a profile up to nu = {nu_max} exceeds the cap {MAX_PROFILE_LENGTH}")
+
+
 def _abs_values_and_epsilons(t: UnimodularTuple, nu_max: int):
     """|S(nu)| and eps_nu = |S(nu)|^2 - (n-1) for nu = 1 .. nu_max, as arrays."""
+    _check_profile_size(t.n, nu_max)
     eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
     abs_values = np.abs(_power_sums(eff, nu_max))
     return abs_values, abs_values * abs_values - (t.n - 1)

@@ -332,6 +332,30 @@ def test_a_set_failing_the_library_self_check_exits_70(capsys, monkeypatch, argv
     assert "produced an invalid set" in err
 
 
+@pytest.mark.parametrize("n", ("200", "100000000"))
+def test_optimize_past_the_cap_is_a_domain_error_at_once(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "optimize", "--n", n, "--restarts", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert err == f"powersum: error: n = {n} exceeds the cap {minimax.MAX_OPTIMIZER_N}\n"
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("--random", "100000000"), "a profile of 100000000 points exceeds the cap 10000"),
+    (("--random", "5", "--nu-max", "1000000000000"),
+     "a profile up to nu = 1000000000000 exceeds the cap 100000"),
+))
+def test_profile_past_the_caps_is_a_domain_error_before_any_angle_is_drawn(
+        capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "_uniform_angles", None)  # a draw would exit 70
+    start = time.perf_counter()
+    code, out, err = run(capsys, "profile", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert err == f"powersum: error: {message}\n"
+
+
 def test_singer_non_prime_power_is_a_domain_error(capsys):
     code, out, err = run(capsys, "singer", "--q", "6")
     assert code == cli.EXIT_DOMAIN

@@ -5,6 +5,8 @@ Heavy acceptance-scale runs (hundreds of restarts) live in the acceptance
 suite; here the configs are small but still exercise every stage.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -130,8 +132,9 @@ def _dual(grads, linear, weights):
     grams = [None]
     minimax._set_grams(grams, bordered, np.array([0]), grads[None])
     tol = minimax._QP_TOL * max(1.0, float(np.abs(linear).max()))
-    return minimax._min_norm_weights(grams[0], bordered[0], np.append(linear, 1.0), tol,
-                                     weights)
+    row = np.append(weights, 1.0)  # [w, 1], solved in place
+    minimax._min_norm_weights(grams[0], bordered[0], np.append(linear, 1.0), tol, row)
+    return row[:-1]
 
 
 def test_min_norm_weights_match_the_oracle_to_the_bit():
@@ -147,10 +150,21 @@ def test_min_norm_weights_match_the_oracle_to_the_bit():
 
 
 def test_a_singular_kkt_system_raises_instead_of_returning_nan(monkeypatch):
-    # without the ridge, coinciding gradients make the bordered system singular
+    # without the ridge, coinciding gradients make the bordered system
+    # singular; the dual solves run under the polish's errstate
     monkeypatch.setattr(minimax, "_QP_RIDGE", 0.0)
-    with pytest.raises(ArithmeticError, match="^Singular matrix$"):
+    with pytest.raises(ArithmeticError, match="^Singular matrix$"), minimax._singular_raises():
         _dual(np.zeros((2, 3)), np.zeros(2), np.array([0.5, 0.5]))
+
+
+def test_the_polish_raises_on_a_singular_kkt_system(monkeypatch):
+    # the polish sets the errstate itself: without the ridge, the first
+    # restart of seed 0 at n = 3 meets a singular KKT system
+    monkeypatch.setattr(minimax, "_QP_RIDGE", 0.0)
+    starts = np.array([minimax._uniform_angles([0, index], 3) for index in range(4)])
+    starts[:, 0] = 0.0
+    with pytest.raises(ArithmeticError, match="^Singular matrix$"):
+        minimax._polish(starts, 3)
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 9))
@@ -288,6 +302,18 @@ def test_restarts_run_in_blocks_of_the_byte_budget(monkeypatch):
         # a 1-d array is one tuple (the snap's objective)
         assert max(shape[0] if shape else 1 for shape in rows) == 3
         assert blocked == whole
+
+
+def test_config_caps_n_by_the_bytes_of_one_restart():
+    def restart_bytes(n):
+        nu_max = n * n - n
+        return 8 * (nu_max * nu_max + (nu_max + 1) ** 2)
+    cap = minimax.MAX_OPTIMIZER_N
+    assert restart_bytes(cap) < 40 * 10**6 <= restart_bytes(cap + 1)
+    assert OptimizerConfig(cap).n == cap
+    for n in (cap + 1, 200, 10**8):
+        with pytest.raises(DomainError, match=f"^n = {n} exceeds the cap {cap}$"):
+            OptimizerConfig(n, restarts=1)
 
 
 def test_config_validation():
@@ -428,6 +454,20 @@ def test_minimize_n2_reaches_one():
     report = minimize(OptimizerConfig(n=2, restarts=3, seed=2))
     assert report.best_value == pytest.approx(1.0, abs=1e-6)
     assert report.recovered.status is RecoveryStatus.IS_MINIMIZER
+
+
+def test_minimize_keeps_every_bit():
+    # a sha256 over the records, the restart values and the best angles as
+    # float.hex, serialized as tools/minimize_digest.py does over more cells
+    h = hashlib.sha256()
+    for n in range(2, 8):
+        for restarts in (1, 3, 8):
+            for seed in (0, 1):
+                report = minimize(OptimizerConfig(n, restarts=restarts, seed=seed))
+                h.update(json.dumps(report.to_record(), sort_keys=True).encode())
+                h.update(repr([v.hex() for v in report.per_restart_values]).encode())
+                h.update(repr([x.hex() for x in report.best_tuple.thetas]).encode())
+    assert h.hexdigest() == "0c8a8bb5ae054c070f0b9649d025f950d60ae5b81806a393071e83bd3779e39c"
 
 
 def test_minimize_deterministic():

@@ -109,6 +109,19 @@ def test_power_sums_does_not_build_the_power_matrix():
     assert peak < 16 * 2**20
 
 
+def test_a_profile_past_the_caps_is_a_domain_error():
+    wide = UnimodularTuple((0.0,) * (sums_module.MAX_PROFILE_POINTS + 1))
+    for profile in (lambda: power_sums(wide, nu_max=1), lambda: fejer_certificate(wide),
+                    lambda: recover_structure(wide)):
+        with pytest.raises(DomainError, match="^a profile of 10001 points exceeds the cap 10000$"):
+            profile()
+    t = random_tuple(np.random.default_rng(7), 3)
+    length = sums_module.MAX_PROFILE_LENGTH
+    assert len(power_sums(t, nu_max=length).abs_values) == length
+    with pytest.raises(DomainError, match="^a profile up to nu = 100001 exceeds the cap 100000$"):
+        power_sums(t, nu_max=length + 1)
+
+
 def test_one_tuple_makes_one_profile_for_the_three_sums(monkeypatch):
     calls = []
     inner = sums_module._power_sums
