@@ -9,14 +9,19 @@ q acting on Z_m by multiplication, so searching such unions is complete.
 
 ``search`` is the library's one search kernel: it stops at the first such
 union for ``pds.exhaustive_search`` and ``pds.feasibility``, or lists every
-one for ``pds.enumerate_all``.  Orbit residues do not arrive in ascending
-order, so the covered differences are kept as bitmasks over Z_m that are
-rotated by each value added (``_add_orbit``, also the orbit filter of
-``multiplier_orbits``).  Pure integer code with no dependency on the
-``pds`` types; ``pds`` wraps the result and verifies any set found, and
-``pds.canonical_form`` takes its one unit per coset from ``coset_leaders``.
-Statuses are the ``SearchResult`` ones: "Found", "NoneExists",
-"BudgetExceeded".
+one for ``pds.enumerate_all``.  Listing every one uses the unit scaling:
+multiplication by a unit commutes with the multipliers, so a fixed union
+that holds a unit x is x times a fixed union that holds 1, and so holds the
+orbit H of 1.  Enumerate mode therefore walks twice (``_walk``): pass 1 over
+the unions that hold H, each scaled by one unit per coset of H
+(``multiplier_cosets``), and pass 2 over the unions of non-unit orbits.
+Orbit residues do not arrive in ascending order, so the covered differences
+are kept as bitmasks over Z_m that are rotated by each value added
+(``_add_orbit``, also the orbit filter of ``multiplier_orbits``).  Pure
+integer code with no dependency on the ``pds`` types; ``pds`` wraps the
+result and verifies any set found, and ``pds.canonical_form`` takes its one
+unit per coset from ``multiplier_cosets``.  Statuses are the
+``SearchResult`` ones: "Found", "NoneExists", "BudgetExceeded".
 """
 
 from math import gcd
@@ -62,6 +67,14 @@ def coset_leaders(group, d: int) -> list[int]:
             for h in group:
                 seen[u * h % d] = 1
     return leaders
+
+
+def multiplier_cosets(q: int) -> tuple[list[int], list[int]]:
+    """The group H generated by the primes of q mod m = q^2+q+1, sorted, and
+    the least unit of each of its cosets among the units mod m."""
+    m = q * q + q + 1
+    group = generated_subgroup(sorted(factorize(q)), m, m)
+    return group, coset_leaders(group, m)
 
 
 def multiplier_orbits(q: int) -> list[tuple[int, ...]]:
@@ -111,19 +124,54 @@ def search(q: int, budget: int,
     """Backtrack over unions of multiplier orbits of size q+1 whose
     differences are all distinct, within one node budget for the whole search.
 
-    With `out` None the first such union stops the search (find mode).  Given
-    a list, every such union is appended to it as a list of residues and the
-    walk goes on to the end (enumerate mode).  A node is one union examined:
-    the empty union at the root, and each union formed by adding one orbit
-    and checking its differences.  Returns (status, nodes, residues-or-None);
-    in enumerate mode the residues are None and a walk that ends within the
-    budget reports Found when `out` holds a set, NoneExists otherwise.
+    With `out` None the first such union stops the search (find mode): one
+    walk over every orbit from the empty union.  Given a list, every such
+    union is appended to it as a list of residues (enumerate mode), and two
+    walks through the unit-scaling symmetry list them.  A union that holds a
+    unit x is x*U for U = x^-1 times the union, which is fixed too and holds
+    the orbit H of 1; and u*h*U = u*U for h in H.  So pass 1 walks the unions
+    that hold H, and appends each one scaled by one unit per coset of H
+    (``multiplier_cosets``).  Pass 2 walks the unions of non-unit orbits.
+    Between them they append every union, some more than once.  When H is
+    not an orbit of the search (its size passes q+1, as at q = 4, or it
+    repeats a difference) no union holds a unit, and pass 2 alone runs.
+
+    A node is one union examined: the root of each walk (H alone in pass 1,
+    the empty union in pass 2 and in find mode), and each union formed by
+    adding one orbit and checking its differences.  Returns
+    (status, nodes, residues-or-None); in enumerate mode the residues are
+    None and walks that end within the budget report Found when `out` holds
+    a set, NoneExists otherwise.
     """
     if budget < 1:
         return "BudgetExceeded", 0, None
     m = q * q + q + 1
     k = q + 1
     orbits = multiplier_orbits(q)
+    if out is None:
+        return _walk(m, k, orbits, (), 1, budget, None)
+    nodes = 0
+    unit = next((o for o in orbits if o[0] == 1), None)  # H, when it is an orbit here
+    if unit is not None:
+        fixed: list[list[int]] = []
+        status, nodes, _ = _walk(m, k, [o for o in orbits if o is not unit], unit,
+                                 1, budget, fixed)
+        leaders = multiplier_cosets(q)[1]
+        out.extend([u * x % m for x in residues] for residues in fixed for u in leaders)
+        if status == "BudgetExceeded" or nodes == budget:
+            return "BudgetExceeded", nodes, None
+    status, nodes, _ = _walk(m, k, [o for o in orbits if gcd(o[0], m) > 1], (),
+                             nodes + 1, budget, out)
+    if status != "BudgetExceeded":
+        status = "Found" if out else "NoneExists"
+    return status, nodes, None
+
+
+def _walk(m: int, k: int, orbits, root: tuple[int, ...], nodes: int, budget: int,
+          out: Optional[list]) -> tuple[str, int, Optional[list[int]]]:
+    """Depth-first over the unions of `root` (an orbit or empty, already
+    checked and counted in `nodes`) with orbits of the sorted list
+    `orbits`, as ``search`` describes; returns its triple."""
     # Bit s of sizes[j] is set when some union of orbits j.. has s residues;
     # an orbit is tried only if the residues still needed after it are such
     # a sum of the orbits after it.
@@ -132,12 +180,11 @@ def search(q: int, budget: int,
         sizes[j] = (sizes[j + 1] | sizes[j + 1] << len(orbits[j])) & ((2 << k) - 1)
 
     mask = (1 << m) - 1
-    nodes = 1
     # The union as bitmasks over Z_m: cov has bit d for each covered
     # difference d, sel has bit c for each chosen residue c and rev has bit
     # -c mod m.  Each pick keeps the state from before its orbit, so backing
     # out of it undoes nothing.
-    cov = sel = rev = 0
+    cov, sel, rev = _add_orbit(m, mask, 0, 0, 0, root)
     picks: list[tuple[int, int, int, int]] = []  # (orbit index, cov, sel, rev)
     j = 0
     while True:
@@ -156,11 +203,11 @@ def search(q: int, budget: int,
             j += 1
         else:  # the union is complete, or no orbit extends it: backtrack
             if not need:
-                found = [v for i, *_ in picks for v in orbits[i]]
+                found = [*root, *(v for i, *_ in picks for v in orbits[i])]
                 if out is None:
                     return "Found", nodes, found
                 out.append(found)
             if not picks:
-                return ("Found" if out else "NoneExists"), nodes, None
+                return "NoneExists", nodes, None
             j, cov, sel, rev = picks.pop()
         j += 1

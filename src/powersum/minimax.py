@@ -50,7 +50,8 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .gf import DomainError
 from .pds import verify
-from .sums import RecoveryResult, UnimodularTuple, _lattice_rounding, recover_structure
+from .sums import (RecoveryResult, UnimodularTuple, _check_profile_size, _lattice_rounding,
+                   recover_structure)
 
 LOWER_BOUND_GUARD = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -68,8 +69,11 @@ def objective(t: UnimodularTuple) -> float:
     """max over nu = 1 .. n^2-n of |S(nu)|, the quantity being minimized.
 
     Guarded by the proven lower bound: a value below sqrt(n-1) - 1e-9 can
-    only mean a numerical defect, and raises.
+    only mean a numerical defect, and raises.  The n^2-n by n power matrix
+    is checked against the caps of ``sums`` first, so a tuple past them is a
+    ``DomainError`` before any array is made.
     """
+    _check_profile_size(t.n, t.n * t.n - t.n)
     return _objective_raw((np.asarray(t.thetas) + t.alpha_turns) % 1.0, t.n)
 
 

@@ -19,9 +19,15 @@ primes of q generate, and a lexicographic scan over their candidates.
 unions of multiplier orbits (``_orbits``): it is complete by Hall's
 multiplier theorem (every prime dividing q is a multiplier) and the
 McFarland-Rice theorem (some translate is fixed by every multiplier), and
-runs serially under a single node budget.  ``feasibility`` combines the
-Bruck-Ryser and Wilbrink nonexistence tests with ``exhaustive_search``; a
-verdict that rests on that search carries the reason ``multiplier-search``.
+runs serially under a single node budget.  ``enumerate_all`` lists the
+fixed sets in two walks through the unit scaling: a fixed set that holds a
+unit x is x times a fixed set that holds 1, and so holds the orbit of 1.
+Pass 1 walks the unions that hold that orbit and scales each by one unit
+per coset of the multipliers' group; pass 2 walks the unions of non-unit
+orbits.  A node is one union of orbits examined, each walk's root included.
+``feasibility`` combines the Bruck-Ryser and Wilbrink nonexistence tests
+with ``exhaustive_search``; a verdict that rests on that search carries the
+reason ``multiplier-search``.
 A plain backtracker over the sets containing {0, 1} is kept only in the
 tests, as this search's oracle.
 """
@@ -34,7 +40,7 @@ from operator import index
 from typing import NamedTuple, Optional
 
 from . import _orbits, gf
-from .gf import DomainError, factorize, make_field, primitive_element
+from .gf import DomainError, make_field, primitive_element
 
 DEFAULT_SEARCH_BUDGET = 10**8
 MAX_SINGER_ORDER = 32
@@ -352,9 +358,8 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
     for a in residues:
         for b in residues:
             start[(b - a) % m] = a
-    group = _orbits.generated_subgroup(sorted(factorize(q)), m, m)
     # (a, v) for one v = u^-1 per coset of H; the inverses of a coset are a coset
-    survivors = [(start[v], v) for v in _orbits.coset_leaders(group, m)]
+    survivors = [(start[v], v) for v in _orbits.multiplier_cosets(q)[1]]
     fixed = 2  # every candidate holds 0 and 1
     y = 1
     while len(survivors) > 1 and fixed <= q:
@@ -384,7 +389,7 @@ class SearchResult:
 class EnumerationResult:
     complete: bool
     sets: tuple[tuple[int, ...], ...]  # all (0,1)-rooted solutions
-    nodes: int
+    nodes: int  # unions of orbits examined over both passes, each root included
 
 
 def _validate_search_order(q: int) -> int:
@@ -423,14 +428,24 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
     """Every perfect difference set of order q containing {0, 1}, sorted.
 
     The search of ``exhaustive_search`` lists every set fixed by the
-    multipliers, counting one node per union of orbits examined, with the
-    whole node budget.  Each set has difference 1 at exactly one pair
-    (a, a+1), and its translate by -a is the one that contains 0 and 1; by
-    McFarland-Rice every such set is one of these translates.  Several fixed
-    sets can share a translate, so the translates are listed once each, in
-    sorted order, and each has passed ``verify``.  Canonicalizing them
-    surveys all classes.  ``complete`` is False when the budget ran out, in
-    which case the listing may be partial.  A negative budget is a DomainError.
+    multipliers, with the whole node budget, in two walks (``_orbits.search``).
+    Multiplication by a unit commutes with the multipliers, so a fixed set
+    that holds a unit x is x times a fixed set that holds 1, and that set
+    holds the whole orbit H of 1.  Pass 1 walks the unions of orbits that
+    hold H and scales each one by one unit per coset of H (the units of one
+    coset give the same image of an H-fixed set); pass 2 walks the unions of
+    non-unit orbits, which cover the fixed sets without a unit.  A node is
+    one union of orbits examined: H alone at the root of pass 1, the empty
+    union at the root of pass 2, and each union one orbit larger in either.
+
+    Each set has difference 1 at exactly one pair (a, a+1), and its
+    translate by -a is the one that contains 0 and 1; by McFarland-Rice
+    every such set is one of these translates.  Several fixed sets can share
+    a translate, and a fixed set can be listed more than once, so the
+    translates are listed once each, in sorted order, and each has passed
+    ``verify``.  Canonicalizing them surveys all classes.  ``complete`` is
+    False when the budget ran out, in which case the listing may be partial.
+    A negative budget is a DomainError.
     """
     m = _validate_search_order(q)
     _validate_budget(budget)

@@ -8,12 +8,14 @@ suite; here the configs are small but still exercise every stage.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import polish_oracle
 from powersum import minimax
+from powersum import sums as sums_module
 from powersum.gf import DomainError
 from powersum.minimax import (
     OptimizerConfig,
@@ -43,6 +45,22 @@ def test_objective_on_degenerate_and_ngon():
     for n in (2, 3, 5):
         t = UnimodularTuple(tuple(k / n for k in range(n)))
         assert objective(t) == pytest.approx(n, abs=1e-9)
+
+
+def test_objective_past_the_profile_cap_is_a_domain_error(monkeypatch):
+    # 1000 points need the 999000 x 1000 power matrix, 14.9 GiB of complex
+    # numbers; the cap answers before it or any other array is made.
+    monkeypatch.setattr(minimax, "_objective_raw", None)
+    t = UnimodularTuple(tuple(k / 1000 for k in range(1000)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"^a profile up to nu = 999000 exceeds the cap "
+                                              f"{sums_module.MAX_PROFILE_LENGTH}$"):
+            objective(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_objective_gauge_invariance():

@@ -8,6 +8,7 @@ of every unit image.
 """
 
 import ast
+import hashlib
 import inspect
 import random
 import textwrap
@@ -492,8 +493,9 @@ MULTIPLIER_GROUP_ORDERS = {16: 12, 25: 6, 27: 9, 31: 3, 32: 15}
 def test_canonical_form_matches_every_translate_on_random_images_with_large_h(q):
     d = singer_construct(q)
     m = d.m
-    group = _orbits.generated_subgroup(sorted(factorize(q)), m, m)
+    group, leaders = _orbits.multiplier_cosets(q)
     assert len(group) == MULTIPLIER_GROUP_ORDERS[q]
+    assert len(leaders) * len(group) == len([u for u in range(m) if gcd(u, m) == 1])
     rng = random.Random(1947 + q)
     units = [u for u in range(1, m) if gcd(u, m) == 1]
     for _ in range(3):
@@ -602,12 +604,23 @@ ENUMERATE_7 = (
     (0, 1, 9, 20, 23, 41, 51, 53), (0, 1, 13, 15, 21, 24, 31, 53),
 )
 # Nodes of the multiplier-orbit search: unions of orbits examined until the
-# first set (exhaustive_search) or to the end of the walk (enumerate_all).  A
-# change to the orbits, their order or the pruning changes them.
+# first set (exhaustive_search) or to the end of both walks (enumerate_all:
+# pass 1 from the orbit of 1, pass 2 over the non-unit orbits).  A change to
+# the orbits, their order, the passes or the pruning changes them.
 ORBIT_SEARCH_NODES = {1: 3, 2: 2, 3: 3, 4: 3, 5: 8, 6: 1, 7: 11, 8: 2, 9: 7, 10: 1,
                       11: 944, 12: 1, 13: 871, 14: 1, 15: 1, 16: 5, 17: 56727,
                       18: 1, 19: 48627}
-ORBIT_ENUMERATE_NODES = {1: 6, 2: 3, 3: 6, 4: 5, 5: 55, 6: 1, 7: 583, 8: 9, 9: 68}
+ORBIT_ENUMERATE_NODES = {1: 4, 2: 2, 3: 3, 4: 5, 5: 11, 6: 1, 7: 121, 8: 2, 9: 13}
+# sha256 of repr(enumerate_all(q).sets), recorded when enumerate mode walked
+# every union of orbits in one pass (tools/enumerate_digest.py).
+ENUMERATE_SHA256 = {
+    11: "5e9fff25dc489d8bcd19be8554800db7f2d8b50de53bd1b15050e84de45f3c96",
+    13: "dad91edc8b9ac61eaae28eb60c9c9d173e5e98079eb57c53a5d4ee6dfe515873",
+    16: "4a99fff073f4a18c7bcd257b0ba2e23d4d9b6d54670911e1f048eced1bb14d02",
+    25: "b8db002f194faae1f10d78a8f181a679201123658f7831e3403ec09ccceec065",
+    27: "9e0dcc27c6ad06d2cef6a2a9c9f977c8da29e40683969ae8bd594e1c8277c4ad",
+    32: "19df53ae981577ade045aafe181cbea0715effae081c0e17a758f7e49ff3469a",
+}
 
 
 def _oracle(kind, q, budget=10**6):
@@ -636,6 +649,44 @@ def test_enumerate_all_respects_budget():
     assert e.nodes == 5
 
 
+@pytest.mark.parametrize("q", sorted(ENUMERATE_SHA256))
+def test_enumerate_all_keeps_every_set(q):
+    listing = enumerate_all(q)
+    assert listing.complete
+    assert hashlib.sha256(repr(listing.sets).encode()).hexdigest() == ENUMERATE_SHA256[q]
+
+
+@pytest.mark.parametrize("q", range(1, 14))
+def test_enumerate_all_is_closed_under_unit_scaling(q):
+    # Pass 1 lists only the unions that hold the orbit of 1 and scales them;
+    # the listing must still hold every unit image of every set it lists.
+    m = modulus_for_order(q)
+    sets = enumerate_all(q).sets
+    listed = set(sets)
+    for s in sets:
+        for u in range(1, m):
+            if gcd(u, m) == 1:
+                image = {u * x % m for x in s}
+                a = next(a for a in image if (a + 1) % m in image)
+                assert tuple(sorted((x - a) % m for x in image)) in listed, (s, u)
+
+
+# At q = 7 pass 1 (the unions that hold the orbit of 1) spends nodes 1..59,
+# and pass 2 (the unions of non-unit orbits, from the empty union) nodes
+# 60..121.  Pass 1 lists every set of order 7; pass 2 adds none.
+def test_enumerate_all_runs_out_in_pass_1():
+    for budget in (1, 30, 59):  # at 59 the root of pass 2 is not paid for
+        listing = enumerate_all(7, budget=budget)
+        assert (listing.complete, listing.nodes) == (False, budget)
+
+
+def test_enumerate_all_runs_out_in_pass_2():
+    for budget in (60, 100):  # at 60 only the root of pass 2 is paid for
+        listing = enumerate_all(7, budget=budget)
+        assert (listing.complete, listing.nodes) == (False, budget)
+        assert listing.sets == ENUMERATE_7
+
+
 def test_search_stops_exactly_at_the_budget():
     # The last node of each walk is spent on the budget's last unit; one unit
     # less stops one node short.
@@ -643,11 +694,11 @@ def test_search_stops_exactly_at_the_budget():
     assert (found.status, found.nodes) == ("Found", 56727)
     short = exhaustive_search(17, budget=56726)
     assert (short.status, short.pds, short.nodes) == ("BudgetExceeded", None, 56726)
-    listing = enumerate_all(7, budget=583)
-    assert listing.complete and listing.nodes == 583
+    listing = enumerate_all(7, budget=121)
+    assert listing.complete and listing.nodes == 121
     assert listing.sets == ENUMERATE_7
-    cut = enumerate_all(7, budget=582)
-    assert cut.complete is False and cut.nodes == 582
+    cut = enumerate_all(7, budget=120)
+    assert cut.complete is False and cut.nodes == 120
 
 
 @pytest.mark.parametrize("call", (
@@ -778,7 +829,7 @@ def forbid_factoring(monkeypatch):
     def no_factoring(n):
         pytest.fail(f"factorize({n}) called")
     monkeypatch.setattr(gf_module, "factorize", no_factoring)
-    monkeypatch.setattr(pds_module, "factorize", no_factoring)
+    monkeypatch.setattr(_orbits, "factorize", no_factoring)  # the search and canonical_form
 
 
 def test_prime_power_needs_no_factoring(monkeypatch):
