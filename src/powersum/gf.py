@@ -54,12 +54,19 @@ calls too), so only root-free candidates reach Ben-Or's test.
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
 at 15 and orders must fit comfortably in a native integer.
+
+The package's factoring lives here too: ``_trial_division`` is its one
+trial-division loop, read by ``is_prime``, ``factorize``, ``prime_power``
+and ``is_sum_of_two_squares``, which each stop dividing at
+``TRIAL_DIVISION_BOUND`` and settle what is left exactly or raise a
+``DomainError``, never a guess and never a long loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 
 class DomainError(ValueError):
@@ -82,25 +89,46 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MILLER_RABIN_EXACT_BELOW = 318665857834031151167461
 
 
-# Past the exact Miller-Rabin range, and for the cofactors that
-# ``pds.is_sum_of_two_squares`` settles, trial division stops at this bound:
-# at most about 0.1 s of divisions.
+# Trial division stops at this bound: at most about 0.1 s of divisions.
 TRIAL_DIVISION_BOUND = 10**6
 
 
+def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """(factors, cofactor): the primes up to `bound` that divide n >= 1,
+    {prime: exponent} in increasing order, and the part of n they leave.
+    The candidates f are 2 and the odd numbers, while f <= bound and f^2 is
+    at most what is left.  Once they stop, no prime below f divides what is
+    left, so below f^2 it is 1 or a prime and joins the factors: a cofactor
+    above 1 exceeds bound^2 and has no prime factor up to `bound`."""
+    factors: dict[int, int] = {}
+    f, gap = 2, 1
+    while f <= bound and f * f <= n:
+        if not n % f:
+            e = 0
+            while not n % f:
+                n //= f
+                e += 1
+            factors[f] = e
+        f += gap
+        gap = 2
+    if 1 < n < f * f:
+        factors[n] = 1
+        n = 1
+    return factors, n
+
+
 def is_prime(n: int) -> bool:
-    """Exact primality: a deterministic Miller-Rabin test below
-    ``_MILLER_RABIN_EXACT_BELOW``.  At or above it a factor up to
-    ``TRIAL_DIVISION_BOUND`` settles False, and any other n is a
+    """Exact primality: division by the primes up to 37, then a deterministic
+    Miller-Rabin test below ``_MILLER_RABIN_EXACT_BELOW``.  At or above it a
+    factor up to ``TRIAL_DIVISION_BOUND`` settles False, and any other n is a
     ``DomainError`` naming the bound, never a guess and never a long loop."""
     if n < 2:
         return False
-    for a in _MILLER_RABIN_BASES:
-        if n % a == 0:
-            return n == a
-    if n >= _MILLER_RABIN_EXACT_BELOW:
-        if any(n % f == 0 for f in range(41, TRIAL_DIVISION_BOUND + 1, 2)):
-            return False  # the bases took every factor below 41
+    exact = n < _MILLER_RABIN_EXACT_BELOW
+    factors, _ = _trial_division(n, _MILLER_RABIN_BASES[-1] if exact else TRIAL_DIVISION_BOUND)
+    if factors:
+        return factors == {n: 1}
+    if not exact:
         raise DomainError(f"cannot tell whether {n} is prime: it has no factor up to the "
                           f"trial-division bound {TRIAL_DIVISION_BOUND} and is past the exact "
                           f"Miller-Rabin range")
@@ -120,24 +148,85 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale inputs)."""
+    """The prime factorization of n >= 1, {prime: exponent} in increasing
+    order, by trial division up to ``TRIAL_DIVISION_BOUND``.  The cofactor
+    left has no prime factor up to the bound and is taken only when the
+    Miller-Rabin test proves it prime; any other is a ``DomainError`` naming
+    n, never a guess and never a long loop."""
     if n < 1:
         raise DomainError("factorize expects a positive integer")
-    factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    factors, cofactor = _trial_division(n, TRIAL_DIVISION_BOUND)
+    if cofactor > 1:
+        if cofactor >= _MILLER_RABIN_EXACT_BELOW or not is_prime(cofactor):
+            raise DomainError(f"cannot factor {n}: its cofactor {cofactor} has no prime factor "
+                              f"up to the trial-division bound {TRIAL_DIVISION_BOUND} and needs "
+                              f"factoring")
+        factors[cofactor] = 1
     return factors
+
+
+def _integer_root(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1 and e >= 1, by Newton's method on integers
+    from 2^ceil(bits/e), which is at least the root."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with n = p^e for prime p, or None.  n = 1 is not a prime power.
+
+    Division by the primes up to 37 settles n when one of them divides it,
+    and n below 39^2.  Otherwise every prime factor exceeds 37, so n = r^e
+    needs 32^e < n.  Those e are tried from the largest down, and the first
+    with an exact integer root r decides: r is then no perfect power itself,
+    so n is a prime power iff ``is_prime`` accepts r.  That is deterministic
+    Miller-Rabin below about 3 * 10^23, so no order below it is factored,
+    and a prime's square is decided at e = 2 whatever its size.
+    """
+    if n < 2:
+        return None
+    factors, cofactor = _trial_division(n, _MILLER_RABIN_BASES[-1])
+    if factors:
+        return factors.popitem() if len(factors) == 1 and cofactor == 1 else None
+    for e in range((n.bit_length() - 1) // 5, 0, -1):
+        r = _integer_root(n, e)
+        if r ** e == n:  # always so at e = 1
+            break
+    return (r, e) if is_prime(r) else None
+
+
+def is_sum_of_two_squares(n: int) -> bool:
+    """n = a^2 + b^2 for integers a, b, 0 allowed.
+
+    By Fermat and Euler, n >= 1 is such a sum iff every prime = 3 (mod 4)
+    divides it to an even power.  The primes up to ``TRIAL_DIVISION_BOUND``
+    are divided out, and one of them = 3 (mod 4) to an odd power settles
+    False.  The cofactor c left has no prime factor up to the bound: it is
+    settled False when c = 3 (mod 4), and True when it is 1, a square or a
+    prime.  Any other c would need factoring: that is a ``DomainError``
+    naming n and the bound, never a guess and never a long loop; ``is_prime``
+    is asked only inside its exact Miller-Rabin range, where it cannot raise.
+    """
+    if n < 1:
+        return n == 0
+    factors, cofactor = _trial_division(n, TRIAL_DIVISION_BOUND)
+    # A product of primes = 1 (mod 4) and of even powers is = 1 (mod 4), so
+    # an odd c = 3 (mod 4) has a prime = 3 (mod 4) to an odd power.
+    if cofactor % 4 == 3:
+        return False
+    for p, e in factors.items():
+        if e % 2 and p % 4 == 3:
+            return False
+    if (cofactor == 1 or isqrt(cofactor) ** 2 == cofactor
+            or cofactor < _MILLER_RABIN_EXACT_BELOW and is_prime(cofactor)):
+        return True
+    raise DomainError(f"cannot tell whether {n} is a sum of two squares: its cofactor "
+                      f"{cofactor} has no prime factor up to the trial-division bound "
+                      f"{TRIAL_DIVISION_BOUND} and needs factoring")
 
 
 # ---------------------------------------------------------------------------

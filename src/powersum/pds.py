@@ -27,7 +27,8 @@ per coset of the multipliers' group; pass 2 walks the unions of non-unit
 orbits.  A node is one union of orbits examined, each walk's root included.
 ``feasibility`` combines the Bruck-Ryser and Wilbrink nonexistence tests
 with ``exhaustive_search``; a verdict that rests on that search carries the
-reason ``multiplier-search``.
+reason ``multiplier-search``.  The factoring it needs, ``prime_power`` and
+the two-squares test, lives in ``gf`` with the package's other factoring.
 A plain backtracker over the sets containing {0, 1} is kept only in the
 tests, as this search's oracle.
 """
@@ -35,12 +36,11 @@ tests, as this search's oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from operator import index
 from typing import NamedTuple, Optional
 
 from . import _orbits, gf
-from .gf import DomainError, make_field, primitive_element
+from .gf import DomainError, is_sum_of_two_squares, make_field, prime_power, primitive_element
 
 DEFAULT_SEARCH_BUDGET = 10**8
 MAX_SINGER_ORDER = 32
@@ -49,6 +49,18 @@ MAX_SEARCH_ORDER = 3000
 
 def modulus_for_order(q: int) -> int:
     return q * q + q + 1
+
+
+def _order(q) -> int:
+    """The order argument q as an int: a bool, a value ``operator.index``
+    refuses, or an order below 1 is a ``DomainError``."""
+    if type(q) is not int:  # a plain int, the common case, passes as it is
+        if isinstance(q, bool) or not hasattr(q, "__index__"):
+            raise DomainError(f"order {q!r} is not an int")
+        q = index(q)
+    if q < 1:
+        raise DomainError("order must be >= 1")
+    return q
 
 
 @dataclass(frozen=True)
@@ -116,16 +128,17 @@ def verify(candidate, q: int) -> Verification:
     On failure the witness pins the problem down: a repeated residue, or the
     first difference that is covered twice (scanning pairs in sorted order,
     positive difference before its negative); that pair scan runs only once
-    the translate test has failed.  Orders below 1 are rejected.
+    the translate test has failed.  The bitmask is built only for q+1
+    residues.  An order that is not an int >= 1 is a ``DomainError``.
     """
-    if q < 1:
-        raise DomainError("order must be >= 1")
+    q = _order(q)
     m = modulus_for_order(q)
     res = [x % m for x in map(index, candidate)]  # Python ints: numpy's shift overflows
     bits = 0
-    for x in res:
-        bits |= 1 << x
-    if len(res) == bits.bit_count() == q + 1:  # q+1 distinct residues
+    if len(res) == q + 1:  # a bitmask of any other count is wasted, maybe huge
+        for x in res:
+            bits |= 1 << x
+    if bits.bit_count() == q + 1:  # q+1 distinct residues
         # They give q^2+q = m-1 differences, so distinct ones cover every
         # nonzero residue: nothing can be missing.  A right shift of D
         # next to D + m is a rotation.
@@ -165,52 +178,6 @@ def _library_set(residues, q: int, producer: str) -> PerfectDifferenceSet:
         return PerfectDifferenceSet.from_residues(residues, q)
     except DomainError as exc:
         raise ArithmeticError(f"{producer} produced an invalid set: {exc}") from exc
-
-
-def _integer_root(n: int, e: int) -> int:
-    """floor(n^(1/e)) for n >= 1 and e >= 1, by Newton's method on integers
-    from 2^ceil(bits/e), which is at least the root."""
-    x = 1 << -(-n.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + n // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
-
-
-# Prime factors up to the largest Miller-Rabin base are found by division.
-_SMALL_PRIMES = gf._MILLER_RABIN_BASES
-
-
-def prime_power(n: int) -> Optional[tuple[int, int]]:
-    """(p, e) with n = p^e for prime p, or None.  n = 1 is not a prime power.
-
-    A prime factor p <= 37 is found by division, and then n must be its
-    power.  Otherwise every prime factor exceeds 37, so n = r^e needs
-    37^e < n.  Those e are tried from the largest down, and the first with
-    an exact integer root r decides: r is then no perfect power itself, so
-    n is a prime power iff ``gf.is_prime`` accepts r.  That is deterministic
-    Miller-Rabin below about 3 * 10^23, so no order below it is factored,
-    and a prime's square is decided at e = 2 whatever its size.
-    """
-    if n < 2:
-        return None
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            e = 1
-            n //= p
-            while n % p == 0:
-                e += 1
-                n //= p
-            return (p, e) if n == 1 else None
-    top = 1
-    while _SMALL_PRIMES[-1] ** (top + 1) < n:
-        top += 1
-    for e in range(top, 0, -1):
-        r = _integer_root(n, e)
-        if r ** e == n:  # always so at e = 1
-            break
-    return (r, e) if gf.is_prime(r) else None
 
 
 def is_prime_power(n: int) -> bool:
@@ -291,6 +258,7 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     subgroup of index m of GF(q^3)*, so g^m generates it.  The field work
     runs on packed ints (``gf._mulmod``).
     """
+    q = _order(q)
     if q > MAX_SINGER_ORDER:  # first: the cap answers a huge order at once
         raise DomainError(f"order {q} exceeds the cap {MAX_SINGER_ORDER}")
     decomposition = prime_power(q)
@@ -392,12 +360,11 @@ class EnumerationResult:
     nodes: int  # unions of orbits examined over both passes, each root included
 
 
-def _validate_search_order(q: int) -> int:
-    if q < 1:
-        raise DomainError("order must be >= 1")
+def _search_order(q) -> int:
+    q = _order(q)
     if q > MAX_SEARCH_ORDER:
         raise DomainError(f"order {q} exceeds the search cap {MAX_SEARCH_ORDER}")
-    return modulus_for_order(q)
+    return q
 
 
 def _validate_budget(budget: int) -> None:
@@ -416,7 +383,7 @@ def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResu
     BudgetExceeded means exactly `budget` nodes were visited without a
     verdict.  A negative budget is a DomainError.
     """
-    _validate_search_order(q)
+    q = _search_order(q)
     _validate_budget(budget)
     status, nodes, residues = _orbits.search(q, budget)
     if status != "Found":
@@ -447,7 +414,8 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
     False when the budget ran out, in which case the listing may be partial.
     A negative budget is a DomainError.
     """
-    m = _validate_search_order(q)
+    q = _search_order(q)
+    m = modulus_for_order(q)
     _validate_budget(budget)
     fixed: list[list[int]] = []
     status, nodes, _ = _orbits.search(q, budget, fixed)
@@ -463,48 +431,6 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
 # ---------------------------------------------------------------------------
 # Order feasibility
 # ---------------------------------------------------------------------------
-
-
-# Trial division for ``is_sum_of_two_squares`` stops at this bound.
-TWO_SQUARES_TRIAL_BOUND = gf.TRIAL_DIVISION_BOUND
-
-
-def is_sum_of_two_squares(n: int) -> bool:
-    """n = a^2 + b^2 for integers a, b, 0 allowed.
-
-    By Fermat and Euler, n >= 1 is such a sum iff every prime = 3 (mod 4)
-    divides it to an even power, so the test reads n's factorization.  The
-    primes up to ``TWO_SQUARES_TRIAL_BOUND`` are divided out, and one of them
-    = 3 (mod 4) to an odd power settles False.  The cofactor c left then has
-    no prime factor below the bound.  It is settled False when c = 3 (mod 4),
-    and True when it is 1, a square (each prime of which divides it to an
-    even power) or a prime.  Any other cofactor would need factoring: that
-    is a ``DomainError`` naming n and the bound, never a guess and never a
-    long loop.  ``gf.is_prime`` is asked only inside its exact Miller-Rabin
-    range: past it, it would repeat the trial division done here and raise.
-    """
-    if n < 1:
-        return n == 0
-    whole, f = n, 2
-    while f <= TWO_SQUARES_TRIAL_BOUND and f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e % 2 and f % 4 == 3:
-            return False
-        f += 1 if f == 2 else 2
-    # No prime below f divides the cofactor n, so n < f^2 is 1 or a prime.
-    # A product of primes = 1 (mod 4) and of even powers is = 1 (mod 4), so
-    # an odd n = 3 (mod 4) has a prime = 3 (mod 4) to an odd power.
-    if n % 4 == 3:
-        return False
-    if (n < f * f or isqrt(n) ** 2 == n
-            or n < gf._MILLER_RABIN_EXACT_BELOW and gf.is_prime(n)):
-        return True
-    raise DomainError(f"cannot tell whether {whole} is a sum of two squares: its cofactor {n} "
-                      f"has no prime factor up to the trial-division bound "
-                      f"{TWO_SQUARES_TRIAL_BOUND} and needs factoring")
 
 
 def bruck_ryser_excludes(order: int) -> bool:
@@ -570,10 +496,10 @@ def feasibility(order: int,
     Excluded is never claimed unless at least one test actually fired.  A
     negative ``search_budget`` is a DomainError, whatever the order, and so
     is an order that needs factoring past the trial-division bound, in
-    ``gf.is_prime`` or in the Bruck-Ryser test (``is_sum_of_two_squares``).
+    ``prime_power`` or in the Bruck-Ryser test (``is_sum_of_two_squares``);
+    both come from ``gf``, which owns the package's factoring.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    order = _order(order)
     _validate_budget(search_budget)
     pp = is_prime_power(order)
     br = bruck_ryser_excludes(order)

@@ -11,6 +11,7 @@ import pytest
 
 import singer_oracle
 from powersum import cli, minimax
+from powersum import gf as gf_module
 from powersum import pds as pds_module
 from powersum.pds import PerfectDifferenceSet, singer_construct, verify
 from powersum.sums import RecoveryResult, RecoveryStatus, fabrykowski_tuple
@@ -61,7 +62,7 @@ def test_feasibility_past_the_two_squares_bound_exits_2(capsys):
     order = (10**9 + 9) * (10**9 + 21)
     code, out, err = run(capsys, "feasibility", "--order", str(order))
     assert (code, out) == (cli.EXIT_DOMAIN, "")
-    assert f"trial-division bound {pds_module.TWO_SQUARES_TRIAL_BOUND}" in err
+    assert f"trial-division bound {gf_module.TRIAL_DIVISION_BOUND}" in err
 
 
 def test_feasibility_of_a_huge_prime_square_exists_at_once(capsys):
@@ -80,7 +81,7 @@ def test_feasibility_past_the_exact_primality_range_exits_2(capsys, order):
     code, out, err = run(capsys, "feasibility", "--order", str(order))
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (cli.EXIT_DOMAIN, "")
-    assert f"trial-division bound {pds_module.TWO_SQUARES_TRIAL_BOUND}" in err
+    assert f"trial-division bound {gf_module.TRIAL_DIVISION_BOUND}" in err
 
 
 def test_feasibility_output_is_byte_identical_across_runs(capsys):
@@ -386,6 +387,13 @@ def test_verify_exit_codes(capsys, argv, expected):
     assert code == expected
     if expected != cli.EXIT_DOMAIN:
         assert json.loads(out)["valid"] is (expected == cli.EXIT_OK)
+
+
+def test_verify_of_a_short_set_with_a_huge_residue_is_wrong_size(capsys):
+    # a bitmask of the set would need 10^18 bits
+    code, out, err = run(capsys, "verify", "--q", "1000000000", "--set", "0,1,999999999999999999")
+    assert (code, err) == (cli.EXIT_NEGATIVE, "")
+    assert json.loads(out)["reason"] == "wrong-size"
 
 
 @pytest.mark.parametrize("modulus", ("0", "-5", "1"))

@@ -5,6 +5,7 @@ Derived expectations are recomputed here by independent brute-force oracles
 paths.
 """
 
+import math
 import random
 import time
 
@@ -593,3 +594,71 @@ def test_factorize():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(4095) == {3: 2, 5: 1, 7: 1, 13: 1}
     assert factorize(2**15 - 1) == {7: 1, 31: 1, 151: 1}
+
+
+def strong_probable_prime(n):
+    """Miller-Rabin to the prime bases up to 37, written apart from
+    ``powersum.gf``: exact below about 3 * 10^23 (Sorenson and Webster 2017).
+    A base that n divides is skipped; it fails any composite it divides."""
+    if n < 2:
+        return False
+    s = 0
+    d = n - 1
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+FACTORABLE_62_BIT = (
+    4611686018427387847,  # 2^62 - 57, a prime
+    4611686018427377338,  # 2 * a prime
+    3**39,
+    4 * 999983**3,  # the largest prime below the bound, cubed
+    2**22 * (10**12 + 39),  # a prime cofactor just above the bound squared
+    7 * 614889782588491410,  # 7 times the primorial of 47
+)
+
+
+def test_factorize_multiplies_back_to_n_in_primes_miller_rabin_proves():
+    assert all(n.bit_length() == 62 for n in FACTORABLE_62_BIT)
+    primes = set()
+    for n in (*range(1, 10**5), *FACTORABLE_62_BIT):
+        factors = factorize(n)
+        assert math.prod(p**e for p, e in factors.items()) == n, n
+        assert list(factors) == sorted(factors) and min(factors.values(), default=1) >= 1, n
+        primes.update(factors)
+    assert all(map(strong_probable_prime, primes))
+
+
+def test_factorize_of_a_62_bit_prime_and_its_field_answer_at_once():
+    start = time.perf_counter()
+    assert factorize(4611686018427387847) == {4611686018427387847: 1}
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert primitive_element(make_field(4611686018427377339)) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("call, named", (
+    (lambda: factorize((10**9 + 7) * (10**9 + 9)), (10**9 + 7) * (10**9 + 9)),
+    (lambda: primitive_element(make_field(2000000032000000127)), 2000000032000000126),
+), ids=("factorize", "primitive_element"))
+def test_factorize_past_the_trial_division_bound_is_a_domain_error(call, named):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"^cannot factor {named}: .* trial-division bound "
+                                          f"{gf_module.TRIAL_DIVISION_BOUND} "):
+        call()
+    assert time.perf_counter() - start < 1.0

@@ -200,6 +200,34 @@ def test_verify_rejects_duplicates_and_size():
     assert not short.valid and short.reason == "wrong-size"
 
 
+def test_verify_checks_the_count_before_building_a_bitmask():
+    # a bitmask of either set would need 10^18 bits
+    assert verify((0, 1, 10**18 - 1), 10**9) == (False, "wrong-size", None)
+    assert verify((5, 5, 10**18 - 1), 10**9) == (False, "duplicate-residue", 5)
+
+
+@pytest.mark.parametrize("order", (2.0, 2.5, True, False, "3", None))
+@pytest.mark.parametrize("call", (
+    lambda q: verify((0, 1, 3), q),
+    singer_construct,
+    exhaustive_search,
+    enumerate_all,
+    feasibility,
+), ids=("verify", "singer_construct", "exhaustive_search", "enumerate_all", "feasibility"))
+def test_an_order_that_is_not_an_int_is_a_domain_error(call, order):
+    with pytest.raises(DomainError, match=f"^order {order!r} is not an int$"):
+        call(order)
+
+
+def test_an_integer_order_of_another_type_becomes_an_int():
+    q = np.int64(2)
+    assert verify((0, 1, 3), q).valid
+    assert type(singer_construct(q).q) is int
+    assert type(exhaustive_search(q).pds.q) is int
+    assert enumerate_all(q).sets == ((0, 1, 3), (0, 1, 5))
+    assert type(feasibility(q).order) is int
+
+
 def test_difference_count_identity():
     # a verified order-q set yields exactly q^2+q = m-1 ordered differences
     for q in (2, 3, 4, 5, 7):
@@ -881,7 +909,7 @@ def test_sum_of_two_squares_matches_the_enumeration():
     assert verdicts == [sum_of_two_squares_by_enumeration(n) for n in range(-3, 20_001)]
 
 
-BIG = pds_module.TWO_SQUARES_TRIAL_BOUND
+BIG = gf_module.TRIAL_DIVISION_BOUND
 BIG_PRIME_1, BIG_PRIME_3 = 1000033, 1000003  # = 1 and = 3 (mod 4), above the bound
 
 
