@@ -9,12 +9,12 @@ q acting on Z_m by multiplication, so searching such unions is complete.
 
 ``search`` is the library's one search kernel: it stops at the first such
 union for ``pds.exhaustive_search`` and ``pds.feasibility``, or lists every
-one for ``pds.enumerate_all``.  Listing every one uses the unit scaling:
-multiplication by a unit commutes with the multipliers, so a fixed union
-that holds a unit x is x times a fixed union that holds 1, and so holds the
-orbit H of 1.  Enumerate mode therefore walks twice (``_walk``): pass 1 over
-the unions that hold H, each scaled by one unit per coset of H
-(``multiplier_cosets``), and pass 2 over the unions of non-unit orbits.
+one for ``pds.enumerate_all``.  Either way it walks through the unit
+scaling: multiplication by a unit commutes with the multipliers, so a fixed
+union that holds a unit x is x times a fixed union that holds 1, and so
+holds the orbit H of 1.  Each search walks twice (``_walk``): pass 1 over
+the unions that hold H, and pass 2 over the unions of non-unit orbits; a
+listing scales each union of pass 1 by one unit per coset of H.
 Orbit residues do not arrive in ascending order, so the covered differences
 are kept as bitmasks over Z_m that are rotated by each value added
 (``_add_orbit``, also the orbit filter of ``multiplier_orbits``).  Pure
@@ -124,47 +124,44 @@ def search(q: int, budget: int,
     """Backtrack over unions of multiplier orbits of size q+1 whose
     differences are all distinct, within one node budget for the whole search.
 
-    With `out` None the first such union stops the search (find mode): one
-    walk over every orbit from the empty union.  Given a list, every such
-    union is appended to it as a list of residues (enumerate mode), and two
-    walks through the unit-scaling symmetry list them.  A union that holds a
-    unit x is x*U for U = x^-1 times the union, which is fixed too and holds
-    the orbit H of 1; and u*h*U = u*U for h in H.  So pass 1 walks the unions
-    that hold H, and appends each one scaled by one unit per coset of H
-    (``multiplier_cosets``).  Pass 2 walks the unions of non-unit orbits.
-    Between them they append every union, some more than once.  When H is
-    not an orbit of the search (its size passes q+1, as at q = 4, or it
-    repeats a difference) no union holds a unit, and pass 2 alone runs.
+    A union that holds a unit x is x*U for U = x^-1 times the union, which is
+    fixed too and holds the orbit H of 1; and u*h*U = u*U for h in H.  So
+    pass 1 walks the unions that hold H and pass 2 the unions of non-unit
+    orbits.  With `out` None the first union found stops the search (find
+    mode).  Given a list, every union is appended to it as a list of residues
+    (enumerate mode): each of pass 1 scaled by one unit per coset of H, the
+    least element of each unit orbit, and each of pass 2 as it is, some more
+    than once.  The unit orbits are the cosets of H, all of them or none:
+    when H is not an orbit of the search (its size passes q+1, as at q = 4,
+    or it repeats a difference) no union holds a unit, and pass 2 alone runs.
 
     A node is one union examined: the root of each walk (H alone in pass 1,
-    the empty union in pass 2 and in find mode), and each union formed by
-    adding one orbit and checking its differences.  Returns
-    (status, nodes, residues-or-None); in enumerate mode the residues are
-    None and walks that end within the budget report Found when `out` holds
-    a set, NoneExists otherwise.
+    the empty union in pass 2), and each union formed by adding one orbit
+    and checking its differences.  Returns (status, nodes, residues-or-None);
+    in enumerate mode the residues are None and walks that end within the
+    budget report Found when `out` holds a set, NoneExists otherwise.
     """
     if budget < 1:
         return "BudgetExceeded", 0, None
     m = q * q + q + 1
     k = q + 1
     orbits = multiplier_orbits(q)
-    if out is None:
-        return _walk(m, k, orbits, (), 1, budget, None)
+    units, non_units = [], []
+    for o in orbits:
+        (non_units if gcd(o[0], m) > 1 else units).append(o)
     nodes = 0
-    unit = next((o for o in orbits if o[0] == 1), None)  # H, when it is an orbit here
-    if unit is not None:
-        fixed: list[list[int]] = []
-        status, nodes, _ = _walk(m, k, [o for o in orbits if o is not unit], unit,
-                                 1, budget, fixed)
-        leaders = multiplier_cosets(q)[1]
-        out.extend([u * x % m for x in residues] for residues in fixed for u in leaders)
-        if status == "BudgetExceeded" or nodes == budget:
-            return "BudgetExceeded", nodes, None
-    status, nodes, _ = _walk(m, k, [o for o in orbits if gcd(o[0], m) > 1], (),
-                             nodes + 1, budget, out)
-    if status != "BudgetExceeded":
+    if units:  # H, the orbit of the least unit 1, is the first of them
+        fixed = None if out is None else []
+        status, nodes, found = _walk(m, k, [o for o in orbits if o is not units[0]], units[0],
+                                     1, budget, fixed)
+        if fixed:
+            out.extend([u[0] * x % m for x in residues] for residues in fixed for u in units)
+        if status != "NoneExists" or nodes == budget:  # found, or no node left for pass 2
+            return ("Found" if found else "BudgetExceeded"), nodes, found
+    status, nodes, found = _walk(m, k, non_units, (), nodes + 1, budget, out)
+    if out is not None and status != "BudgetExceeded":
         status = "Found" if out else "NoneExists"
-    return status, nodes, None
+    return status, nodes, found
 
 
 def _walk(m: int, k: int, orbits, root: tuple[int, ...], nodes: int, budget: int,

@@ -67,6 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
+from operator import index
 
 
 class DomainError(ValueError):
@@ -74,8 +75,25 @@ class DomainError(ValueError):
 
     Every check of the package on outside input raises it, and nothing else
     does, so the command line can report it as bad input (exit 2).  A failed
-    self-check raises ``ArithmeticError`` or ``RuntimeError`` instead.
+    self-check raises ``ArithmeticError`` or ``RuntimeError`` instead.  Every
+    integer argument is checked by ``checked_int``.
     """
+
+
+def checked_int(value, name: str, least: int | None = None) -> int:
+    """`value` as an int: a bool, a value that ``operator.index`` refuses or
+    one below `least` is a ``DomainError`` naming it.  A numpy integer, or
+    any other with ``__index__``, becomes an int."""
+    if type(value) is not int:  # a plain int, the common case, passes as it is
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = index(value)
+        except TypeError:
+            raise DomainError(f"{name} {value!r} is not an int") from None
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}")
+    return value
 
 
 MAX_EXTENSION_DEGREE = 15
@@ -374,14 +392,15 @@ def _rooted_constants(high: list[int], p: int) -> set[int]:
 def is_irreducible(poly: list[int] | tuple[int, ...], p: int) -> bool:
     """Deterministic irreducibility test over GF(p) (Ben-Or's criterion).
 
-    `poly` is a monic coefficient list, constant term first; p must be a
-    prime and poly monic and nonconstant, else ``DomainError``.  A poly with
-    a root that ``_rooted_constants`` finds is reducible, and the rest go on
-    to ``_ben_or``.
+    `poly` is a monic nonconstant list of int coefficients, constant term
+    first, and p a prime, else ``DomainError`` (``checked_int``).  A poly
+    with a root that ``_rooted_constants`` finds is reducible, and the rest
+    go on to ``_ben_or``.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    p = checked_int(p, "p")
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    mod = [c % p for c in poly]
+    mod = [checked_int(c, "coefficient") % p for c in poly]
     if len(mod) < 2 or mod[-1] != 1:
         raise DomainError(f"{list(poly)} is not a monic nonconstant polynomial over GF({p})")
     if len(mod) == 2:
@@ -479,13 +498,15 @@ class GfField:
 def make_field(p: int, k: int = 1) -> GfField:
     """Construct GF(p^k) with the deterministic (smallest) modulus polynomial.
 
-    For k = 1 the stored modulus is the placeholder x; reducing by it does
-    nothing, so products are plain integer products mod p.
+    p is a prime and k an int in 1 .. 15, else ``DomainError``.  For k = 1
+    the stored modulus is the placeholder x; reducing by it does nothing, so
+    products are plain integer products mod p.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    p, k = checked_int(p, "p"), checked_int(k, "degree", 1)
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_EXTENSION_DEGREE:
-        raise DomainError(f"degree {k!r} is not an int in [1, {MAX_EXTENSION_DEGREE}]")
+    if k > MAX_EXTENSION_DEGREE:
+        raise DomainError(f"degree {k} exceeds the cap {MAX_EXTENSION_DEGREE}")
     order = p**k
     if order > MAX_FIELD_ORDER:
         raise DomainError(f"field order {order} exceeds the native cap")

@@ -41,14 +41,13 @@ NotMinimizer and the best value stays strictly above the bound.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .gf import DomainError
+from .gf import DomainError, checked_int
 from .pds import verify
 from .sums import (RecoveryResult, UnimodularTuple, _check_profile_size, _lattice_rounding,
                    recover_structure)
@@ -105,7 +104,7 @@ def _objective_raw(thetas: np.ndarray, n: int) -> float:
 @dataclass(frozen=True)
 class OptimizerConfig:
     """A ``minimize`` call: n in 2 .. MAX_OPTIMIZER_N, restarts >= 1 and
-    seed >= 0, each an integer, else ``DomainError``."""
+    seed >= 0, each an int (``checked_int``), else ``DomainError``."""
 
     n: int
     restarts: int = 50
@@ -113,20 +112,10 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # the polish sizes its stacks by these: a non-integer fails here, not deep inside
-        for name in ("n", "restarts", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, not {value!r}") from None
-        if self.n > MAX_OPTIMIZER_N:  # first: the cap answers a huge n at once
+        for name, least in (("n", 2), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, least))
+        if self.n > MAX_OPTIMIZER_N:
             raise DomainError(f"n = {self.n} exceeds the cap {MAX_OPTIMIZER_N}")
-        if self.n < 2:
-            raise DomainError("n must be >= 2")
-        if self.restarts < 1:
-            raise DomainError("restarts must be >= 1")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

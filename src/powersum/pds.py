@@ -19,12 +19,12 @@ primes of q generate, and a lexicographic scan over their candidates.
 unions of multiplier orbits (``_orbits``): it is complete by Hall's
 multiplier theorem (every prime dividing q is a multiplier) and the
 McFarland-Rice theorem (some translate is fixed by every multiplier), and
-runs serially under a single node budget.  ``enumerate_all`` lists the
-fixed sets in two walks through the unit scaling: a fixed set that holds a
-unit x is x times a fixed set that holds 1, and so holds the orbit of 1.
-Pass 1 walks the unions that hold that orbit and scales each by one unit
-per coset of the multipliers' group; pass 2 walks the unions of non-unit
-orbits.  A node is one union of orbits examined, each walk's root included.
+runs serially under a single node budget.  Both walk it twice, through the
+unit scaling: a fixed set that holds a unit x is x times a fixed set that
+holds 1, and so holds the orbit of 1.  Pass 1 walks the unions that hold
+that orbit, pass 2 the unions of non-unit orbits; ``enumerate_all`` scales
+each set of pass 1 by one unit per coset of the multipliers' group.  A node
+is one union of orbits examined, each walk's root included.
 ``feasibility`` combines the Bruck-Ryser and Wilbrink nonexistence tests
 with ``exhaustive_search``; a verdict that rests on that search carries the
 reason ``multiplier-search``.  The factoring it needs, ``prime_power`` and
@@ -40,7 +40,8 @@ from operator import index
 from typing import NamedTuple, Optional
 
 from . import _orbits, gf
-from .gf import DomainError, is_sum_of_two_squares, make_field, prime_power, primitive_element
+from .gf import (DomainError, checked_int, is_sum_of_two_squares, make_field, prime_power,
+                 primitive_element)
 
 DEFAULT_SEARCH_BUDGET = 10**8
 MAX_SINGER_ORDER = 32
@@ -51,26 +52,14 @@ def modulus_for_order(q: int) -> int:
     return q * q + q + 1
 
 
-def _order(q) -> int:
-    """The order argument q as an int: a bool, a value ``operator.index``
-    refuses, or an order below 1 is a ``DomainError``."""
-    if type(q) is not int:  # a plain int, the common case, passes as it is
-        if isinstance(q, bool) or not hasattr(q, "__index__"):
-            raise DomainError(f"order {q!r} is not an int")
-        q = index(q)
-    if q < 1:
-        raise DomainError("order must be >= 1")
-    return q
-
-
 @dataclass(frozen=True)
 class PerfectDifferenceSet:
     """A verified perfect difference set: order q, modulus m = q^2+q+1 and
     its q+1 residues, reduced mod m and sorted.
 
     The constructor reduces and sorts the residues and runs ``verify`` once.
-    Anything else, any other modulus or an order below 1 included, is a
-    ``DomainError``.
+    Anything else is a ``DomainError``: any other modulus, an order or a
+    modulus that is not an int, or a residue that ``operator.index`` refuses.
     """
 
     q: int
@@ -78,13 +67,17 @@ class PerfectDifferenceSet:
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m != modulus_for_order(self.q):
-            raise DomainError(
-                f"modulus {self.m} is not q^2+q+1 = {modulus_for_order(self.q)} for q = {self.q}")
-        object.__setattr__(self, "residues", tuple(sorted(x % self.m for x in self.residues)))
-        check = verify(self.residues, self.q)
+        q = checked_int(self.q, "order", 1)
+        m = modulus_for_order(q)
+        if checked_int(self.m, "modulus") != m:
+            raise DomainError(f"modulus {self.m} is not q^2+q+1 = {m} for q = {q}")
+        residues = tuple(self.residues)
+        check = verify(residues, q)  # first: it refuses a residue that is not an int
         if not check.valid:
             raise DomainError(f"not a perfect difference set: {check}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "residues", tuple(sorted(x % m for x in map(index, residues))))
 
     def to_record(self) -> dict:
         """JSON-ready record; the wire format used by the CLI and fixtures."""
@@ -129,11 +122,18 @@ def verify(candidate, q: int) -> Verification:
     first difference that is covered twice (scanning pairs in sorted order,
     positive difference before its negative); that pair scan runs only once
     the translate test has failed.  The bitmask is built only for q+1
-    residues.  An order that is not an int >= 1 is a ``DomainError``.
+    residues, and only for q up to ``MAX_SEARCH_ORDER``: past it q+1 residues
+    are a ``DomainError`` naming the cap, and so are an order that is not an
+    int >= 1 (``checked_int``) and a residue that is not an int.
     """
-    q = _order(q)
+    q = checked_int(q, "order", 1)
     m = modulus_for_order(q)
-    res = [x % m for x in map(index, candidate)]  # Python ints: numpy's shift overflows
+    try:  # index per residue: a checked_int call each would cost more
+        res = [x % m for x in map(index, candidate)]  # Python ints: numpy's shift overflows
+    except TypeError:
+        raise DomainError(f"residues {candidate!r} are not all ints") from None
+    if len(res) == q + 1 and q > MAX_SEARCH_ORDER:  # its masks would take O(q^2) bytes
+        raise DomainError(f"order {q} exceeds the cap {MAX_SEARCH_ORDER} on verifying a set")
     bits = 0
     if len(res) == q + 1:  # a bitmask of any other count is wasted, maybe huge
         for x in res:
@@ -258,7 +258,7 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     subgroup of index m of GF(q^3)*, so g^m generates it.  The field work
     runs on packed ints (``gf._mulmod``).
     """
-    q = _order(q)
+    q = checked_int(q, "order", 1)
     if q > MAX_SINGER_ORDER:  # first: the cap answers a huge order at once
         raise DomainError(f"order {q} exceeds the cap {MAX_SINGER_ORDER}")
     decomposition = prime_power(q)
@@ -361,41 +361,33 @@ class EnumerationResult:
 
 
 def _search_order(q) -> int:
-    q = _order(q)
+    q = checked_int(q, "order", 1)
     if q > MAX_SEARCH_ORDER:
         raise DomainError(f"order {q} exceeds the search cap {MAX_SEARCH_ORDER}")
     return q
 
 
-def _validate_budget(budget: int) -> None:
-    if budget < 0:
-        raise DomainError("budget must be >= 0")
-
-
 def exhaustive_search(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Complete search for one perfect difference set of order q among unions
     of multiplier orbits (Hall's multiplier theorem and McFarland-Rice; see
-    ``_orbits``).
+    ``_orbits``): the two walks of ``enumerate_all``, up to the first set.
 
     A node is one union of orbits examined, and `budget` caps the nodes of
     the whole search.  A found set is fixed by every multiplier.  NoneExists
     means every union of size q+1 was ruled out, so no set of order q exists;
     BudgetExceeded means exactly `budget` nodes were visited without a
-    verdict.  A negative budget is a DomainError.
+    verdict.  A budget that is not an int >= 0 is a DomainError.
     """
     q = _search_order(q)
-    _validate_budget(budget)
-    status, nodes, residues = _orbits.search(q, budget)
-    if status != "Found":
-        return SearchResult(status, None, nodes)
-    return SearchResult("Found", _library_set(residues, q, "search"), nodes)
+    status, nodes, residues = _orbits.search(q, checked_int(budget, "budget", 0))
+    return SearchResult(status, _library_set(residues, q, "search") if residues else None, nodes)
 
 
 def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationResult:
     """Every perfect difference set of order q containing {0, 1}, sorted.
 
-    The search of ``exhaustive_search`` lists every set fixed by the
-    multipliers, with the whole node budget, in two walks (``_orbits.search``).
+    The search of ``exhaustive_search`` runs to its end with the whole node
+    budget and lists every set fixed by the multipliers (``_orbits.search``).
     Multiplication by a unit commutes with the multipliers, so a fixed set
     that holds a unit x is x times a fixed set that holds 1, and that set
     holds the whole orbit H of 1.  Pass 1 walks the unions of orbits that
@@ -412,13 +404,12 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
     translates are listed once each, in sorted order, and each has passed
     ``verify``.  Canonicalizing them surveys all classes.  ``complete`` is
     False when the budget ran out, in which case the listing may be partial.
-    A negative budget is a DomainError.
+    A budget that is not an int >= 0 is a DomainError.
     """
     q = _search_order(q)
     m = modulus_for_order(q)
-    _validate_budget(budget)
     fixed: list[list[int]] = []
-    status, nodes, _ = _orbits.search(q, budget, fixed)
+    status, nodes, _ = _orbits.search(q, checked_int(budget, "budget", 0), fixed)
     rooted = set()
     for residues in fixed:
         members = set(residues)
@@ -493,14 +484,15 @@ def feasibility(order: int,
     of any set is fixed by all of them, so a search over unions of multiplier
     orbits is complete: its NoneExists excludes the order (reason
     ``multiplier-search``).
-    Excluded is never claimed unless at least one test actually fired.  A
-    negative ``search_budget`` is a DomainError, whatever the order, and so
+    Excluded is never claimed unless at least one test actually fired.  An
+    order that is not an int >= 1 is a DomainError (``checked_int``), so is
+    a ``search_budget`` that is not an int >= 0, whatever the order, and so
     is an order that needs factoring past the trial-division bound, in
     ``prime_power`` or in the Bruck-Ryser test (``is_sum_of_two_squares``);
     both come from ``gf``, which owns the package's factoring.
     """
-    order = _order(order)
-    _validate_budget(search_budget)
+    order = checked_int(order, "order", 1)
+    search_budget = checked_int(search_budget, "budget", 0)
     pp = is_prime_power(order)
     br = bruck_ryser_excludes(order)
     wb = wilbrink_excludes(order)

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gf import DomainError
+from .gf import DomainError, checked_int
 from .pds import PerfectDifferenceSet
 
 # The blocks of a profile of n points up to nu_max take about
@@ -170,13 +170,11 @@ def power_sums(t: UnimodularTuple, nu_max: Optional[int] = None) -> PowerSumProf
 
     The global phase cancels in every absolute value; it is folded into the
     angles anyway so that the same code path covers regression tests of
-    phase invariance.
+    phase invariance.  A nu_max that is not an int >= 1 (``checked_int``) is
+    a ``DomainError``.
     """
     n = t.n
-    if nu_max is None:
-        nu_max = t.horizon
-    if nu_max < 1:
-        raise DomainError("nu_max must be >= 1")
+    nu_max = t.horizon if nu_max is None else checked_int(nu_max, "nu_max", 1)
     if nu_max == t.horizon:
         abs_values, epsilons = t._profile
     else:
@@ -240,9 +238,11 @@ def exact_abs_squared(pds: PerfectDifferenceSet, nu: int) -> int:
     it covers 0 exactly g-1 times and each nonzero multiple of g exactly g
     times, so the root-of-unity sum collapses to (g-1) - g = -1 and the value
     is n - 1, an integer with no floating error.  The structure is asserted,
-    not assumed.
+    not assumed.  A nu that is not an int (``checked_int``) in 1 .. m-1 is a
+    ``DomainError``.
     """
     m = pds.m
+    nu = checked_int(nu, "nu")
     if not 1 <= nu <= m - 1:
         raise DomainError(f"nu = {nu} outside 1 .. {m - 1}")
     counts = [0] * m

@@ -396,6 +396,13 @@ def test_verify_of_a_short_set_with_a_huge_residue_is_wrong_size(capsys):
     assert json.loads(out)["reason"] == "wrong-size"
 
 
+def test_verify_of_q_plus_one_residues_past_the_cap_is_bad_input(capsys):
+    residues = ",".join(map(str, range(50001)))
+    code, out, err = run(capsys, "verify", "--q", "50000", "--set", residues)
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert err == "powersum: error: order 50000 exceeds the cap 3000 on verifying a set\n"
+
+
 @pytest.mark.parametrize("modulus", ("0", "-5", "1"))
 def test_verify_rejects_a_modulus_below_three(capsys, modulus):
     code, out, err = run(capsys, "verify", "--set", "0,1", "--modulus", modulus)

@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import powersum
 from powersum import cli, gf, sums
@@ -99,3 +100,54 @@ def test_the_public_surface_resolves_and_the_removed_names_stay_gone():
     assert [name for name in _REMOVED_FROM_SUMS if hasattr(sums, name)] == []
     assert [name for name in ("element", "from_int", "zero", "one", "elements")
             if hasattr(gf.GfField, name)] == []
+
+
+# Every integer parameter the library takes, as (call on the value, a valid
+# int).  Each goes through gf.checked_int, but for residues, which verify
+# reads with operator.index.
+_SET_OF_ORDER_2 = powersum.singer_construct(2)
+_TUPLE = powersum.UnimodularTuple((0.0, 1 / 7, 3 / 7))
+INTEGER_PARAMETERS = {
+    "verify-order": (lambda v: powersum.verify((0, 1, 3), v), 2),
+    "verify-residue": (lambda v: powersum.verify((0, 1, v), 2), 3),
+    "PerfectDifferenceSet-order": (lambda v: powersum.PerfectDifferenceSet(v, 7, (0, 1, 3)), 2),
+    "PerfectDifferenceSet-modulus": (lambda v: powersum.PerfectDifferenceSet(2, v, (0, 1, 3)), 7),
+    "PerfectDifferenceSet-residue": (lambda v: powersum.PerfectDifferenceSet(2, 7, (0, 1, v)), 3),
+    "singer_construct-order": (powersum.singer_construct, 2),
+    "exhaustive_search-order": (powersum.exhaustive_search, 2),
+    "exhaustive_search-budget": (lambda v: powersum.exhaustive_search(5, v), 4),
+    "enumerate_all-order": (powersum.enumerate_all, 2),
+    "enumerate_all-budget": (lambda v: powersum.enumerate_all(5, v), 4),
+    "feasibility-order": (powersum.feasibility, 6),
+    "feasibility-search_budget": (lambda v: powersum.feasibility(6, v), 4),
+    "OptimizerConfig-n": (powersum.OptimizerConfig, 3),
+    "OptimizerConfig-restarts": (lambda v: powersum.OptimizerConfig(3, restarts=v), 2),
+    "OptimizerConfig-seed": (lambda v: powersum.OptimizerConfig(3, seed=v), 1),
+    "make_field-p": (lambda v: gf.make_field(v, 3), 2),
+    "make_field-k": (lambda v: gf.make_field(2, v), 3),
+    "is_irreducible-p": (lambda v: gf.is_irreducible([1, 1, 1], v), 2),
+    "is_irreducible-coefficient": (lambda v: gf.is_irreducible([1, v, 1], 2), 1),
+    "power_sums-nu_max": (lambda v: powersum.power_sums(_TUPLE, v), 3),
+    "exact_abs_squared-nu": (lambda v: powersum.exact_abs_squared(_SET_OF_ORDER_2, v), 2),
+}
+_NOT_INTS = (2.5, True, "3", None)
+# operator.index takes a bool residue as 0 or 1, and nu_max = None is the
+# default, n^2 - n
+_ACCEPTED = {("verify-residue", True), ("PerfectDifferenceSet-residue", True),
+             ("power_sums-nu_max", None)}
+_REFUSED = [pytest.param(name, value, id=f"{name}-{value!r}")
+            for name in sorted(INTEGER_PARAMETERS) for value in _NOT_INTS
+            if (name, value) not in _ACCEPTED]
+
+
+@pytest.mark.parametrize("name, value", _REFUSED)
+def test_an_integer_parameter_refuses_what_is_not_an_int(name, value):
+    call, _ = INTEGER_PARAMETERS[name]
+    with pytest.raises(DomainError):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PARAMETERS))
+def test_an_integer_parameter_takes_a_numpy_integer_as_an_int(name):
+    call, valid = INTEGER_PARAMETERS[name]
+    assert call(np.int64(valid)) == call(valid)

@@ -7,6 +7,7 @@ paths.
 
 import math
 import random
+import re
 import time
 
 import pytest
@@ -130,19 +131,19 @@ def test_make_field_rejects_non_prime():
 
 
 def test_make_field_rejects_bad_degree():
-    with pytest.raises(DomainError, match=r"^degree 0 is not an int in \[1, 15\]$"):
+    with pytest.raises(DomainError, match="^degree must be >= 1$"):
         make_field(2, 0)
-    with pytest.raises(DomainError, match=r"^degree 16 is not an int in \[1, 15\]$"):
+    with pytest.raises(DomainError, match="^degree 16 exceeds the cap 15$"):
         make_field(2, 16)
 
 
 @pytest.mark.parametrize("k", (3.0, 2.5, "3", None, True))
 def test_make_field_rejects_a_non_int_degree_with_a_cold_or_warm_cache(k):
-    with pytest.raises(DomainError, match=r"^degree .+ is not an int in \[1, 15\]$"):
+    with pytest.raises(DomainError, match=f"^degree {re.escape(repr(k))} is not an int$"):
         make_field(2, k)
     make_field(2, 3)
     make_field(2, 1)
-    with pytest.raises(DomainError, match=r"^degree .+ is not an int in \[1, 15\]$"):
+    with pytest.raises(DomainError, match=f"^degree {re.escape(repr(k))} is not an int$"):
         make_field(2, k)
 
 
@@ -298,7 +299,8 @@ def test_irreducible_rejects_non_monic():
 
 @pytest.mark.parametrize("p", (4, 0, 1, -3, 2.0))
 def test_irreducible_rejects_a_non_prime_characteristic(p):
-    with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+    reason = f"{p} is not prime" if type(p) is int else f"p {p!r} is not an int"
+    with pytest.raises(DomainError, match=f"^{re.escape(reason)}$"):
         is_irreducible([1, 0, 1], p)
 
 

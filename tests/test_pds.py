@@ -172,7 +172,7 @@ def test_verify_takes_numpy_integers_like_ints():
     clash = residues[:-1] + (residues[0] + 1,)
     for cand in (residues, clash, residues + (5,)):
         assert verify(np.array(cand), 32) == verify(list(cand), 32)
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match="are not all ints"):
         verify([0.0, 1.0, 3.0], 2)
 
 
@@ -204,6 +204,14 @@ def test_verify_checks_the_count_before_building_a_bitmask():
     # a bitmask of either set would need 10^18 bits
     assert verify((0, 1, 10**18 - 1), 10**9) == (False, "wrong-size", None)
     assert verify((5, 5, 10**18 - 1), 10**9) == (False, "duplicate-residue", 5)
+
+
+def test_verify_refuses_q_plus_one_residues_past_the_cap():
+    # the masks of 5001 residues mod 5000^2 + 5000 + 1 would take ~ 40 MB
+    for q in (pds_module.MAX_SEARCH_ORDER + 1, 5000):
+        with pytest.raises(DomainError, match=f"^order {q} exceeds the cap 3000 on verifying"):
+            verify(range(q + 1), q)
+    assert not verify(range(3001), 3000).valid
 
 
 @pytest.mark.parametrize("order", (2.0, 2.5, True, False, "3", None))
@@ -631,13 +639,13 @@ ENUMERATE_7 = (
     (0, 1, 7, 24, 36, 38, 49, 54), (0, 1, 9, 11, 14, 35, 39, 51),
     (0, 1, 9, 20, 23, 41, 51, 53), (0, 1, 13, 15, 21, 24, 31, 53),
 )
-# Nodes of the multiplier-orbit search: unions of orbits examined until the
-# first set (exhaustive_search) or to the end of both walks (enumerate_all:
-# pass 1 from the orbit of 1, pass 2 over the non-unit orbits).  A change to
-# the orbits, their order, the passes or the pruning changes them.
-ORBIT_SEARCH_NODES = {1: 3, 2: 2, 3: 3, 4: 3, 5: 8, 6: 1, 7: 11, 8: 2, 9: 7, 10: 1,
-                      11: 944, 12: 1, 13: 871, 14: 1, 15: 1, 16: 5, 17: 56727,
-                      18: 1, 19: 48627}
+# Nodes of the multiplier-orbit search: unions of orbits examined in its two
+# walks (pass 1 from the orbit of 1, pass 2 over the non-unit orbits), until
+# the first set (exhaustive_search) or to the end of both (enumerate_all).  A
+# change to the orbits, their order, the passes or the pruning changes them.
+ORBIT_SEARCH_NODES = {1: 2, 2: 1, 3: 2, 4: 3, 5: 7, 6: 1, 7: 10, 8: 1, 9: 6, 10: 1,
+                      11: 943, 12: 1, 13: 870, 14: 1, 15: 1, 16: 4, 17: 56726,
+                      18: 1, 19: 48626}
 ORBIT_ENUMERATE_NODES = {1: 4, 2: 2, 3: 3, 4: 5, 5: 11, 6: 1, 7: 121, 8: 2, 9: 13}
 # sha256 of repr(enumerate_all(q).sets), recorded when enumerate mode walked
 # every union of orbits in one pass (tools/enumerate_digest.py).
@@ -649,6 +657,40 @@ ENUMERATE_SHA256 = {
     27: "9e0dcc27c6ad06d2cef6a2a9c9f977c8da29e40683969ae8bd594e1c8277c4ad",
     32: "19df53ae981577ade045aafe181cbea0715effae081c0e17a758f7e49ff3469a",
 }
+
+
+# sha256 of repr(exhaustive_search(q).pds.residues), recorded when find mode
+# walked every union of orbits from the empty one.  Every other order up to
+# 32 has no set, but 23, 29 and 31, left out as the search is slow there.
+FOUND_SHA256 = {
+    1: "a5cabe61309cbdb1d6a67e597b1659243a076817ce37626014228bde43e86d2d",
+    2: "3493d2e9dbc8bdcd3423d6adae2c17258c4d9aa25c282d3bc571dd36ddd5757e",
+    3: "3ca5f754ea6c48f5aa83e2c759b029a4e5f9ca9fb29e17995f2e7ff8bfda4830",
+    4: "90709084ed301e1ae49598d9c3814b6c7335d4a763e7c56de3917d34d58763ab",
+    5: "e74ee854bccf9dc32492dc30e0cd319e45eb4a2f2be90cbcee2aff2cc72c2278",
+    7: "783bfdc565fe8cea33d350583bbb12610a6a17de8b7093fa057dca5ff96e661b",
+    8: "8f6d1c8508669ef4f5a674426583f8b9c91260f9013661431336b685dfbad58a",
+    9: "9bfa9e98412924c59125f776bcce4b531d7e7e33651de02974edc0c721a3400e",
+    11: "c79fda8895dcc6965ec4ec2913cb96686fbe196b96db06133144c0a8fcda56cf",
+    13: "f986da6d505786abbe09a2617d67d87d2f6ed93908e36b1aef8746721c68e5f3",
+    16: "285696d633bcceb5faade4284e51fac5e42d7a435cf8ba711e40c2ca37b80118",
+    17: "612a027e4c6a33a2e2fc16e20a92a997d7747d0a1965e9979a2d2142451a6f10",
+    19: "57b7770cb11ecfc5b4459691aa531b108e5c37c9ea31fd5cef912fabd615ec1c",
+    25: "2f1b85d20a3d355eafa6837dcec03b70d400ea41f8a81330c4ea7a01117b32ac",
+    27: "1410978658cf9ca01dc908bab248d085a2c24819afcc736f451a1b49f5b96ad8",
+    32: "c9dff1fe84e69ddf925e5de4a6aca9680747a58ce9dfa55676b3e85216f4d004",
+}
+
+
+@pytest.mark.parametrize("q", [q for q in range(1, 33) if q not in (23, 29, 31)])
+def test_exhaustive_search_finds_the_same_set(q):
+    result = exhaustive_search(q)
+    if q not in FOUND_SHA256:
+        assert (result.status, result.pds) == ("NoneExists", None)
+        return
+    assert result.status == "Found"
+    digest = hashlib.sha256(repr(result.pds.residues).encode()).hexdigest()
+    assert digest == FOUND_SHA256[q]
 
 
 def _oracle(kind, q, budget=10**6):
@@ -718,10 +760,10 @@ def test_enumerate_all_runs_out_in_pass_2():
 def test_search_stops_exactly_at_the_budget():
     # The last node of each walk is spent on the budget's last unit; one unit
     # less stops one node short.
-    found = exhaustive_search(17, budget=56727)
-    assert (found.status, found.nodes) == ("Found", 56727)
-    short = exhaustive_search(17, budget=56726)
-    assert (short.status, short.pds, short.nodes) == ("BudgetExceeded", None, 56726)
+    found = exhaustive_search(17, budget=56726)
+    assert (found.status, found.nodes) == ("Found", 56726)
+    short = exhaustive_search(17, budget=56725)
+    assert (short.status, short.pds, short.nodes) == ("BudgetExceeded", None, 56725)
     listing = enumerate_all(7, budget=121)
     assert listing.complete and listing.nodes == 121
     assert listing.sets == ENUMERATE_7
