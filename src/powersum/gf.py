@@ -37,19 +37,22 @@ c is at most 2k(p-1)^2, a slot of c's top k - 1 slots times mu at most
 reduced operands reach half the second bound and (2k-1)*(p-1)^2.  ``_ring``
 precomputes mu, g, M and P once per modulus.
 
-The field set-up and the Singer construction work on packed ints, and one
-multiply-mod (``_mulmod``) and one power (``_powmod``) serve them all:
-``_mulmod`` is the one kernel that reduces packed polynomials.  Euclid's
-algorithm divides by a new polynomial at each step, which a precomputed ring
-does not serve, so ``_poly_gcd`` works on coefficient lists.  Set-up is most
-of the cost of a Singer difference set, so it is kept to few multiply-mods:
-``is_irreducible`` finds linear factors by evaluation at the points of a
-small GF(p) and the others with one gcd, and ``primitive_element`` settles
-the primes of p - 1 through a candidate's norm to GF(p).  The modulus search
-takes its candidates in blocks of p that differ only in the constant term;
-one evaluation per point of a small GF(p) crosses off the candidate of the
-block with a root there (``_rooted_constants``, which ``is_irreducible``
-calls too), so only root-free candidates reach Ben-Or's test.
+The field set-up and the field work of the Singer construction work on
+packed ints, and one multiply-mod (``_mulmod``) and one power (``_powmod``)
+serve them all: ``_mulmod`` is the one kernel that reduces packed
+polynomials.  ``subfield_recurrence`` does Singer's part and hands out
+integer codes of GF(q), so no other module reads a packed polynomial.
+Euclid's algorithm divides by a new polynomial at each step, which a
+precomputed ring does not serve, so ``_poly_gcd`` works on coefficient
+lists.  Set-up is most of the cost of a Singer difference set, so it is kept
+to few multiply-mods: ``is_irreducible`` finds linear factors by evaluation
+at the points of a small GF(p) and the others with one gcd, and
+``primitive_element`` settles the primes of p - 1 through a candidate's norm
+to GF(p).  The modulus search takes its candidates in blocks of p that
+differ only in the constant term; one evaluation per point of a small GF(p)
+crosses off the candidate of the block with a root there
+(``_rooted_constants``, which ``is_irreducible`` calls too), so only
+root-free candidates reach Ben-Or's test.
 
 Sizes are capped at desk scale.  The largest field the difference-set
 constructions ever need is GF(32^3) = GF(2^15), so extension degrees stop
@@ -550,3 +553,58 @@ def primitive_element(field: GfField) -> int:
         if all(_powmod(a, e, ring) != 1 for e in field_tests):
             return v
     raise RuntimeError("no primitive element found (impossible for a field)")
+
+
+def subfield_recurrence(field: GfField, g: int, q: int) -> tuple[list, list, tuple[int, int, int]]:
+    """GF(q) inside field = GF(q^3) on the codes 0 .. q-1, and Singer's
+    recurrence over it: (add, mul, (c1, c2, c3)), where add[a][b] and
+    mul[a][b] are the codes of a sum and a product and g^3 = c1*g^2 + c2*g
+    + c3, for g a generator of the multiplicative group, as the integer
+    encoding ``primitive_element`` returns.  A q whose cube is not the
+    field's order is a ``DomainError``.
+
+    With u = g^q * g^(q^2), e1 = g + g^q + g^(q^2), e2 = g*(g^q + g^(q^2))
+    + u and e3 = g*u, the elementary symmetric functions of the conjugates
+    of g over GF(q), g^3 = e1*g^2 - e2*g + e3; c2 is read from the tables as
+    e2 times the packed constant p - 1, which is -1.  h = e3 = g^(1+q+q^2)
+    generates GF(q)*, the cyclic subgroup of index 1+q+q^2 of GF(q^3)*.  The
+    code of 0 is 0 and that of h^j is j + 1, so row i + 1 of ``mul`` is 0
+    and the codes of h^i, h^(i+1), ... cyclically.  ``add`` comes from Zech
+    logarithms: zech[j], the code of 1 + h^j, is h^j with its constant slot
+    raised by 1 mod p, and h^i + h^j = h^i * (1 + h^(j-i)), so row i + 1 of
+    ``add`` reads row i + 1 of ``mul`` at the zech codes rotated by i.  It
+    takes one ``_mulmod`` per power of h; e1 or e2 off the subfield, or a
+    subfield of other than q elements, is an ``ArithmeticError``.
+    """
+    q = checked_int(q, "order")
+    if q**3 != field.order:
+        raise DomainError(f"GF({q}) is not a subfield of index 3 of {field!r}")
+    ring = field._quotient
+    p, mask = field.p, (1 << ring[-1]) - 1  # mask: one slot
+    g = _pack_digits(g, p, ring[-1])
+    gq = _powmod(g, q, ring)
+    gqq = _powmod(gq, q, ring)
+    u = _mulmod(gq, gqq, ring)
+    e1 = _mulmod(g + gq + gqq, 1, ring)
+    e2 = _mulmod(_mulmod(g, gq + gqq, ring) + u, 1, ring)
+    h = _mulmod(g, u, ring)  # e3
+    n = q - 1
+    powers = []
+    cur = 1
+    for _ in range(n):
+        powers.append(cur)
+        cur = _mulmod(cur, h, ring)
+    codes = dict(zip(powers, range(1, q)))
+    codes[0] = 0
+    if cur != 1 or len(codes) != q:
+        raise ArithmeticError("subfield reconstruction failed")
+    if e1 not in codes or e2 not in codes:
+        raise ArithmeticError("minimal polynomial is not over the subfield")
+    # h has order q - 1 exactly, so {0} and its powers are all of GF(q), and
+    # 1 + h^j has a code.
+    zech = [codes[_shift_slot(x, 0, 1, p, mask)] for x in powers]
+    codes_of_powers = list(range(1, q))
+    mul = [[0] * q] + [[0] + codes_of_powers[i:] + codes_of_powers[:i] for i in range(n)]
+    add = [list(range(q))] + [[i + 1, *map(mul[i + 1].__getitem__, zech[n - i:] + zech[:n - i])]
+                              for i in range(n)]
+    return add, mul, (codes[e1], mul[codes[e2]][codes[p - 1]], codes[h])

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from operator import index
 from typing import NamedTuple, Optional
 
-from . import _orbits, gf
+from . import _orbits
 from .gf import (DomainError, checked_int, is_sum_of_two_squares, make_field, prime_power,
-                 primitive_element)
+                 primitive_element, subfield_recurrence)
 
 DEFAULT_SEARCH_BUDGET = 10**8
 MAX_SINGER_ORDER = 32
@@ -58,8 +58,8 @@ class PerfectDifferenceSet:
     its q+1 residues, reduced mod m and sorted.
 
     The constructor reduces and sorts the residues and runs ``verify`` once.
-    Anything else is a ``DomainError``: any other modulus, an order or a
-    modulus that is not an int, or a residue that ``operator.index`` refuses.
+    Anything else is a ``DomainError``: any other modulus, or an order, a
+    modulus or a residue that is not an int (a bool is not one).
     """
 
     q: int
@@ -85,6 +85,7 @@ class PerfectDifferenceSet:
 
     @staticmethod
     def from_residues(residues, q: int) -> "PerfectDifferenceSet":
+        q = checked_int(q, "order", 1)
         return PerfectDifferenceSet(q=q, m=modulus_for_order(q), residues=residues)
 
 
@@ -124,12 +125,14 @@ def verify(candidate, q: int) -> Verification:
     the translate test has failed.  The bitmask is built only for q+1
     residues, and only for q up to ``MAX_SEARCH_ORDER``: past it q+1 residues
     are a ``DomainError`` naming the cap, and so are an order that is not an
-    int >= 1 (``checked_int``) and a residue that is not an int.
+    int >= 1 (``checked_int``) and a residue that is not an int, a bool
+    among them.
     """
     q = checked_int(q, "order", 1)
     m = modulus_for_order(q)
-    try:  # index per residue: a checked_int call each would cost more
-        res = [x % m for x in map(index, candidate)]  # Python ints: numpy's shift overflows
+    try:  # one pass of index, cheaper than checked_int, and a bool goes in as None,
+        # which index refuses.  Python ints, since numpy's shift overflows.
+        res = [index(None if type(x) is bool else x) % m for x in candidate]
     except TypeError:
         raise DomainError(f"residues {candidate!r} are not all ints") from None
     if len(res) == q + 1 and q > MAX_SEARCH_ORDER:  # its masks would take O(q^2) bytes
@@ -184,60 +187,6 @@ def is_prime_power(n: int) -> bool:
     return prime_power(n) is not None
 
 
-def _subfield_tables(h: int, q: int, ring: tuple):
-    """GF(q) inside the field of the ring (``GfField._quotient``) as integer
-    codes, with addition and multiplication tables.
-
-    h, a packed polynomial, generates GF(q)*.  The code of 0 is 0 and the
-    code of h^j is j + 1; ``codes`` maps an element's packed polynomial to
-    its code.  The powers of h are walked on packed ints, one ``_mulmod``
-    each.  Row i + 1 of ``mul`` is 0 followed by the codes of h^i, h^(i+1),
-    ... cyclically.  ``add`` comes from Zech logarithms: zech[j] is the code
-    of 1 + h^j, which is h^j with its constant slot raised by 1 mod p, and
-    h^i + h^j = h^i * (1 + h^(j-i)), so row i + 1 of ``add`` reads row i + 1
-    of ``mul`` at the zech codes rotated by i.  Returns (codes, add, mul),
-    where add[a][b] and mul[a][b] are the codes of the sum and the product.
-    """
-    n = q - 1
-    p, mask = ring[0], (1 << ring[-1]) - 1  # mask: one slot
-    powers = []
-    cur = 1
-    for _ in range(n):
-        powers.append(cur)
-        cur = gf._mulmod(cur, h, ring)
-    codes = dict(zip(powers, range(1, q)))
-    codes[0] = 0
-    if cur != 1 or len(codes) != q:
-        raise ArithmeticError("subfield reconstruction failed")
-    # h has order q - 1 exactly, so {0} and its powers are all of GF(q), and
-    # 1 + h^j has a code.
-    zech = [codes[gf._shift_slot(x, 0, 1, p, mask)] for x in powers]
-    codes_of_powers = list(range(1, q))
-    mul = [[0] * q] + [[0] + codes_of_powers[i:] + codes_of_powers[:i] for i in range(n)]
-    add = [list(range(q))] + [[i + 1, *map(mul[i + 1].__getitem__, zech[n - i:] + zech[:n - i])]
-                              for i in range(n)]
-    return codes, add, mul
-
-
-def _minimal_polynomial(g: int, q: int, ring: tuple):
-    """(e1, e2, e3), packed, with g^3 = e1*g^2 - e2*g + e3 for the packed g
-    in the field of the ring (``GfField._quotient``).
-
-    They are the elementary symmetric functions of the conjugates g, g^q and
-    g^(q^2) of g over GF(q), so x^3 - e1*x^2 + e2*x - e3 is the minimal
-    polynomial of g over GF(q) and each e_i is fixed by x -> x^q.  With
-    u = g^q * g^(q^2): e1 is the reduced sum of the three conjugates,
-    e2 = g * (g^q + g^(q^2)) + u and e3 = g * u = g^(1+q+q^2).
-    """
-    mulmod = gf._mulmod
-    gq = gf._powmod(g, q, ring)
-    gqq = gf._powmod(gq, q, ring)
-    u = mulmod(gq, gqq, ring)
-    e1 = mulmod(g + gq + gqq, 1, ring)
-    e2 = mulmod(mulmod(g, gq + gqq, ring) + u, 1, ring)
-    return e1, e2, mulmod(g, u, ring)
-
-
 def singer_construct(q: int) -> PerfectDifferenceSet:
     """Perfect difference set of prime-power order q from the cyclic action
     of a primitive element on the projective plane over GF(q) (Singer,
@@ -248,15 +197,13 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
     over the subfield GF(q) iff g^i = c0 + c1*g for subfield scalars c0, c1.
     Since g has degree 3 over GF(q), 1, g, g^2 is a GF(q)-basis, so that
     test holds iff s_i = 0, where s_i is the g^2-coordinate of g^i.  The
-    coordinate is GF(q)-linear, and with x^3 - e1*x^2 + e2*x - e3 the
-    minimal polynomial of g, g^(i+3) = e1*g^(i+2) - e2*g^(i+1) + e3*g^i; so
-    the s_i follow Singer's third-order linear recurrence over GF(q):
-    s_0, s_1, s_2 = 0, 0, 1 and s_(i+3) = e1*s_(i+2) - e2*s_(i+1) + e3*s_i.
-    It is walked with GF(q) addition and multiplication tables, and the
-    i mod q^2+q+1 with s_i = 0 form the difference set.  The tables are
-    built on h = e3 = g^(1+q+q^2) = g^m: GF(q)* is the unique cyclic
-    subgroup of index m of GF(q^3)*, so g^m generates it.  The field work
-    runs on packed ints (``gf._mulmod``).
+    coordinate is GF(q)-linear, and with g^3 = c1*g^2 + c2*g + c3 over
+    GF(q), g^(i+3) = c1*g^(i+2) + c2*g^(i+1) + c3*g^i; so the s_i follow
+    Singer's third-order linear recurrence over GF(q):
+    s_0, s_1, s_2 = 0, 0, 1 and s_(i+3) = c1*s_(i+2) + c2*s_(i+1) + c3*s_i.
+    It is walked on the codes of GF(q) with the addition and multiplication
+    tables of ``subfield_recurrence``, which gives c1, c2 and c3 too, and
+    the i mod q^2+q+1 with s_i = 0 form the difference set.
     """
     q = checked_int(q, "order", 1)
     if q > MAX_SINGER_ORDER:  # first: the cap answers a huge order at once
@@ -266,16 +213,9 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
         raise DomainError(f"{q} is not a prime power")
     p, e = decomposition
     field = make_field(p, 3 * e)
-    ring = field._quotient
-    g = gf._pack_digits(primitive_element(field), p, ring[-1])
+    add, mul, (c1, c2, c3) = subfield_recurrence(field, primitive_element(field), q)
+    row1, row2, row3 = mul[c1], mul[c2], mul[c3]
     m = modulus_for_order(q)
-
-    e1, e2, e3 = _minimal_polynomial(g, q, ring)
-    codes, add, mul = _subfield_tables(e3, q, ring)
-    if e1 not in codes or e2 not in codes:
-        raise ArithmeticError("minimal polynomial is not over the subfield")
-    minus_e2 = mul[codes[e2]][codes[p - 1]]  # the packed constant p - 1 is -1
-    row1, row2, row3 = mul[codes[e1]], mul[minus_e2], mul[codes[e3]]
 
     residues = []
     a, b, c = 0, 0, 1  # s_i, s_(i+1), s_(i+2)
@@ -283,9 +223,9 @@ def singer_construct(q: int) -> PerfectDifferenceSet:
         if a == 0:
             residues.append(i)
         a, b, c = b, c, add[add[row1[c]][row2[b]]][row3[a]]
-    # g^m = e3, so after m steps the state is e3 * (0, 0, 1): the walk has
-    # gone once round the plane.
-    if (a, b, c) != (0, 0, codes[e3]):
+    # g^m = c3 (the norm of g), so after m steps the state is c3 * (0, 0, 1):
+    # the walk has gone once round the plane.
+    if (a, b, c) != (0, 0, c3):
         raise ArithmeticError("recurrence did not close after m steps")
     return _library_set(residues, q, "construction")
 

@@ -1,4 +1,5 @@
-"""Reference Singer construction for tests of ``powersum.pds.singer_construct``.
+"""Reference Singer construction for tests of ``powersum.pds.singer_construct``
+and of the field work behind it, ``powersum.gf.subfield_recurrence``.
 
 It builds the same plane from the same field and primitive element g, by
 direct membership: the point g^i lies on the line spanned by {1, g} over the

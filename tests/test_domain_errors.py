@@ -104,7 +104,7 @@ def test_the_public_surface_resolves_and_the_removed_names_stay_gone():
 
 # Every integer parameter the library takes, as (call on the value, a valid
 # int).  Each goes through gf.checked_int, but for residues, which verify
-# reads with operator.index.
+# reads with operator.index and no bool.
 _SET_OF_ORDER_2 = powersum.singer_construct(2)
 _TUPLE = powersum.UnimodularTuple((0.0, 1 / 7, 3 / 7))
 INTEGER_PARAMETERS = {
@@ -113,6 +113,8 @@ INTEGER_PARAMETERS = {
     "PerfectDifferenceSet-order": (lambda v: powersum.PerfectDifferenceSet(v, 7, (0, 1, 3)), 2),
     "PerfectDifferenceSet-modulus": (lambda v: powersum.PerfectDifferenceSet(2, v, (0, 1, 3)), 7),
     "PerfectDifferenceSet-residue": (lambda v: powersum.PerfectDifferenceSet(2, 7, (0, 1, v)), 3),
+    "from_residues-order": (lambda v: powersum.PerfectDifferenceSet.from_residues((0, 1, 3), v),
+                            2),
     "singer_construct-order": (powersum.singer_construct, 2),
     "exhaustive_search-order": (powersum.exhaustive_search, 2),
     "exhaustive_search-budget": (lambda v: powersum.exhaustive_search(5, v), 4),
@@ -125,16 +127,15 @@ INTEGER_PARAMETERS = {
     "OptimizerConfig-seed": (lambda v: powersum.OptimizerConfig(3, seed=v), 1),
     "make_field-p": (lambda v: gf.make_field(v, 3), 2),
     "make_field-k": (lambda v: gf.make_field(2, v), 3),
+    "subfield_recurrence-q": (lambda v: gf.subfield_recurrence(gf.make_field(2, 6), 2, v), 4),
     "is_irreducible-p": (lambda v: gf.is_irreducible([1, 1, 1], v), 2),
     "is_irreducible-coefficient": (lambda v: gf.is_irreducible([1, v, 1], 2), 1),
     "power_sums-nu_max": (lambda v: powersum.power_sums(_TUPLE, v), 3),
     "exact_abs_squared-nu": (lambda v: powersum.exact_abs_squared(_SET_OF_ORDER_2, v), 2),
 }
 _NOT_INTS = (2.5, True, "3", None)
-# operator.index takes a bool residue as 0 or 1, and nu_max = None is the
-# default, n^2 - n
-_ACCEPTED = {("verify-residue", True), ("PerfectDifferenceSet-residue", True),
-             ("power_sums-nu_max", None)}
+# nu_max = None is the default, n^2 - n
+_ACCEPTED = {("power_sums-nu_max", None)}
 _REFUSED = [pytest.param(name, value, id=f"{name}-{value!r}")
             for name in sorted(INTEGER_PARAMETERS) for value in _NOT_INTS
             if (name, value) not in _ACCEPTED]

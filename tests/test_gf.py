@@ -13,6 +13,7 @@ import time
 import pytest
 
 import mulmod_oracle
+import singer_oracle
 from powersum import gf as gf_module
 from powersum.gf import (
     DomainError,
@@ -25,6 +26,7 @@ from powersum.gf import (
     is_prime,
     make_field,
     primitive_element,
+    subfield_recurrence,
 )
 
 
@@ -534,6 +536,59 @@ def test_primitive_element_is_the_least_generator_by_enumeration(p, k):
     assert multiplicative_order_by_enumeration(digits(g, p, k), f) == f.order - 1
     assert all(multiplicative_order_by_enumeration(digits(v, p, k), f) < f.order - 1
                for v in range(1, g))
+
+
+# ---------------------------------------------------------------------------
+# subfield_recurrence, against the slot loop of singer_oracle
+# ---------------------------------------------------------------------------
+
+SINGER_ORDERS = tuple(p ** (k // 3) for p, k in SINGER_PK)
+
+
+def subfield_elements(f, q):
+    """The oracle element of each code of ``subfield_recurrence``: 0, then
+    h^0, h^1, ... for h = g^(1+q+q^2), which generates GF(q)*."""
+    h = f.power(f.g, 1 + q + q * q)
+    elements = [0, 1]
+    for _ in range(q - 2):
+        elements.append(f.mul(elements[-1], h))
+    return elements
+
+
+@pytest.mark.parametrize("q", SINGER_ORDERS)
+def test_minimal_polynomial_is_over_the_subfield_and_annihilates_g(q):
+    f = singer_oracle.SingerField(q)
+    g = f.g
+    _, _, codes = subfield_recurrence(f.field, primitive_element(f.field), q)
+    element = subfield_elements(f, q)
+    assert len(set(element)) == q
+    for x in element:
+        assert f.power(x, q) == x
+    # g^3 = c1*g^2 + c2*g + c3
+    c1, c2, c3 = (element[c] for c in codes)
+    g2 = f.mul(g, g)
+    assert f.mul(g2, g) == f.add(f.add(f.mul(c1, g2), f.mul(c2, g)), c3)
+
+
+@pytest.mark.parametrize("q", (4, 8, 9, 16))
+def test_subfield_tables_match_field_arithmetic(q):
+    f = singer_oracle.SingerField(q)
+    add, mul, _ = subfield_recurrence(f.field, primitive_element(f.field), q)
+    element = subfield_elements(f, q)
+    assert len(add) == len(mul) == q
+    for a in range(q):
+        for b in range(q):
+            assert element[add[a][b]] == f.add(element[a], element[b])
+            assert element[mul[a][b]] == f.mul(element[a], element[b])
+
+
+def test_subfield_recurrence_needs_the_subfield_of_index_3():
+    field = make_field(2, 6)
+    g = primitive_element(field)
+    assert len(subfield_recurrence(field, g, 4)[0]) == 4
+    for q in (2, 8, 64):
+        with pytest.raises(DomainError, match="not a subfield of index 3"):
+            subfield_recurrence(field, g, q)
 
 
 # ---------------------------------------------------------------------------

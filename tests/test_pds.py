@@ -32,8 +32,6 @@ from powersum.pds import (
     EnumerationResult,
     PerfectDifferenceSet,
     SearchResult,
-    _minimal_polynomial,
-    _subfield_tables,
     bruck_ryser_excludes,
     canonical_form,
     enumerate_all,
@@ -424,48 +422,6 @@ def test_singer_field_work_stays_within_its_multiplication_count(monkeypatch):
     assert 0 < calls["_mulmod"] <= 1340, calls
     assert 0 < calls["_poly_gcd"] <= 34, calls
     assert 0 < calls["_ring"] <= 54, calls
-
-
-# The two tests below check the library's packed field work against the
-# slot loop of ``singer_oracle``: a library packed int crosses over through
-# its coefficients, since the two pack at different widths.
-
-
-def _to_library(f, a):
-    """The oracle element a as a packed int of the library's ring."""
-    return gf_module._pack(f.coefficients(a), f.field._quotient[-1])
-
-
-def _from_library(f, packed):
-    """The library's packed int as an element of the oracle."""
-    return f.pack(gf_module._unpack(packed, f.k, f.field._quotient[-1]))
-
-
-@pytest.mark.parametrize("q", SINGER_ORDERS)
-def test_minimal_polynomial_is_over_the_subfield_and_annihilates_g(q):
-    f = singer_oracle.SingerField(q)
-    g = f.g
-    e1, e2, e3 = (_from_library(f, x)
-                  for x in _minimal_polynomial(_to_library(f, g), q, f.field._quotient))
-    for x in (e1, e2, e3):
-        assert f.power(x, q) == x
-    # g^3 = e1*g^2 - e2*g + e3, with e2*g moved to the left
-    g2 = f.mul(g, g)
-    assert f.add(f.mul(g2, g), f.mul(e2, g)) == f.add(f.mul(e1, g2), e3)
-
-
-@pytest.mark.parametrize("q", (4, 8, 9, 16))
-def test_subfield_tables_match_field_arithmetic(q):
-    f = singer_oracle.SingerField(q)
-    h = _to_library(f, f.power(f.g, modulus_for_order(q)))
-    codes, add, mul = _subfield_tables(h, q, f.field._quotient)
-    element = {code: _from_library(f, packed) for packed, code in codes.items()}
-    assert sorted(element) == list(range(q))
-    assert element[0] == 0 and element[1] == 1
-    for a in range(q):
-        for b in range(q):
-            assert element[add[a][b]] == f.add(element[a], element[b])
-            assert element[mul[a][b]] == f.mul(element[a], element[b])
 
 
 # ---------------------------------------------------------------------------
