@@ -10,11 +10,12 @@ q acting on Z_m by multiplication, so searching such unions is complete.
 ``search`` is the library's one search kernel: it stops at the first such
 union for ``pds.exhaustive_search`` and ``pds.feasibility``, or lists every
 one for ``pds.enumerate_all``.  Either way it walks through the unit
-scaling: multiplication by a unit commutes with the multipliers, so a fixed
-union that holds a unit x is x times a fixed union that holds 1, and so
-holds the orbit H of 1.  Each search walks twice (``_walk``): pass 1 over
-the unions that hold H, and pass 2 over the unions of non-unit orbits; a
-listing scales each union of pass 1 by one unit per coset of H.
+scaling, stated here once for the package: multiplication by a unit x
+commutes with the multipliers, so a fixed union that holds x is x times a
+fixed union that holds 1, and so holds the orbit H of 1; and x*h gives the
+same image as x for h in H.  Each search walks twice (``_walk``): pass 1
+over the unions that hold H, and pass 2 over the unions of non-unit orbits;
+a listing scales each union of pass 1 by one unit per coset of H.
 Orbit residues do not arrive in ascending order, so the covered differences
 are kept as bitmasks over Z_m that are rotated by each value added
 (``_add_orbit``, also the orbit filter of ``multiplier_orbits``).  Pure
@@ -124,10 +125,9 @@ def search(q: int, budget: int,
     """Backtrack over unions of multiplier orbits of size q+1 whose
     differences are all distinct, within one node budget for the whole search.
 
-    A union that holds a unit x is x*U for U = x^-1 times the union, which is
-    fixed too and holds the orbit H of 1; and u*h*U = u*U for h in H.  So
-    pass 1 walks the unions that hold H and pass 2 the unions of non-unit
-    orbits.  With `out` None the first union found stops the search (find
+    Through the unit scaling (see the module docstring), pass 1 walks the
+    unions that hold H and pass 2 the unions of non-unit orbits.  With `out`
+    None the first union found stops the search (find
     mode).  Given a list, every union is appended to it as a list of residues
     (enumerate mode): each of pass 1 scaled by one unit per coset of H, the
     least element of each unit orbit, and each of pass 2 as it is, some more

@@ -49,8 +49,8 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .gf import DomainError, checked_int
 from .pds import verify
-from .sums import (RecoveryResult, UnimodularTuple, _check_profile_size, _lattice_rounding,
-                   recover_structure)
+from .sums import (RecoveryResult, UnimodularTuple, _geometric_rows, _lattice_rounding,
+                   power_sums, recover_structure)
 
 LOWER_BOUND_GUARD = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -65,24 +65,19 @@ def lower_bound(n: int) -> float:
 
 
 def objective(t: UnimodularTuple) -> float:
-    """max over nu = 1 .. n^2-n of |S(nu)|, the quantity being minimized.
-
-    Guarded by the proven lower bound: a value below sqrt(n-1) - 1e-9 can
-    only mean a numerical defect, and raises.  The n^2-n by n power matrix
-    is checked against the caps of ``sums`` first, so a tuple past them is a
-    ``DomainError`` before any array is made.
-    """
-    _check_profile_size(t.n, t.n * t.n - t.n)
-    return _objective_raw((np.asarray(t.thetas) + t.alpha_turns) % 1.0, t.n)
+    """max over nu = 1 .. n^2-n of |S(nu)|, the quantity being minimized: the
+    ``max_abs`` of the tuple's profile (``sums.power_sums``), a ``DomainError``
+    past the caps of ``sums``.  Guarded by the proven lower bound: a value
+    below sqrt(n-1) - 1e-9 can only mean a numerical defect, and raises."""
+    return _guarded(power_sums(t).max_abs, t.n)
 
 
 def _abs_squared_and_powers(thetas: np.ndarray, nu_max: int):
     """u[..., nu-1] = |S(nu)|^2, S and the power matrices z_k^nu of a tuple's
-    angles, or of each row of a stack of them.  Each power row is the one
-    before times z, a cumulative product, so no trig is evaluated at a large
-    argument."""
+    angles, or of each row of a stack of them, built by
+    ``sums._geometric_rows``."""
     z = np.exp((2j * np.pi) * thetas)
-    powers = z[..., None, :].repeat(nu_max, axis=-2).cumprod(axis=-2)
+    powers = _geometric_rows(z, z, nu_max)
     s = powers.sum(axis=-1)
     u = (s.real * s.real + s.imag * s.imag)
     return u, s, powers
@@ -457,9 +452,6 @@ def minimize(config: OptimizerConfig) -> OptimizerReport:
                                  alpha_turns=0.0)
     best_value = values[best_index]
     gap = best_value - lower_bound(config.n)
-    if gap < -1e-6:
-        raise ArithmeticError(f"best value {best_value} violates the bound")
-
     recovered = recover_structure(best_tuple)
     return OptimizerReport(best_value=best_value, best_tuple=best_tuple,
                            per_restart_values=values, recovered=recovered,

@@ -19,12 +19,11 @@ primes of q generate, and a lexicographic scan over their candidates.
 unions of multiplier orbits (``_orbits``): it is complete by Hall's
 multiplier theorem (every prime dividing q is a multiplier) and the
 McFarland-Rice theorem (some translate is fixed by every multiplier), and
-runs serially under a single node budget.  Both walk it twice, through the
-unit scaling: a fixed set that holds a unit x is x times a fixed set that
-holds 1, and so holds the orbit of 1.  Pass 1 walks the unions that hold
-that orbit, pass 2 the unions of non-unit orbits; ``enumerate_all`` scales
-each set of pass 1 by one unit per coset of the multipliers' group.  A node
-is one union of orbits examined, each walk's root included.
+runs serially under a single node budget.  The search walks twice, through
+the unit scaling that ``_orbits`` states, and for ``enumerate_all`` it also
+scales each set of its first pass by one unit per coset of the
+multipliers' group.  A node is one union of orbits examined, each walk's
+root included.
 ``feasibility`` combines the Bruck-Ryser and Wilbrink nonexistence tests
 with ``exhaustive_search``; a verdict that rests on that search carries the
 reason ``multiplier-search``.  The factoring it needs, ``prime_power`` and
@@ -246,9 +245,9 @@ def canonical_form(pds: PerfectDifferenceSet) -> CanonicalForm:
     prime p of q is a multiplier: p*D is a translate of D, so u*p*D is a
     translate of u*D and has the same candidate.  Candidates are therefore
     constant on the cosets of the group H that the primes of q generate mod
-    m, and one unit per coset (``_orbits.coset_leaders``) is examined: 60 of
-    900 units at q = 32.  The theorem holds only for perfect difference
-    sets, and the type guarantees that D is one.
+    m, and one unit per coset (``_orbits.multiplier_cosets``) is examined:
+    60 of 900 units at q = 32.  The theorem holds only for perfect
+    difference sets, and the type guarantees that D is one.
 
     Two sorted (q+1)-sets compare as the one holding the least element of
     their symmetric difference, so a scan for y = 2, 3, ... drops the
@@ -328,14 +327,12 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
 
     The search of ``exhaustive_search`` runs to its end with the whole node
     budget and lists every set fixed by the multipliers (``_orbits.search``).
-    Multiplication by a unit commutes with the multipliers, so a fixed set
-    that holds a unit x is x times a fixed set that holds 1, and that set
-    holds the whole orbit H of 1.  Pass 1 walks the unions of orbits that
-    hold H and scales each one by one unit per coset of H (the units of one
-    coset give the same image of an H-fixed set); pass 2 walks the unions of
-    non-unit orbits, which cover the fixed sets without a unit.  A node is
-    one union of orbits examined: H alone at the root of pass 1, the empty
-    union at the root of pass 2, and each union one orbit larger in either.
+    Through the unit scaling that ``_orbits`` states, its pass 1 walks the
+    unions of orbits that hold H, the orbit of 1, and scales each one by one
+    unit per coset of H; pass 2 walks the unions of non-unit orbits, which
+    cover the fixed sets without a unit.  A node is one union of orbits
+    examined: H alone at the root of pass 1, the empty union at the root of
+    pass 2, and each union one orbit larger in either.
 
     Each set has difference 1 at exactly one pair (a, a+1), and its
     translate by -a is the one that contains 0 and 1; by McFarland-Rice

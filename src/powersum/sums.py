@@ -19,19 +19,22 @@ and one complex matrix product of the two blocks gives every S(j*b + i).
 That is O(n * sqrt(nu_max)) memory instead of O(n * nu_max).  It is exact
 enough: each product of unit complex numbers adds about one rounding, and a
 power reached by the blocks has gone through at most b + nu/b of them,
-against nu for the running product z^nu = z^(nu-1) * z.
+against nu for the running product z^nu = z^(nu-1) * z, which the polish of
+``minimax`` still builds, a stack of power matrices for its gradients, with
+the same row kernel, ``_geometric_rows``.
 
 A tuple's profile up to its horizon n^2-n is computed once, on first use,
-and kept on the tuple as read-only arrays: ``power_sums``,
-``fejer_certificate`` and ``recover_structure`` on one tuple share it.  Any
-other ``nu_max`` is computed afresh, since the blocks, and so the
-roundings, depend on it.  Every profile is checked against
+and kept on the tuple as read-only arrays: ``power_sums``, ``objective``
+of ``minimax``, ``fejer_certificate`` and ``recover_structure`` on one
+tuple share it.  Any other ``nu_max`` is computed afresh, since the blocks,
+and so the roundings, depend on it.  Every profile is checked against
 ``MAX_PROFILE_POINTS`` and ``MAX_PROFILE_LENGTH`` before an array is made.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -51,9 +54,18 @@ MAX_PROFILE_POINTS = 10**4
 MAX_PROFILE_LENGTH = 10**5
 
 
+def _is_real(x) -> bool:
+    """A ``numbers.Real`` that is not a bool; numpy's bool is not registered.
+    A float is let through first, as the ABC check costs about 1 us."""
+    return type(x) is float or not isinstance(x, bool) and isinstance(x, numbers.Real)
+
+
 def _turns(x) -> float:
-    """x mod 1 as a float in [0, 1).  float(x) % 1.0 rounds a tiny negative x
-    up to 1.0, which is stored as 0.0, the same point of the circle."""
+    """x mod 1 as a float in [0, 1) for a real number x (``_is_real``), else a
+    DomainError.  float(x) % 1.0 rounds a tiny negative x up to 1.0, which
+    is stored as 0.0, the same point of the circle."""
+    if not _is_real(x):
+        raise DomainError(f"angle or phase {x!r} is not a real number")
     try:
         t = float(x) % 1.0
     except OverflowError as exc:  # an int beyond the float range
@@ -66,7 +78,7 @@ class UnimodularTuple:
     """n angles in turns plus a global phase; z_k = e(thetas[k] + alpha_turns).
 
     Angles are normalized into [0, 1) on construction and must be finite
-    floats, else ``DomainError``.
+    real numbers (``_is_real``), else ``DomainError``.
     """
 
     thetas: tuple[float, ...]
@@ -126,12 +138,13 @@ class PowerSumProfile:
 
 
 def _geometric_rows(first, ratio: np.ndarray, rows: int) -> np.ndarray:
-    """Rows first * ratio^j for j = 0 .. rows-1, one cumulative product:
-    each row is the previous one times ratio, so no trig is evaluated at a
-    large argument."""
-    out = ratio[None, :].repeat(rows, axis=0)
-    out[0] = first
-    return out.cumprod(axis=0)
+    """Rows first * ratio^j for j = 0 .. rows-1 along axis -2, for a ratio
+    row or for each row of a stack of them, one cumulative product: each row
+    is the previous one times ratio, so no trig is evaluated at a large
+    argument."""
+    out = ratio[..., None, :].repeat(rows, axis=-2)
+    out[..., 0, :] = first
+    return out.cumprod(axis=-2)
 
 
 def _power_sums(effective_thetas: np.ndarray, nu_max: int) -> np.ndarray:
@@ -312,11 +325,12 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
     set of order n-1.  The test snaps the shifted angles to the lattice
     (``_lattice_rounding``, shared with the optimizer's snap), requires the
     snap residual and the profile deviation to be within tol, and builds the
-    recovered set, which must pass verification.  tol must be finite and >= 0
-    (``DomainError``); a large one, such as 1, is the caller's choice.
+    recovered set, which must pass verification.  tol must be a real number
+    (``_is_real``), finite and >= 0, else ``DomainError``; a large one, such
+    as 1, is the caller's choice.
     """
-    if not 0 <= tol < math.inf:  # false for NaN as well
-        raise DomainError(f"tol must be a finite number >= 0, not {tol}")
+    if not (_is_real(tol) and 0 <= tol < math.inf):  # false for NaN as well
+        raise DomainError(f"tol must be a finite number >= 0, not {tol!r}")
     n = t.n
     target = math.sqrt(n - 1)
     abs_values = t._profile[0]

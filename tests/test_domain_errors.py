@@ -5,6 +5,7 @@ place and the command line can report exactly those failures as bad input."""
 import ast
 import builtins
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -152,3 +153,31 @@ def test_an_integer_parameter_refuses_what_is_not_an_int(name, value):
 def test_an_integer_parameter_takes_a_numpy_integer_as_an_int(name):
     call, valid = INTEGER_PARAMETERS[name]
     assert call(np.int64(valid)) == call(valid)
+
+
+# Every real-number parameter the library takes, as (call on the value, a
+# valid real).  Each goes through sums._is_real: a numbers.Real, not a bool.
+REAL_PARAMETERS = {
+    "UnimodularTuple-theta": (lambda v: powersum.UnimodularTuple((v, 0.5)), 0.25),
+    "UnimodularTuple-alpha_turns": (lambda v: powersum.UnimodularTuple((0.1, 0.5), v), 0.25),
+    "recover_structure-tol": (lambda v: powersum.recover_structure(_TUPLE, v), 0.25),
+}
+# float() parses a str or bytes and takes a bool as 0 or 1
+_NOT_REALS = ("0.1", "abc", b"0.1", True, np.True_, None, [0.1], 1j, np.complex128(0.5))
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{value!r}")
+    for name in sorted(REAL_PARAMETERS) for value in _NOT_REALS])
+def test_a_real_parameter_refuses_what_is_not_a_real_number(name, value):
+    call, _ = REAL_PARAMETERS[name]
+    with pytest.raises(DomainError, match="not a real number|tol must be a finite number"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_PARAMETERS))
+def test_a_real_parameter_takes_any_real_number_as_its_float(name):
+    call, valid = REAL_PARAMETERS[name]
+    for value in (np.float64(valid), np.float32(valid), Fraction(valid)):
+        assert call(value) == call(valid)
+    assert call(np.int64(0)) == call(0)

@@ -31,6 +31,7 @@ from powersum.sums import (
     UnimodularTuple,
     _lattice_rounding,
     fabrykowski_tuple,
+    power_sums,
     recover_structure,
 )
 
@@ -49,8 +50,8 @@ def test_objective_on_degenerate_and_ngon():
 
 
 def test_objective_past_the_profile_cap_is_a_domain_error(monkeypatch):
-    # 1000 points need the 999000 x 1000 power matrix, 14.9 GiB of complex
-    # numbers; the cap answers before it or any other array is made.
+    # 1000 points have the horizon 999000, past the profile's length cap,
+    # which answers before the profile's blocks or any other array is made.
     monkeypatch.setattr(minimax, "_objective_raw", None)
     t = UnimodularTuple(tuple(k / 1000 for k in range(1000)))
     tracemalloc.start()
@@ -62,6 +63,29 @@ def test_objective_past_the_profile_cap_is_a_domain_error(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_objective_is_the_max_of_the_profile_to_the_bit():
+    rng = np.random.default_rng(73)
+    for n in range(2, 41):
+        for _ in range(3):
+            thetas, alpha = tuple(rng.uniform(0, 1, n)), rng.uniform(0.01, 0.99)
+            # two equal tuples, so neither call reads a profile the other kept
+            value = objective(UnimodularTuple(thetas, alpha_turns=alpha))
+            twin = UnimodularTuple(thetas, alpha_turns=alpha)
+            assert value == power_sums(twin).max_abs, (n, thetas, alpha)
+
+
+def test_objective_at_316_points_builds_no_power_matrix():
+    # the 99540 x 316 power matrix alone is 503 MB of complex numbers
+    t = UnimodularTuple(tuple(np.random.default_rng(316).uniform(0, 1, 316)), alpha_turns=0.3)
+    tracemalloc.start()
+    try:
+        objective(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_objective_gauge_invariance():
@@ -511,6 +535,12 @@ def test_polish_checks_its_value_against_the_bound(monkeypatch):
     monkeypatch.setattr(minimax, "_objective_raw", None)
     with pytest.raises(ArithmeticError, match="below the proven bound"):
         minimax._polish(np.array([[0.0, 0.3, 0.55]]), 3)
+
+
+def test_minimize_raises_when_a_value_falls_under_the_bound(monkeypatch):
+    monkeypatch.setattr(minimax, "lower_bound", lambda n: n + 1.0)
+    with pytest.raises(ArithmeticError, match="below the proven bound"):
+        minimize(OptimizerConfig(n=3, restarts=2, seed=1))
 
 
 def test_report_record_shape():

@@ -109,6 +109,17 @@ def test_power_sums_does_not_build_the_power_matrix():
     assert peak < 16 * 2**20
 
 
+def test_geometric_rows_of_a_stack_are_the_rows_of_each_ratio_row():
+    """A (5, 7) stack of ratio rows gives, to the bit, the running product
+    written out here as the reference, and each row's own rows."""
+    z = np.exp(2j * np.pi * np.random.default_rng(57).uniform(0, 1, (5, 7)))
+    stack = sums_module._geometric_rows(z, z, 9)
+    assert stack.shape == (5, 9, 7)
+    assert stack.tobytes() == z[..., None, :].repeat(9, axis=-2).cumprod(axis=-2).tobytes()
+    for ratio, rows in zip(z, stack):
+        assert sums_module._geometric_rows(ratio, ratio, 9).tobytes() == rows.tobytes()
+
+
 def test_a_profile_past_the_caps_is_a_domain_error():
     wide = UnimodularTuple((0.0,) * (sums_module.MAX_PROFILE_POINTS + 1))
     for profile in (lambda: power_sums(wide, nu_max=1), lambda: fejer_certificate(wide),
