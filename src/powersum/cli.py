@@ -223,7 +223,7 @@ def cmd_profile(args) -> tuple[int, dict, list[str]]:
     t = _profile_source(args)
     profile = power_sums(t, nu_max=args.nu_max)
     rows = list(zip(range(1, len(profile.abs_values) + 1),
-                    profile.abs_values, profile.epsilons))
+                    profile.abs_values.tolist(), profile.epsilons.tolist()))
     record = {
         "n": profile.n,
         "m": profile.m,

@@ -362,14 +362,18 @@ def enumerate_all(q: int, budget: int = DEFAULT_SEARCH_BUDGET) -> EnumerationRes
 
 
 def bruck_ryser_excludes(order: int) -> bool:
-    """Nonexistence test: order = 1, 2 (mod 4) and not a sum of two squares."""
+    """Nonexistence test: order = 1, 2 (mod 4) and not a sum of two squares.
+    An order that is not an int >= 1 (``checked_int``) is a ``DomainError``."""
+    order = checked_int(order, "order", 1)
     if order % 4 not in (1, 2):
         return False
     return not is_sum_of_two_squares(order)
 
 
 def wilbrink_excludes(order: int) -> bool:
-    """Nonexistence test: order >= 6 and order = 3, 6 (mod 9)."""
+    """Nonexistence test: order >= 6 and order = 3, 6 (mod 9).  An order
+    that is not an int >= 1 (``checked_int``) is a ``DomainError``."""
+    order = checked_int(order, "order", 1)
     return order >= 6 and order % 9 in (3, 6)
 
 

@@ -24,10 +24,10 @@ against nu for the running product z^nu = z^(nu-1) * z, which the polish of
 the same row kernel, ``_geometric_rows``.
 
 A tuple's profile up to its horizon n^2-n is computed once, on first use,
-and kept on the tuple as read-only arrays: ``power_sums``, ``objective``
-of ``minimax``, ``fejer_certificate`` and ``recover_structure`` on one
-tuple share it.  Any other ``nu_max`` is computed afresh, since the blocks,
-and so the roundings, depend on it.  Every profile is checked against
+and kept on the tuple, read-only: ``power_sums`` returns that object, and
+``objective`` of ``minimax``, ``fejer_certificate`` and ``recover_structure``
+read it.  Any other ``nu_max`` is computed afresh, since the blocks, and so
+the roundings, depend on it.  Every profile is checked against
 ``MAX_PROFILE_POINTS`` and ``MAX_PROFILE_LENGTH`` before an array is made.
 """
 
@@ -77,17 +77,21 @@ def _turns(x) -> float:
 class UnimodularTuple:
     """n angles in turns plus a global phase; z_k = e(thetas[k] + alpha_turns).
 
-    Angles are normalized into [0, 1) on construction and must be finite
-    real numbers (``_is_real``), else ``DomainError``.
+    Angles, from any iterable, are normalized into [0, 1) on construction
+    and must be finite real numbers (``_is_real``), else ``DomainError``.
     """
 
     thetas: tuple[float, ...]
     alpha_turns: float = 0.0
 
     def __post_init__(self):
+        try:
+            angles = iter(self.thetas)
+        except TypeError:
+            raise DomainError(f"the angles {self.thetas!r} are not an iterable") from None
+        object.__setattr__(self, "thetas", tuple(map(_turns, angles)))
         if len(self.thetas) < 2:
             raise DomainError("a tuple needs at least two points")
-        object.__setattr__(self, "thetas", tuple(map(_turns, self.thetas)))
         object.__setattr__(self, "alpha_turns", _turns(self.alpha_turns))
         if not all(map(math.isfinite, self.thetas + (self.alpha_turns,))):  # inf % 1.0 is NaN
             raise DomainError("angles and phase must be finite")
@@ -102,14 +106,11 @@ class UnimodularTuple:
         return self.n * self.n - self.n
 
     @cached_property
-    def _profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """|S(nu)| and eps_nu for nu = 1 .. n^2 - n as read-only arrays,
-        computed on first use and kept (the tuple is frozen, so they cannot
-        go stale); equality, hash and records see only the fields."""
-        arrays = _abs_values_and_epsilons(self, self.horizon)
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+    def _profile(self) -> PowerSumProfile:
+        """The profile up to the horizon n^2 - n, computed on first use and
+        kept (the tuple is frozen, so it cannot go stale); equality, hash and
+        records see only the fields."""
+        return _profile_up_to(self, self.horizon)
 
     def to_record(self) -> dict:
         return {"n": self.n, "alpha_turns": self.alpha_turns,
@@ -117,8 +118,9 @@ class UnimodularTuple:
 
     @staticmethod
     def from_record(record: dict) -> "UnimodularTuple":
-        """The tuple of a ``to_record`` record: ``thetas`` a list of numbers and
+        """The tuple of a ``to_record`` dict: ``thetas`` a list of numbers and
         ``alpha_turns`` a number (a boolean is not one), else ``DomainError``."""
+        record = record if type(record) is dict else {}
         thetas, alpha = record.get("thetas"), record.get("alpha_turns", 0.0)
         if type(thetas) is not list or not {type(x) for x in thetas + [alpha]} <= {int, float}:
             raise DomainError(
@@ -126,14 +128,16 @@ class UnimodularTuple:
         return UnimodularTuple(thetas=tuple(thetas), alpha_turns=alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSumProfile:
-    """|S(nu)| and eps_nu = |S(nu)|^2 - (n-1) for nu = 1 .. nu_max."""
+    """|S(nu)| and eps_nu = |S(nu)|^2 - (n-1) for nu = 1 .. nu_max, as
+    read-only float64 arrays.  The horizon profile is kept on its tuple and
+    shared by every reader, so profiles compare and hash by identity."""
 
     n: int
     m: int  # horizon modulus n^2 - n + 1
-    abs_values: tuple[float, ...]
-    epsilons: tuple[float, ...]
+    abs_values: np.ndarray
+    epsilons: np.ndarray
     max_abs: float
 
 
@@ -170,32 +174,27 @@ def _check_profile_size(n: int, nu_max: int) -> None:
         raise DomainError(f"a profile up to nu = {nu_max} exceeds the cap {MAX_PROFILE_LENGTH}")
 
 
-def _abs_values_and_epsilons(t: UnimodularTuple, nu_max: int):
-    """|S(nu)| and eps_nu = |S(nu)|^2 - (n-1) for nu = 1 .. nu_max, as arrays."""
+def _profile_up_to(t: UnimodularTuple, nu_max: int) -> PowerSumProfile:
+    """The profile of t for nu = 1 .. nu_max, within the caps and read-only."""
     _check_profile_size(t.n, nu_max)
     eff = (np.asarray(t.thetas) + t.alpha_turns) % 1.0
     abs_values = np.abs(_power_sums(eff, nu_max))
-    return abs_values, abs_values * abs_values - (t.n - 1)
+    epsilons = abs_values * abs_values - (t.n - 1)
+    abs_values.flags.writeable = epsilons.flags.writeable = False
+    return PowerSumProfile(t.n, t.horizon + 1, abs_values, epsilons, float(abs_values.max()))
 
 
 def power_sums(t: UnimodularTuple, nu_max: Optional[int] = None) -> PowerSumProfile:
     """Profile of |S(nu)| for nu = 1 .. nu_max (default n^2 - n).
 
-    The global phase cancels in every absolute value; it is folded into the
-    angles anyway so that the same code path covers regression tests of
-    phase invariance.  A nu_max that is not an int >= 1 (``checked_int``) is
-    a ``DomainError``.
+    At the horizon this is the profile kept on t, the same object on every
+    call; its arrays are read-only and shared.  The global phase cancels in
+    every absolute value; it is folded into the angles anyway so that the
+    same code path covers regression tests of phase invariance.  A nu_max
+    that is not an int >= 1 (``checked_int``) is a ``DomainError``.
     """
-    n = t.n
     nu_max = t.horizon if nu_max is None else checked_int(nu_max, "nu_max", 1)
-    if nu_max == t.horizon:
-        abs_values, epsilons = t._profile
-    else:
-        abs_values, epsilons = _abs_values_and_epsilons(t, nu_max)
-    return PowerSumProfile(n=n, m=n * n - n + 1,
-                           abs_values=tuple(abs_values.tolist()),
-                           epsilons=tuple(epsilons.tolist()),
-                           max_abs=float(abs_values.max()))
+    return t._profile if nu_max == t.horizon else _profile_up_to(t, nu_max)
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def fejer_certificate(t: UnimodularTuple) -> FejerCertificate:
     floating tolerance 1e-9 * n^2 (which would mean a numerical defect, not a
     counterexample)."""
     n = t.n
-    eps = t._profile[1]
+    eps = t._profile.epsilons
     m = t.horizon + 1
     nus = np.arange(1, m)
     weighted = float(((1.0 - nus / m) * eps).sum())
@@ -333,7 +332,7 @@ def recover_structure(t: UnimodularTuple, tol: float = 1e-6) -> RecoveryResult:
         raise DomainError(f"tol must be a finite number >= 0, not {tol!r}")
     n = t.n
     target = math.sqrt(n - 1)
-    abs_values = t._profile[0]
+    abs_values = t._profile.abs_values
     profile_deviation = float(np.abs(abs_values - target).max())
 
     alpha_recovered = (t.alpha_turns + t.thetas[0]) % 1.0

@@ -312,7 +312,7 @@ def test_a_failure_while_rendering_leaves_stdout_empty(capsys, monkeypatch, fmt)
     def last_nan(t, nu_max=None, _inner=cli.power_sums):
         profile = _inner(t, nu_max)
         return dataclasses.replace(profile,
-                                   abs_values=profile.abs_values[:-1] + (math.nan,))
+                                   abs_values=np.append(profile.abs_values[:-1], math.nan))
     monkeypatch.setattr(cli, "power_sums", last_nan)
     code, out, err = run(capsys, "profile", "--from-pds", "2", "--format", fmt)
     assert code == cli.EXIT_INTERNAL

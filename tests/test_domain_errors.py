@@ -103,6 +103,13 @@ def test_the_public_surface_resolves_and_the_removed_names_stay_gone():
             if hasattr(gf.GfField, name)] == []
 
 
+def _profile_bits(profile):
+    """A profile compares by identity, so two calls are compared by the bits
+    of their arrays and their maximum.  nu_max = 3 is below the horizon 6,
+    where both calls would return the one profile kept on the tuple."""
+    return profile.abs_values.tobytes(), profile.epsilons.tobytes(), profile.max_abs
+
+
 # Every integer parameter the library takes, as (call on the value, a valid
 # int).  Each goes through gf.checked_int, but for residues, which verify
 # reads with operator.index and no bool.
@@ -123,6 +130,8 @@ INTEGER_PARAMETERS = {
     "enumerate_all-budget": (lambda v: powersum.enumerate_all(5, v), 4),
     "feasibility-order": (powersum.feasibility, 6),
     "feasibility-search_budget": (lambda v: powersum.feasibility(6, v), 4),
+    "bruck_ryser_excludes-order": (powersum.bruck_ryser_excludes, 6),
+    "wilbrink_excludes-order": (powersum.wilbrink_excludes, 6),
     "OptimizerConfig-n": (powersum.OptimizerConfig, 3),
     "OptimizerConfig-restarts": (lambda v: powersum.OptimizerConfig(3, restarts=v), 2),
     "OptimizerConfig-seed": (lambda v: powersum.OptimizerConfig(3, seed=v), 1),
@@ -131,7 +140,7 @@ INTEGER_PARAMETERS = {
     "subfield_recurrence-q": (lambda v: gf.subfield_recurrence(gf.make_field(2, 6), 2, v), 4),
     "is_irreducible-p": (lambda v: gf.is_irreducible([1, 1, 1], v), 2),
     "is_irreducible-coefficient": (lambda v: gf.is_irreducible([1, v, 1], 2), 1),
-    "power_sums-nu_max": (lambda v: powersum.power_sums(_TUPLE, v), 3),
+    "power_sums-nu_max": (lambda v: _profile_bits(powersum.power_sums(_TUPLE, v)), 3),
     "exact_abs_squared-nu": (lambda v: powersum.exact_abs_squared(_SET_OF_ORDER_2, v), 2),
 }
 _NOT_INTS = (2.5, True, "3", None)
@@ -153,6 +162,38 @@ def test_an_integer_parameter_refuses_what_is_not_an_int(name, value):
 def test_an_integer_parameter_takes_a_numpy_integer_as_an_int(name):
     call, valid = INTEGER_PARAMETERS[name]
     assert call(np.int64(valid)) == call(valid)
+
+
+@pytest.mark.parametrize("test", (powersum.bruck_ryser_excludes, powersum.wilbrink_excludes))
+def test_a_nonexistence_test_refuses_an_order_below_1_or_a_float(test):
+    for order in (0, -3, -6):
+        with pytest.raises(DomainError, match="^order must be >= 1$"):
+            test(order)
+    for order in (6.0, 21.0):
+        with pytest.raises(DomainError, match="is not an int"):
+            test(order)
+
+
+# Containers that a tuple's angles or a tuple record cannot be
+NOT_CONTAINERS = {
+    "UnimodularTuple-0.5": lambda: powersum.UnimodularTuple(0.5),
+    "UnimodularTuple-None": lambda: powersum.UnimodularTuple(None),
+    "from_record-list": lambda: powersum.UnimodularTuple.from_record([1, 2]),
+    "from_record-None": lambda: powersum.UnimodularTuple.from_record(None),
+    "from_record-str": lambda: powersum.UnimodularTuple.from_record("abc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_CONTAINERS))
+def test_a_container_that_is_not_one_is_a_domain_error(name):
+    with pytest.raises(DomainError, match="are not an iterable|^malformed tuple record"):
+        NOT_CONTAINERS[name]()
+
+
+def test_a_tuple_takes_its_angles_from_any_iterable():
+    expected = powersum.UnimodularTuple((0.1, 0.5))
+    for angles in ((x for x in (0.1, 0.5)), iter([0.1, 0.5]), [0.1, 0.5], np.array([0.1, 0.5])):
+        assert powersum.UnimodularTuple(angles) == expected
 
 
 # Every real-number parameter the library takes, as (call on the value, a

@@ -98,7 +98,7 @@ def test_power_sums_at_the_block_edges(n):
 
 def test_power_sums_does_not_build_the_power_matrix():
     """The nu_max x n matrix of powers at n = 200 is 127 MB of complex
-    numbers; the profile itself needs two tuples of 39 800 floats."""
+    numbers; the profile itself needs two arrays of 39 800 floats (0.6 MB)."""
     t = random_tuple(np.random.default_rng(200), 200)
     tracemalloc.start()
     try:
@@ -154,10 +154,37 @@ def test_one_tuple_makes_one_profile_for_the_three_sums(monkeypatch):
 
 def test_the_kept_profile_rejects_writes():
     t = fabrykowski_tuple(singer_construct(4))
-    power_sums(t)
-    for array in t._profile:
+    profile = power_sums(t)
+    for array in (profile.abs_values, profile.epsilons):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def test_the_horizon_profile_is_the_kept_object_and_every_profile_is_read_only():
+    t = random_tuple(np.random.default_rng(71), 6)
+    kept = power_sums(t)
+    assert power_sums(t) is kept and power_sums(t, nu_max=t.horizon) is kept
+    shorter = power_sums(t, nu_max=5)
+    assert power_sums(t, nu_max=5) is not shorter
+    # profiles compare by identity: a generated == over arrays would raise
+    assert kept == kept and shorter != power_sums(t, nu_max=5)
+    for profile in (kept, shorter):
+        for array in (profile.abs_values, profile.epsilons):
+            assert array.dtype == np.float64 and not array.flags.writeable
+
+
+def test_a_repeat_profile_at_316_points_copies_nothing():
+    """At n = 316 the horizon profile is two arrays of 99 540 floats; a
+    repeat call returns the kept object and copies none of them."""
+    t = random_tuple(np.random.default_rng(316), 316)
+    power_sums(t)
+    tracemalloc.start()
+    try:
+        power_sums(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_a_kept_profile_leaves_equality_hash_and_record_alone():
@@ -181,8 +208,8 @@ def test_profiles_at_any_nu_max_have_the_bits_of_a_fresh_computation():
         for nu_max in sorted({1, n - 1, t.horizon - 1, t.horizon, t.horizon + 3} - {0}):
             direct = np.abs(sums_module._power_sums(eff, nu_max))
             profile = power_sums(t, nu_max=nu_max)
-            assert profile.abs_values == tuple(direct.tolist()), (n, nu_max)
-            assert profile.epsilons == tuple((direct * direct - (n - 1)).tolist())
+            assert profile.abs_values.tobytes() == direct.tobytes(), (n, nu_max)
+            assert profile.epsilons.tobytes() == (direct * direct - (n - 1)).tobytes()
             assert profile.max_abs == float(direct.max())
 
 
@@ -202,7 +229,8 @@ def test_profile_fields_consistent():
     p = power_sums(t)
     assert p.m == 21 and p.n == 5
     assert p.max_abs == max(p.abs_values)
-    assert all(type(x) is float for x in p.abs_values + p.epsilons)
+    assert p.abs_values.dtype == p.epsilons.dtype == np.float64
+    assert len(p.abs_values) == len(p.epsilons) == 20
     for a, e in zip(p.abs_values, p.epsilons):
         assert e == pytest.approx(a * a - 4, abs=1e-9)
         assert a >= 0.0
